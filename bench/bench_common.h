@@ -60,6 +60,8 @@
 //                    sweeps both
 //   --arch=A         (fig_cleaning) restrict the architecture axis to
 //                    "embedded" or "user_lfs"; default sweeps both
+//   --help           print the flag list and exit 2
+// Any other argument prints the flag list and exits 2.
 // Measured quantities are *virtual* (simulated) times; wall-clock run time
 // of the binary is irrelevant.
 #ifndef LFSTX_BENCH_BENCH_COMMON_H_
@@ -178,9 +180,33 @@ struct BenchConfig {
         c.profile = true;
       } else if (strcmp(argv[i], "--blame") == 0) {
         c.blame = true;
+      } else if (strcmp(argv[i], "--help") == 0 ||
+                 strcmp(argv[i], "-h") == 0) {
+        PrintUsage(stdout, argv[0]);
+        exit(2);
+      } else {
+        // A typo must not run the default configuration instead.
+        fprintf(stderr, "%s: unknown flag %s\n", argv[0], argv[i]);
+        PrintUsage(stderr, argv[0]);
+        exit(2);
       }
     }
     return c;
+  }
+
+  static void PrintUsage(FILE* out, const char* prog) {
+    fprintf(out,
+            "usage: %s [--scale=N] [--txns=N] [--readahead=N] [--users=N]\n"
+            "    [--metrics-dir=D] [--trace=SPEC] [--trace-file=F] [--fsck]\n"
+            "    [--profile] [--blame] [--sample-interval=MS]\n"
+            "    [--cleaner=kernel|user] [--sim-backend=fibers|threads]\n"
+            "    [--summary=F] [--arrival=poisson|bursty|diurnal]\n"
+            "    [--offered-tps=L] [--queue-cap=N] [--exemplars=K]\n"
+            "    [--fullness=L] [--watermark=lazy|eager]\n"
+            "    [--arch=embedded|user_lfs]\n"
+            "Each bench reads the flags that apply to it; see the flag list\n"
+            "at the top of bench/bench_common.h.\n",
+            prog);
   }
 
   TpcbConfig Tpcb() const {

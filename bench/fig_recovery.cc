@@ -2,7 +2,7 @@
 // function of the log written since the last checkpoint — and what do
 // checkpoints cost while the system is up?
 //
-// Three measurements, all in virtual time:
+// Two measurements, all in virtual time:
 //
 //   1. curve: build an LFS image with R workload rounds (~1 segment each)
 //      after format, stop without Unmount, mount a clone, and read the
@@ -11,9 +11,7 @@
 //      log, the unbounded baseline) and "fuzzy" (fuzzy checkpoint every 2
 //      segments — replay is bounded by the checkpoint interval, so the
 //      curve must flatten while nocp keeps climbing).
-//   2. parallel: the largest nocp image re-recovered with 1/2/4/8 replay
-//      partitions — the pipelined-scan speedup on identical input.
-//   3. overhead: closed-loop TPC-B TPS on the embedded architecture with
+//   2. overhead: closed-loop TPC-B TPS on the embedded architecture with
 //      the fuzzy-checkpoint daemon off vs. on (250 ms interval) — the
 //      bounded-recovery guarantee's cost in foreground throughput.
 //
@@ -28,7 +26,6 @@ namespace lfstx {
 namespace {
 
 constexpr int kRounds[] = {2, 4, 8, 16};
-constexpr uint32_t kParallelSweep[] = {1, 2, 4, 8};
 
 /// One workload round: rewrite 24 files at 1-8 blocks each (~100 payload
 /// blocks, just under one segment) and SyncAll. Round r of every build
@@ -67,18 +64,16 @@ uint64_t BuildImage(SimEnv* env, SimDisk* disk, bool fuzzy, int rounds) {
   return disk->stats().blocks_written;
 }
 
-/// Mount a clone of `base` with the given replay-partition count, sweep
-/// the invariant checkers, and return the recovery cost.
-Lfs::RecoveryStats RecoverClone(const SimDisk& base, uint32_t partitions) {
+/// Mount a clone of `base`, sweep the invariant checkers, and return the
+/// recovery cost.
+Lfs::RecoveryStats RecoverClone(const SimDisk& base) {
   SimEnv env;
   SimDisk disk(&env, SimDisk::Options{});
   disk.CopyContentsFrom(base);
   Lfs::RecoveryStats out;
   env.Spawn("recover", [&] {
     BufferCache cache(&env, 1024);
-    Lfs::Options lo;
-    lo.recovery_partitions = partitions;
-    Lfs fs(&env, &disk, &cache, lo);
+    Lfs fs(&env, &disk, &cache);
     cache.set_writeback(&fs);
     LFSTX_CHECK(fs.Mount().ok(), "recovery mount failed");
     out = fs.recovery_stats();
@@ -108,13 +103,12 @@ std::string CurveJson(const CurvePoint& p) {
   return Fmt(
       "{\"mode\": \"%s\", \"rounds\": %d, \"written_blocks\": %llu, "
       "\"payload_blocks\": %llu, \"chunks\": %llu, \"checkpoint_seq\": %llu, "
-      "\"partitions\": %u, \"scan_us\": %llu, \"apply_us\": %llu, "
-      "\"recovery_us\": %llu}",
+      "\"scan_us\": %llu, \"apply_us\": %llu, \"recovery_us\": %llu}",
       p.mode, p.rounds, static_cast<unsigned long long>(p.written_blocks),
       static_cast<unsigned long long>(p.rec.payload_blocks),
       static_cast<unsigned long long>(p.rec.chunks),
       static_cast<unsigned long long>(p.rec.checkpoint_seq),
-      p.rec.partitions, static_cast<unsigned long long>(p.rec.scan_us),
+      static_cast<unsigned long long>(p.rec.scan_us),
       static_cast<unsigned long long>(p.rec.apply_us),
       static_cast<unsigned long long>(p.rec.total_us));
 }
@@ -208,7 +202,7 @@ int Main(int argc, char** argv) {
       p.mode = mode;
       p.rounds = rounds;
       p.written_blocks = written;
-      p.rec = RecoverClone(disk, /*partitions=*/4);
+      p.rec = RecoverClone(disk);
       curve.push_back(p);
       curve_table.AddRow(
           {mode, Fmt("%d", rounds),
@@ -221,26 +215,7 @@ int Main(int argc, char** argv) {
   printf("\nrecovery time vs log written since checkpoint:\n");
   curve_table.Print();
 
-  // --- 2. parallel replay on the largest unbounded image ---
-  std::vector<std::pair<uint32_t, Lfs::RecoveryStats>> parallel;
-  {
-    SimEnv env;
-    SimDisk disk(&env, SimDisk::Options{});
-    BuildImage(&env, &disk, /*fuzzy=*/false, kRounds[3]);
-    ResultTable t({"partitions", "scan (us)", "apply (us)", "recovery (us)"});
-    for (uint32_t parts : kParallelSweep) {
-      Lfs::RecoveryStats rec = RecoverClone(disk, parts);
-      parallel.emplace_back(parts, rec);
-      t.AddRow({Fmt("%u", parts),
-                Fmt("%llu", static_cast<unsigned long long>(rec.scan_us)),
-                Fmt("%llu", static_cast<unsigned long long>(rec.apply_us)),
-                Fmt("%llu", static_cast<unsigned long long>(rec.total_us))});
-    }
-    printf("\nparallel replay, %d-round unbounded image:\n", kRounds[3]);
-    t.Print();
-  }
-
-  // --- 3. checkpoint-daemon overhead on foreground TPC-B ---
+  // --- 2. checkpoint-daemon overhead on foreground TPC-B ---
   uint64_t txns = cfg.TxnsOr(640);
   OverheadPoint off = MeasureOverhead(cfg, false, txns);
   OverheadPoint on = MeasureOverhead(cfg, true, txns);
@@ -272,19 +247,6 @@ int Main(int argc, char** argv) {
     for (size_t i = 0; i < curve.size(); i++) {
       fprintf(f, "  %s%s\n", CurveJson(curve[i]).c_str(),
               i + 1 < curve.size() ? "," : "");
-    }
-    fprintf(f, " ],\n \"parallel\": [\n");
-    for (size_t i = 0; i < parallel.size(); i++) {
-      fprintf(f,
-              "  {\"partitions\": %u, \"scan_us\": %llu, \"apply_us\": %llu, "
-              "\"recovery_us\": %llu, \"payload_blocks\": %llu}%s\n",
-              parallel[i].first,
-              static_cast<unsigned long long>(parallel[i].second.scan_us),
-              static_cast<unsigned long long>(parallel[i].second.apply_us),
-              static_cast<unsigned long long>(parallel[i].second.total_us),
-              static_cast<unsigned long long>(
-                  parallel[i].second.payload_blocks),
-              i + 1 < parallel.size() ? "," : "");
     }
     fprintf(f, " ],\n \"overhead\": [\n  %s,\n  %s\n ]\n}\n",
             OverheadJson(off).c_str(), OverheadJson(on).c_str());

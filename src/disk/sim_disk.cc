@@ -139,9 +139,10 @@ void SimDisk::StartService(std::unique_ptr<DiskRequest> req) {
               {"cause", IoCauseName(req->cause)}, {"wait_us", req->wait_us},
               {"queued", static_cast<uint64_t>(queue_.size())});
   SimTime service = model_.Service(env_->Now(), req->block, req->nblocks);
-  DiskRequest* raw = req.release();
-  env_->After(service, [this, raw, service] {
-    std::unique_ptr<DiskRequest> owned(raw);
+  // Shared, not released: a simulation that stops with this request on
+  // the platter drops the timer uncalled, and must free the request too.
+  std::shared_ptr<DiskRequest> owned = std::move(req);
+  env_->After(service, [this, owned, service] {
     Complete(owned.get());
     latency_hist_->Add(env_->Now() - owned->submit_time);
     env_->profiler()->ChargeDiskRequest(

@@ -39,10 +39,6 @@ class Lfs : public FsCore {
     /// Write a checkpoint every N segment activations (and at unmount /
     /// after every cleaning round).
     uint32_t checkpoint_every_segments = 8;
-    /// Roll-forward replay partitions (by inode-map block). Each partition
-    /// applies on its own SimEnv process, so apply CPU overlaps the
-    /// scanner's chain reads. 0 or 1 = sequential inline apply.
-    uint32_t recovery_partitions = 4;
   };
 
   struct LfsStats {
@@ -64,12 +60,11 @@ class Lfs : public FsCore {
     uint64_t checkpoint_seq = 0;   ///< seq of the checkpoint restored from
     uint64_t chunks = 0;           ///< chunks replayed off the chain
     uint64_t payload_blocks = 0;   ///< payload blocks read during the scan
-    uint64_t apply_items = 0;      ///< imap updates applied by workers
+    uint64_t apply_items = 0;      ///< imap updates applied
     uint64_t discarded_txns = 0;   ///< staged txns with no commit marker
     uint64_t torn_chunks = 0;
     uint64_t stale_chunks = 0;
-    uint32_t partitions = 0;       ///< replay worker count actually used
-    SimTime scan_us = 0;           ///< chain walk + worker join (virtual)
+    SimTime scan_us = 0;           ///< chain walk, apply included (virtual)
     SimTime apply_us = 0;          ///< CPU consumed applying items (virtual)
     SimTime total_us = 0;          ///< whole recovery span (virtual)
   };

@@ -12,17 +12,14 @@
 // Recovery loads the newer valid checkpoint, rolls the log forward along
 // the summary chain (staging transaction-tagged chunks until their commit
 // marker), then rebuilds the usage table exactly and writes a fresh
-// checkpoint. The roll-forward is pipelined: the scanner walks the chain
-// with timed reads while replay workers — one SimEnv process per
-// partition — apply inode-map updates. Updates are partitioned by inode-
-// map block, so two updates that touch the same map entry always land in
-// the same partition's FIFO queue in log order: the recovered state is
-// byte-identical to a sequential replay, on either execution backend.
+// checkpoint. The roll-forward is one sequential pass that applies every
+// inode and inode-map update inline, in log order. The whole recovery
+// holds the flush lock: the cleaner and syncer daemons start before the
+// file system is mounted, and only the lock keeps them from appending to
+// a log whose head the scan has not found yet.
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "check/gen_stamp.h"
@@ -106,59 +103,20 @@ Status Lfs::WriteCheckpointLocked() {
 
 // --------------------------------------------------------------- recovery --
 
-namespace {
-// Decode one inode block and hand each valid inode to `fn`.
-template <typename Fn>
-void ForEachInode(const char* block, Fn fn) {
-  for (uint32_t slot = 0; slot < kInodesPerBlock; slot++) {
-    DiskInode d;
-    DecodeInode(block, slot, &d);
-    if (d.inum != kInvalidInode &&
-        d.file_type() != FileType::kFree) {
-      fn(d);
-    }
-  }
-}
-
-// One inode-map update learned from the scan, routed to a replay
-// partition by the imap block it touches (kInode: BlockOf(inum); kImap:
-// the map block itself). Same map block -> same partition -> FIFO
-// preserves log order for every entry both updates cover.
-struct ReplayItem {
-  BlockKind kind;
-  BlockAddr addr = 0;
-  InodeNum inum = kInvalidInode;  // kInode: one decoded inode
-  uint32_t version = 0;           // kInode
-  uint64_t lblock = 0;            // kImap: map block index
-  std::vector<char> bytes;        // kImap: block image
-};
-
-struct ReplayPartition {
-  explicit ReplayPartition(SimEnv* env) : ready(env) {}
-  std::deque<ReplayItem> q;
-  WaitQueue ready;
-  bool done = false;  // scanner reached end of chain, drain and exit
-};
-
-// Heap-allocated and captured by shared_ptr value in the workers, so a
-// scanner that bails out on shutdown leaves nothing dangling.
-struct ReplayShared {
-  ReplayShared(SimEnv* env, uint32_t n) : done_q(env) {
-    parts.reserve(n);
-    for (uint32_t i = 0; i < n; i++) {
-      parts.push_back(std::make_unique<ReplayPartition>(env));
-    }
-  }
-  std::vector<std::unique_ptr<ReplayPartition>> parts;
-  uint32_t running = 0;
-  WaitQueue done_q;  // scanner waits here for workers to drain
-};
-}  // namespace
-
 Status Lfs::RecoverFromCheckpointAndRollForward() {
-  // Recovery I/O (and the replay workers' CPU) bills to the checkpoint
-  // cause: it is the price of the checkpoint interval chosen.
+  // Recovery I/O bills to the checkpoint cause: it is the price of the
+  // checkpoint interval chosen.
   ProfCauseScope prof_cause(env_->profiler(), IoCause::kCheckpoint);
+  // Own the log from the first read of the log head to the final
+  // checkpoint: a daemon that wakes mid-recovery blocks on the lock
+  // instead of appending or cleaning where the scan has not reached.
+  SimMutexGuard g(&flush_lock_);
+  if (!g.locked()) return Status::Busy("stopped before recovery");
+  flush_owner_ = SimEnv::Current();
+  struct OwnerReset {  // clears flush_owner_ on every return path
+    SimProc** owner;
+    ~OwnerReset() { *owner = nullptr; }
+  } owner_reset{&flush_owner_};
   recovery_stats_ = RecoveryStats();
   SimTime recover_start = env_->Now();
 
@@ -216,92 +174,37 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
               {"region", best_is_a ? "A" : "B"}, {"seg", cur_seg_},
               {"off", cur_off_}, {"next_write_seq", next_write_seq_});
 
-  // ---- 3. roll forward along the summary chain (pipelined) ----
-  uint32_t nparts = std::max<uint32_t>(1, options_.recovery_partitions);
-  recovery_stats_.partitions = nparts;
+  // ---- 3. roll forward along the summary chain ----
   SimTime scan_start = env_->Now();
 
-  // Applies one item in the calling process, charging its CPU cost.
-  auto apply_item = [this](const ReplayItem& u) {
-    uint64_t cost;
-    if (u.kind == BlockKind::kInode) {
-      imap_.Set(u.inum, u.addr, u.version);
-      cost = std::max<uint64_t>(
-          1, env_->costs().segment_block_cpu_us / kInodesPerBlock);
-    } else {
-      imap_.DecodeBlock(static_cast<uint32_t>(u.lblock), u.bytes.data());
-      imap_.block_addrs()[u.lblock] = u.addr;
-      cost = env_->costs().segment_block_cpu_us;
-    }
-    recovery_stats_.apply_items++;
-    recovery_stats_.apply_us += cost;
-    env_->Consume(cost);
-  };
-
-  // LFSTX_YIELD_OK(roll-forward runs inside Mount, before any other process can reach this Lfs)
-  auto shared = std::make_shared<ReplayShared>(env_, nparts);
-  if (nparts > 1) {
-    for (uint32_t p = 0; p < nparts; p++) {
-      shared->running++;
-      env_->Spawn("lfs.replay." + std::to_string(p),
-                  [this, shared, apply_item, p] {
-                    ProfCauseScope cause(env_->profiler(),
-                                         IoCause::kCheckpoint);
-                    ReplayPartition* part = shared->parts[p].get();
-                    while (!env_->stop_requested()) {
-                      if (!part->q.empty()) {
-                        ReplayItem u = std::move(part->q.front());
-                        part->q.pop_front();
-                        apply_item(u);
-                        continue;
-                      }
-                      if (part->done) break;
-                      if (part->ready.Sleep() == WakeReason::kStopped) break;
-                    }
-                    shared->running--;
-                    shared->done_q.WakeAll();
-                  });
-    }
-  }
-
-  // Route an update to its partition's FIFO (or apply inline when
-  // sequential). kInode updates explode into per-inode triples so the
-  // partition key is the imap block each one actually touches.
-  auto dispatch = [&](BlockKind kind, BlockAddr addr, uint64_t lblock,
-                      const char* bytes) {
+  // Applies one inode or inode-map block, charging its CPU per update.
+  auto apply = [&](BlockKind kind, BlockAddr addr, uint64_t lblock,
+                   const char* bytes) {
+    auto charge = [&](uint64_t cost) {
+      recovery_stats_.apply_items++;
+      recovery_stats_.apply_us += cost;
+      env_->Consume(cost);
+    };
     if (kind == BlockKind::kInode) {
-      ForEachInode(bytes, [&](const DiskInode& d) {
-        ReplayItem u;
-        u.kind = BlockKind::kInode;
-        u.addr = addr;
-        u.inum = d.inum;
-        u.version = d.version;
-        if (nparts > 1) {
-          uint32_t p = (d.inum / kImapEntriesPerBlock) % nparts;
-          shared->parts[p]->q.push_back(std::move(u));
-          shared->parts[p]->ready.WakeAll();
-        } else {
-          apply_item(u);
+      for (uint32_t slot = 0; slot < kInodesPerBlock; slot++) {
+        DiskInode d;
+        DecodeInode(bytes, slot, &d);
+        if (d.inum == kInvalidInode || d.file_type() == FileType::kFree) {
+          continue;
         }
-      });
-    } else {
-      ReplayItem u;
-      u.kind = BlockKind::kImap;
-      u.addr = addr;
-      u.lblock = lblock;
-      u.bytes.assign(bytes, bytes + kBlockSize);
-      if (nparts > 1) {
-        uint32_t p = static_cast<uint32_t>(lblock) % nparts;
-        shared->parts[p]->q.push_back(std::move(u));
-        shared->parts[p]->ready.WakeAll();
-      } else {
-        apply_item(u);
+        imap_.Set(d.inum, addr, d.version);
+        charge(std::max<uint64_t>(
+            1, env_->costs().segment_block_cpu_us / kInodesPerBlock));
       }
+    } else {
+      imap_.DecodeBlock(static_cast<uint32_t>(lblock), bytes);
+      imap_.block_addrs()[lblock] = addr;
+      charge(env_->costs().segment_block_cpu_us);
     }
   };
 
   // Chunks of a transaction stage here (as raw block images) until the
-  // chunk carrying the commit marker dispatches them in log order.
+  // chunk carrying the commit marker applies them in log order.
   struct Staged {
     BlockKind kind;
     BlockAddr addr;
@@ -311,8 +214,10 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   std::map<TxnId, std::vector<Staged>> staged;
 
   Status scan_status = Status::OK();
-  BlockAddr next = SegBase(cur_seg_) + cur_off_;  // LFSTX_YIELD_OK(Mount is exclusive: nothing else mutates the log head yet)
-  uint64_t expect_seq = next_write_seq_;  // LFSTX_YIELD_OK(Mount is exclusive: nothing else mutates the log head yet)
+  // LFSTX_YIELD_OK(flush lock held: only this scan moves the log head)
+  BlockAddr next = SegBase(cur_seg_) + cur_off_;
+  // LFSTX_YIELD_OK(flush lock held: only this scan moves the log head)
+  uint64_t expect_seq = next_write_seq_;
   std::vector<char> seg_buf(
       static_cast<size_t>(options_.segment_blocks) * kBlockSize);
   while (next != kInvalidBlock && next >= geo_.seg_start &&
@@ -370,13 +275,12 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
                        seg_buf.data() + (2ull + i) * kBlockSize);
         staged[s.txn].push_back(std::move(u));
       } else {
-        dispatch(kind, addr, e.lblock,
-                 seg_buf.data() + (1ull + i) * kBlockSize);
+        apply(kind, addr, e.lblock, seg_buf.data() + (1ull + i) * kBlockSize);
       }
     }
     if (s.txn != kNoTxn && s.txn_commit) {
       for (const Staged& u : staged[s.txn]) {
-        dispatch(u.kind, u.addr, u.lblock, u.bytes.data());
+        apply(u.kind, u.addr, u.lblock, u.bytes.data());
       }
       staged.erase(s.txn);
     }
@@ -390,26 +294,7 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   next_write_seq_ = expect_seq;
   recovery_stats_.chunks = expect_seq - best.next_write_seq;
   recovery_stats_.discarded_txns = staged.size();
-
-  // Drain the replay pipeline: workers exit once their queue is empty and
-  // done is set. After a shutdown request their Sleep returns kStopped
-  // immediately, so bail instead of spinning; workers own `shared` via the
-  // shared_ptr and exit on their own without touching this Lfs.
-  bool stopped = false;
-  if (nparts > 1) {
-    for (auto& part : shared->parts) {
-      part->done = true;
-      part->ready.WakeAll();
-    }
-    while (shared->running > 0) {
-      if (shared->done_q.Sleep() == WakeReason::kStopped) {
-        stopped = true;
-        break;
-      }
-    }
-  }
   recovery_stats_.scan_us = env_->Now() - scan_start;
-  if (stopped) return Status::Busy("simulation stopped during replay");
   LFSTX_RETURN_IF_ERROR(scan_status);
 
   // Chunks of transactions whose commit marker never made it to disk are
@@ -425,18 +310,12 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
 
   // ---- 5. persist the recovered state ----
   Status s = Status::OK();
-  {
-    SimMutexGuard g(&flush_lock_);
-    if (!g.locked()) return Status::Busy("stopped during recovery");
-    flush_owner_ = SimEnv::Current();
-    if (!imap_.DirtyBlocks().empty()) {
-      // Roll-forward learned inode locations that the on-disk imap blocks
-      // don't reflect yet; push them into the log before checkpointing.
-      s = FlushLocked(kNoTxn);
-    }
-    if (s.ok()) s = WriteCheckpointLocked();
-    flush_owner_ = nullptr;
+  if (!imap_.DirtyBlocks().empty()) {
+    // Roll-forward learned inode locations that the on-disk imap blocks
+    // don't reflect yet; push them into the log before checkpointing.
+    s = FlushLocked(kNoTxn);
   }
+  if (s.ok()) s = WriteCheckpointLocked();
   recovery_stats_.total_us = env_->Now() - recover_start;
 
   // Mirror into metrics so tests and benches can assert on recovery
@@ -460,9 +339,7 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   set("recovery.stale_chunks", "count",
       "chunks rejected by write_seq (stale data)",
       recovery_stats_.stale_chunks);
-  set("recovery.partitions", "count", "replay partitions used",
-      recovery_stats_.partitions);
-  set("recovery.scan_us", "us", "virtual time walking the chain + drain",
+  set("recovery.scan_us", "us", "virtual time walking the chain",
       recovery_stats_.scan_us);
   set("recovery.apply_us", "us", "virtual CPU applying inode-map updates",
       recovery_stats_.apply_us);

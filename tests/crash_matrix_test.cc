@@ -14,9 +14,10 @@
 // chunks, torn checkpoint images, and torn WAL flushes without separate
 // plumbing. Runs on both the user-level/LFS and embedded architectures.
 //
-// The full per-boundary sweep is minutes of work, so CI runs a stride that
-// still hits every commit boundary (the interesting edges) plus evenly
-// spaced interior points; LFSTX_CRASH_MATRIX_FULL=1 sweeps every boundary.
+// By default the matrix runs a stride that still hits every commit
+// boundary (the interesting edges) plus evenly spaced interior points;
+// LFSTX_CRASH_MATRIX_FULL=1 sweeps every boundary (CI's recovery-smoke
+// job).
 #include <gtest/gtest.h>
 
 #include <algorithm>

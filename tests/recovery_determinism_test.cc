@@ -1,12 +1,13 @@
-// Recovery determinism (ISSUE 9): recovery is a pure function of the
-// platter. Mounting the same crashed disk image must produce a
-// byte-identical recovered platter, identical recovery.* metrics
-// (including virtual-time costs), and an identical online-fsck report —
-// across the fibers and threads execution backends, across repeated runs,
-// and across sequential vs. partitioned replay (the partition merge rule
-// is deterministic: per-imap-block FIFO order equals log order).
+// Recovery determinism: recovery is a pure function of the platter.
+// Mounting the same crashed disk image must produce a byte-identical
+// recovered platter, identical recovery.* metrics (including virtual-time
+// costs), and an identical online-fsck report — across the fibers and
+// threads execution backends and across repeated runs — and the daemons
+// that poll during Mount (cleaner, syncer) must not change what it
+// recovers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -68,7 +69,7 @@ void HashBytes(uint64_t* h, const char* p, size_t n) {
 /// contents, walked in directory order. Must run inside a simulated
 /// process. Unlike the platter digest this is invariant under recovery
 /// *timing* (checkpoint timestamps, segment write times), so it is the
-/// right equality for sequential-vs-partitioned replay.
+/// right equality for mounts whose daemons write after recovery.
 void LogicalDigest(FileSystem* fs, const std::string& dir, uint64_t* h) {
   std::vector<DirEntry> entries;
   ASSERT_TRUE(fs->ReadDir(dir, &entries).ok()) << dir;
@@ -122,8 +123,7 @@ struct Fingerprint {
 
 /// Mount a copy of `base` (running restart recovery), audit every fsck
 /// slice once, sweep the invariant checkers, and fingerprint the result.
-Fingerprint RecoverOnce(const SimDisk& base, SimBackend backend,
-                        uint32_t partitions) {
+Fingerprint RecoverOnce(const SimDisk& base, SimBackend backend) {
   Machine::Options mo;
   mo.sim_backend = backend;
   mo.format = false;
@@ -131,7 +131,6 @@ Fingerprint RecoverOnce(const SimDisk& base, SimBackend backend,
   mo.start_cleaner = false;  // recovered state, no daemon writes
   mo.start_fsck = true;
   mo.fsck.interval = 3600 * kSecond;  // audits driven explicitly below
-  mo.lfs.recovery_partitions = partitions;
   auto m = Machine::Build(mo);
   m->disk->CopyContentsFrom(base);
   Fingerprint fp;
@@ -154,18 +153,18 @@ Fingerprint RecoverOnce(const SimDisk& base, SimBackend backend,
   return fp;
 }
 
-TEST(RecoveryDeterminism, IdenticalAcrossBackendsRunsAndPartitioning) {
+TEST(RecoveryDeterminism, IdenticalAcrossBackendsAndRuns) {
   SimEnv base_env;
   SimDisk base(&base_env, SimDisk::Options{});
   BuildCrashedImage(&base, /*seed=*/4242);
 
-  Fingerprint fibers = RecoverOnce(base, SimBackend::kFibers, 4);
+  Fingerprint fibers = RecoverOnce(base, SimBackend::kFibers);
   ASSERT_TRUE(fibers.checks_clean);
   EXPECT_NE(fibers.metrics.find("recovery.total_us"), std::string::npos)
       << "recovery metrics missing:\n" << fibers.metrics;
 
   // Repeated run, same backend: bit-for-bit identical.
-  Fingerprint again = RecoverOnce(base, SimBackend::kFibers, 4);
+  Fingerprint again = RecoverOnce(base, SimBackend::kFibers);
   EXPECT_TRUE(fibers == again)
       << "repeat run diverged:\n--- first\n" << fibers.metrics
       << "--- second\n" << again.metrics;
@@ -173,37 +172,64 @@ TEST(RecoveryDeterminism, IdenticalAcrossBackendsRunsAndPartitioning) {
   // Threads backend: the execution backend must not change simulation
   // results (SIMULATOR.md contract) — recovered platter, virtual-time
   // recovery costs, and the fsck report all included.
-  Fingerprint threads = RecoverOnce(base, SimBackend::kThreads, 4);
+  Fingerprint threads = RecoverOnce(base, SimBackend::kThreads);
   EXPECT_TRUE(fibers == threads)
       << "fibers vs threads diverged:\n--- fibers\n" << fibers.metrics
       << "--- threads\n" << threads.metrics;
-
-  // Sequential replay: the partitioned pipeline's merge order is log
-  // order per imap block, so the recovered logical state is identical;
-  // the raw platter and timing metrics legitimately differ (recovery
-  // finishes at a different virtual time, and the end-of-recovery
-  // checkpoint stamps it — that difference IS the measured speedup).
-  Fingerprint seq = RecoverOnce(base, SimBackend::kFibers, 1);
-  EXPECT_EQ(fibers.logical, seq.logical)
-      << "partitioned replay recovered different state than sequential";
-  EXPECT_TRUE(seq.checks_clean);
 }
 
-class RecoveryDeterminismSeeds : public ::testing::TestWithParam<uint64_t> {};
+constexpr SimTime kCleanerPoll = kMillisecond;
+constexpr SimTime kSyncInterval = 5 * kMillisecond;
 
-TEST_P(RecoveryDeterminismSeeds, PartitionedEqualsSequential) {
+struct DaemonMount {
+  uint64_t logical = 0;
+  Lfs::RecoveryStats rec;
+};
+
+/// Mount a copy of `base`, with or without the cleaner and syncer polling
+/// throughout recovery, and digest what the mount recovered.
+DaemonMount MountWithDaemons(const SimDisk& base, bool daemons) {
+  Machine::Options mo;
+  mo.format = false;
+  mo.start_syncer = daemons;
+  mo.sync_interval = kSyncInterval;
+  mo.start_cleaner = daemons;
+  mo.cleaner.poll_interval = kCleanerPoll;
+  mo.cleaner.low_water = 100000;   // every poll engages...
+  mo.cleaner.high_water = 100000;  // ...and keeps cleaning
+  auto m = Machine::Build(mo);
+  m->disk->CopyContentsFrom(base);
+  DaemonMount out;
+  m->env->Spawn("main", [&] {
+    Status s = m->Boot(mo);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    out.rec = m->lfs()->recovery_stats();
+    out.logical = 14695981039346656037ull;
+    LogicalDigest(m->fs.get(), "/", &out.logical);
+  });
+  m->env->Run();
+  return out;
+}
+
+// The cleaner and syncer start with the machine, before Boot mounts the
+// file system. A roll-forward that outlasts their poll must still own the
+// log. Otherwise a cleaner pass mid-scan appends at the half-recovered
+// head: it overwrites synced chunks the scan has not reached yet or, on
+// this image, trips the segment writer's log-head GenStamp check.
+TEST(RecoveryDeterminism, DaemonsPollingDuringMountChangeNothing) {
   SimEnv base_env;
   SimDisk base(&base_env, SimDisk::Options{});
-  BuildCrashedImage(&base, GetParam());
-  Fingerprint part = RecoverOnce(base, SimBackend::kFibers, 4);
-  Fingerprint seq = RecoverOnce(base, SimBackend::kFibers, 1);
-  EXPECT_TRUE(part.checks_clean);
-  EXPECT_TRUE(seq.checks_clean);
-  EXPECT_EQ(part.logical, seq.logical);
-}
+  BuildCrashedImage(&base, /*seed=*/4242);
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryDeterminismSeeds,
-                         ::testing::Values(11, 22, 33, 44));
+  DaemonMount quiet = MountWithDaemons(base, /*daemons=*/false);
+  ASSERT_GT(quiet.rec.scan_us, 10 * std::max(kCleanerPoll, kSyncInterval))
+      << "roll-forward too short to overlap the daemons' polls";
+  DaemonMount busy = MountWithDaemons(base, /*daemons=*/true);
+  EXPECT_EQ(busy.rec.chunks, quiet.rec.chunks);
+  EXPECT_EQ(busy.rec.payload_blocks, quiet.rec.payload_blocks);
+  EXPECT_EQ(busy.logical, quiet.logical)
+      << "daemons running during Mount changed the recovered state";
+}
 
 }  // namespace
 }  // namespace lfstx
