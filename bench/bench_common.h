@@ -61,7 +61,8 @@
 //   --arch=A         (fig_cleaning) restrict the architecture axis to
 //                    "embedded" or "user_lfs"; default sweeps both
 //   --help           print the flag list and exit 2
-// Any other argument prints the flag list and exits 2.
+// Any other argument prints the flag list and exits 2, and so does a
+// numeric flag whose value is not a whole number.
 // Measured quantities are *virtual* (simulated) times; wall-clock run time
 // of the binary is irrelevant.
 #ifndef LFSTX_BENCH_BENCH_COMMON_H_
@@ -69,11 +70,13 @@
 
 #include <sys/stat.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <system_error>
 
 #include "check/registry.h"
 #include "harness/rig.h"
@@ -107,19 +110,36 @@ struct BenchConfig {
   std::string watermark;  // fig_cleaning: "lazy"|"eager"; "" = both
   std::string arch;       // fig_cleaning: "embedded"|"user_lfs"; "" = both
 
+  /// The value of numeric flag `arg`, which starts with a `prefix_len`-byte
+  /// "--name=" prefix. A value that is empty, not a number, out of range,
+  /// negative for an unsigned flag, or followed by anything else prints a
+  /// message and exits 2: "--scale=abc" must not run scale 1 instead.
+  template <typename T>
+  static T NumericFlag(const char* arg, size_t prefix_len) {
+    const char* v = arg + prefix_len;
+    const char* end = v + strlen(v);
+    T n = 0;
+    auto [parsed_to, err] = std::from_chars(v, end, n);
+    if (err != std::errc() || parsed_to != end) {
+      fprintf(stderr, "bad number in %s\n", arg);
+      exit(2);
+    }
+    return n;
+  }
+
   static BenchConfig FromArgs(int argc, char** argv) {
     BenchConfig c;
     for (int i = 1; i < argc; i++) {
       if (strncmp(argv[i], "--scale=", 8) == 0) {
-        c.scale = std::max<uint64_t>(1, strtoull(argv[i] + 8, nullptr, 10));
+        c.scale = std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 8));
       } else if (strncmp(argv[i], "--txns=", 7) == 0) {
-        c.txns = strtoull(argv[i] + 7, nullptr, 10);
+        c.txns = NumericFlag<uint64_t>(argv[i], 7);
       } else if (strncmp(argv[i], "--readahead=", 12) == 0) {
-        c.readahead = strtoll(argv[i] + 12, nullptr, 10);
+        c.readahead = NumericFlag<int64_t>(argv[i], 12);
       } else if (strncmp(argv[i], "--users=", 8) == 0) {
-        c.users = std::max<uint64_t>(1, strtoull(argv[i] + 8, nullptr, 10));
+        c.users = std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 8));
       } else if (strncmp(argv[i], "--sample-interval=", 18) == 0) {
-        c.sample_interval_ms = strtoull(argv[i] + 18, nullptr, 10);
+        c.sample_interval_ms = NumericFlag<uint64_t>(argv[i], 18);
       } else if (strncmp(argv[i], "--cleaner=", 10) == 0) {
         c.cleaner_mode = argv[i] + 10;
         if (c.cleaner_mode != "kernel" && c.cleaner_mode != "user") {
@@ -154,9 +174,9 @@ struct BenchConfig {
         c.offered_tps = argv[i] + 14;
       } else if (strncmp(argv[i], "--queue-cap=", 12) == 0) {
         c.queue_cap =
-            std::max<uint64_t>(1, strtoull(argv[i] + 12, nullptr, 10));
+            std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 12));
       } else if (strncmp(argv[i], "--exemplars=", 12) == 0) {
-        c.exemplars = strtoull(argv[i] + 12, nullptr, 10);
+        c.exemplars = NumericFlag<uint64_t>(argv[i], 12);
       } else if (strncmp(argv[i], "--fullness=", 11) == 0) {
         c.fullness = argv[i] + 11;
       } else if (strncmp(argv[i], "--watermark=", 12) == 0) {

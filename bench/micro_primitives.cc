@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark, real wall-clock time) for the
 // building blocks the simulator executes billions of times: CRC32C,
-// slotted-page operations, log record codec, disk service-time math, and
-// the lock manager fast path. These measure *simulator* efficiency —
-// virtual-time results live in the fig*/ablation* binaries.
+// slotted-page operations, LIBTP's page diff, log record codec, disk
+// service-time math, and the lock manager fast path. These measure
+// *simulator* efficiency — virtual-time results live in the fig*/ablation*
+// binaries.
 #include <benchmark/benchmark.h>
 
 #include "common/crc32c.h"
@@ -10,6 +11,7 @@
 #include "disk/disk_model.h"
 #include "harness/table.h"
 #include "libtp/log_record.h"
+#include "libtp/page_diff.h"
 #include "sim/sim_env.h"
 #include "txn/lock_manager.h"
 
@@ -17,14 +19,38 @@ namespace lfstx {
 namespace {
 
 void BM_Crc32cBlock(benchmark::State& state) {
-  std::string data(kBlockSize, 'x');
+  std::string data(static_cast<size_t>(state.range(0)), 'x');
   for (auto _ : state) {
     benchmark::DoNotOptimize(crc32c::Value(data.data(), data.size()));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          kBlockSize);
+                          state.range(0));
 }
-BENCHMARK(BM_Crc32cBlock);
+BENCHMARK(BM_Crc32cBlock)->Arg(kBlockSize)->Arg(64 << 10);
+
+// LIBTP's pre-image diff on two typical updates. Arg 0: a TPC-B balance
+// update, 8 bytes changed mid-page. Arg 1: a slotted-page insert, which
+// adds a slot up front and a cell at the back, so the diff splits in two.
+void BM_PageDiff(benchmark::State& state) {
+  char before[kBlockSize], after[kBlockSize];
+  InitPage(before, PageType::kBtreeLeaf);
+  for (int i = 0; i < 20; i++) {
+    std::string key = Fmt("key%04d", i * 2);
+    slotted::InsertCell(before, slotted::LowerBound(before, key), key,
+                        std::string(100, 'v'));
+  }
+  memcpy(after, before, kBlockSize);
+  if (state.range(0) == 0) {
+    memset(after + 2000, 0x5a, 8);
+  } else {
+    slotted::InsertCell(after, slotted::LowerBound(after, "key0001"),
+                        "key0001", std::string(100, 'w'));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DiffPage(before, after));
+  }
+}
+BENCHMARK(BM_PageDiff)->Arg(0)->Arg(1);
 
 void BM_SlottedInsertFind(benchmark::State& state) {
   for (auto _ : state) {

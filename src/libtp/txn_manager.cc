@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "libtp/page_diff.h"
+
 namespace lfstx {
 
 LibTp::LibTp(Kernel* kernel) : LibTp(kernel, Options{}) {}
@@ -175,52 +177,22 @@ Status LibTp::PutPageDirty(TxnId txn, DbPage* page) {
     return Status::Internal("dirty release without write intent");
   }
   // Diff the page against its pre-image; only the changed bytes are
-  // logged ("only the updated bytes need be written", section 4.3). The
-  // LSN field itself (first 8 bytes) is excluded. Slotted pages mutate at
-  // both ends (slot directory up front, cells packed from the back), so
-  // the [first-change, last-change) span is split at its largest unchanged
-  // gap when that saves real log space.
+  // logged, in at most two records (see DiffPage).
   const char* before = page->snapshot->data();
   const char* after = page->data;
-  uint32_t lo = sizeof(Lsn), hi = kBlockSize;
-  while (lo < kBlockSize && before[lo] == after[lo]) lo++;
-  while (hi > lo && before[hi - 1] == after[hi - 1]) hi--;
-  if (lo < hi) {
-    // Largest interior run of unchanged bytes.
-    uint32_t best_start = hi, best_len = 0, run_start = 0, run_len = 0;
-    for (uint32_t i = lo; i < hi; i++) {
-      if (before[i] == after[i]) {
-        if (run_len == 0) run_start = i;
-        if (++run_len > best_len) {
-          best_len = run_len;
-          best_start = run_start;
-        }
-      } else {
-        run_len = 0;
-      }
-    }
-    struct Range {
-      uint32_t lo, hi;
-    } ranges[2];
-    int nranges = 1;
-    constexpr uint32_t kMinGap = 128;  // below this, one record is cheaper
-    if (best_len >= kMinGap) {
-      ranges[0] = {lo, best_start};
-      ranges[1] = {best_start + best_len, hi};
-      nranges = 2;
-    } else {
-      ranges[0] = {lo, hi};
-    }
-    for (int r = 0; r < nranges; r++) {
+  PageDiff diff = DiffPage(before, after);
+  if (diff.count > 0) {
+    for (int r = 0; r < diff.count; r++) {
+      const PageRange& range = diff.ranges[r];
       LogRecord rec;
       rec.type = LogRecType::kUpdate;
       rec.txn = txn;
       rec.prev_lsn = it->second.last_lsn;
       rec.file_ref = page->file_ref;
       rec.page = page->pageno;
-      rec.offset = ranges[r].lo;
-      rec.before.assign(before + ranges[r].lo, ranges[r].hi - ranges[r].lo);
-      rec.after.assign(after + ranges[r].lo, ranges[r].hi - ranges[r].lo);
+      rec.offset = range.lo;
+      rec.before.assign(before + range.lo, range.hi - range.lo);
+      rec.after.assign(after + range.lo, range.hi - range.lo);
       env->LatchOp();
       // Claim first_lsn *before* the append (no yield between here and
       // the record entering the log tail): a fuzzy checkpoint that runs

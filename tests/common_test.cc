@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/crc32c.h"
 #include "common/random.h"
@@ -102,6 +103,66 @@ TEST(Crc32cTest, MaskRoundTrip) {
   uint32_t crc = crc32c::Value("abc", 3);
   EXPECT_NE(crc32c::Mask(crc), crc);
   EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);
+}
+
+// RFC 3720 (iSCSI) appendix B.4 test vectors.
+TEST(Crc32cTest, Rfc3720Vectors) {
+  std::string zeros(32, '\0'), ones(32, '\xff'), up(32, '\0'), down(32, '\0');
+  for (int i = 0; i < 32; i++) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  for (auto* extend : {crc32c::Extend, crc32c::ExtendPortable}) {
+    EXPECT_EQ(extend(0, zeros.data(), 32), 0x8a9136aau);
+    EXPECT_EQ(extend(0, ones.data(), 32), 0x62a8ab43u);
+    EXPECT_EQ(extend(0, up.data(), 32), 0x46dd794eu);
+    EXPECT_EQ(extend(0, down.data(), 32), 0x113fdb5cu);
+  }
+}
+
+std::string RandomBytes(Random* r, size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(r->Uniform(256));
+  return s;
+}
+
+// The dispatched Extend (the CRC instruction on hosts that have one) and
+// the byte-table fallback agree on every short length at every alignment,
+// so the 8-byte main loop and the byte tail line up.
+TEST(Crc32cTest, PathsAgreeOnEveryLengthAndAlignment) {
+  Random r(3720);
+  std::string buf = RandomBytes(&r, 300 + 8);
+  for (size_t start = 0; start < 8; start++) {
+    for (size_t n = 0; n <= 300; n++) {
+      const char* p = buf.data() + start;
+      uint32_t seed = static_cast<uint32_t>(r.Next());
+      ASSERT_EQ(crc32c::Extend(seed, p, n), crc32c::ExtendPortable(seed, p, n))
+          << start << "+" << n;
+    }
+  }
+}
+
+TEST(Crc32cTest, PathsAgreeOnLargeBuffers) {
+  Random r(64);
+  for (int i = 0; i < 4; i++) {
+    std::string buf = RandomBytes(&r, 64 * 1024);
+    EXPECT_EQ(crc32c::Extend(0, buf.data(), buf.size()),
+              crc32c::ExtendPortable(0, buf.data(), buf.size()));
+  }
+}
+
+TEST(Crc32cTest, ExtendComposesAtEverySplit) {
+  Random r(9);
+  std::string buf = RandomBytes(&r, 300);
+  const uint32_t seed = 0x12345678u;
+  uint32_t whole = crc32c::ExtendPortable(seed, buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); split++) {
+    const char* b = buf.data() + split;
+    size_t nb = buf.size() - split;
+    ASSERT_EQ(crc32c::Extend(crc32c::Extend(seed, buf.data(), split), b, nb),
+              whole)
+        << split;
+  }
 }
 
 TEST(RandomTest, Deterministic) {

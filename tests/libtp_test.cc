@@ -2,8 +2,15 @@
 // WAL rule, commit/abort semantics, group commit, and restart recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
 #include "harness/table.h"
 #include "libtp/log_record.h"
+#include "libtp/page_diff.h"
 #include "machines.h"
 
 namespace lfstx {
@@ -50,6 +57,145 @@ TEST(LogRecordTest, TornRecordDetected) {
   EXPECT_TRUE(LogRecord::Decode(buf.data(), buf.size(), &consumed)
                   .status()
                   .IsCorruption());
+}
+
+// A plain byte-at-a-time diff, kept as the oracle DiffPage must reproduce
+// range for range.
+PageDiff ByteWiseDiff(const char* before, const char* after) {
+  PageDiff out;
+  uint32_t lo = sizeof(Lsn), hi = kBlockSize;
+  while (lo < kBlockSize && before[lo] == after[lo]) lo++;
+  while (hi > lo && before[hi - 1] == after[hi - 1]) hi--;
+  if (lo < hi) {
+    uint32_t best_start = hi, best_len = 0, run_start = 0, run_len = 0;
+    for (uint32_t i = lo; i < hi; i++) {
+      if (before[i] == after[i]) {
+        if (run_len == 0) run_start = i;
+        if (++run_len > best_len) {
+          best_len = run_len;
+          best_start = run_start;
+        }
+      } else {
+        run_len = 0;
+      }
+    }
+    if (best_len >= 128) {
+      out.count = 2;
+      out.ranges[0] = {lo, best_start};
+      out.ranges[1] = {best_start + best_len, hi};
+    } else {
+      out.count = 1;
+      out.ranges[0] = {lo, hi};
+    }
+  }
+  return out;
+}
+
+using Spans = std::vector<std::pair<uint32_t, uint32_t>>;
+
+Spans ToSpans(const PageDiff& d) {
+  Spans out;
+  for (int i = 0; i < d.count; i++) {
+    out.emplace_back(d.ranges[i].lo, d.ranges[i].hi);
+  }
+  return out;
+}
+
+/// DiffPage of `before` against a copy with each listed byte flipped,
+/// checked against the oracle before it is returned.
+Spans DiffWithFlips(const std::vector<uint32_t>& flips) {
+  std::vector<char> before(kBlockSize, 'a'), after(kBlockSize, 'a');
+  for (uint32_t at : flips) after[at] = 'b';
+  Spans got = ToSpans(DiffPage(before.data(), after.data()));
+  EXPECT_EQ(got, ToSpans(ByteWiseDiff(before.data(), after.data())));
+  return got;
+}
+
+TEST(PageDiffTest, LsnFieldAloneLogsNothing) {
+  EXPECT_EQ(DiffWithFlips({}), Spans{});
+  EXPECT_EQ(DiffWithFlips({0, 3, 7}), Spans{});
+  EXPECT_EQ(DiffWithFlips({0, 7, 8}), (Spans{{8, 9}}));
+}
+
+TEST(PageDiffTest, FirstAndLastLoggedBytes) {
+  EXPECT_EQ(DiffWithFlips({8}), (Spans{{8, 9}}));
+  EXPECT_EQ(DiffWithFlips({kBlockSize - 1}),
+            (Spans{{kBlockSize - 1, kBlockSize}}));
+  EXPECT_EQ(DiffWithFlips({8, kBlockSize - 1}),
+            (Spans{{8, 9}, {kBlockSize - 1, kBlockSize}}));
+}
+
+TEST(PageDiffTest, SplitsOnlyAtGapsOfAtLeastMinGap) {
+  // Two changed bytes 127, 128 and 129 unchanged bytes apart, at every
+  // alignment of the first one.
+  for (uint32_t at = 1000; at < 1008; at++) {
+    EXPECT_EQ(DiffWithFlips({at, at + 1 + 127}), (Spans{{at, at + 129}}));
+    EXPECT_EQ(DiffWithFlips({at, at + 1 + 128}),
+              (Spans{{at, at + 1}, {at + 129, at + 130}}));
+    EXPECT_EQ(DiffWithFlips({at, at + 1 + 129}),
+              (Spans{{at, at + 1}, {at + 130, at + 131}}));
+  }
+}
+
+TEST(PageDiffTest, EarliestOfEqualGapsWins) {
+  for (uint32_t gap : {128u, 200u, 1000u}) {
+    for (uint32_t at = 100; at < 108; at++) {
+      uint32_t second = at + 1 + gap, third = second + 1 + gap;
+      EXPECT_EQ(DiffWithFlips({at, second, third}),
+                (Spans{{at, at + 1}, {second, third + 1}}));
+    }
+  }
+  // A strictly longer later gap still beats an earlier one.
+  EXPECT_EQ(DiffWithFlips({100, 229, 400}), (Spans{{100, 230}, {400, 401}}));
+}
+
+TEST(PageDiffTest, UnalignedBounds) {
+  for (uint32_t lo = 2000; lo < 2008; lo++) {
+    for (uint32_t hi = 2010; hi < 2018; hi++) {
+      // Changes in [lo, hi] with unchanged holes shorter than a word.
+      EXPECT_EQ(DiffWithFlips({lo, lo + 3, hi}), (Spans{{lo, hi + 1}}));
+    }
+  }
+}
+
+TEST(PageDiffTest, MatchesByteWiseDiffOnRandomMutations) {
+  Random r(4096);
+  std::vector<char> before(kBlockSize), after(kBlockSize);
+  int split = 0, whole = 0, none = 0;
+  for (int page = 0; page < 10000; page++) {
+    // Low-entropy images: a rewrite often stores the byte already there,
+    // which breaks a change into many short runs.
+    uint64_t alphabet = 1 + r.Uniform(4);
+    for (char& c : before) c = static_cast<char>(r.Uniform(alphabet));
+    after = before;
+    uint64_t edits = r.Uniform(6);
+    for (uint64_t e = 0; e < edits; e++) {
+      uint32_t at = static_cast<uint32_t>(r.Uniform(kBlockSize));
+      uint32_t len = static_cast<uint32_t>(
+          std::min<uint64_t>(1 + r.Uniform(r.Bernoulli(0.5) ? 8 : 300),
+                             kBlockSize - at));
+      if (r.Bernoulli(0.3)) {
+        // Slotted insert: a region slides over by a few bytes.
+        uint32_t shift = static_cast<uint32_t>(1 + r.Uniform(16));
+        if (at + shift < kBlockSize) {
+          memmove(after.data() + at + shift, after.data() + at,
+                  std::min(len, kBlockSize - at - shift));
+        }
+      } else {
+        for (uint32_t i = 0; i < len; i++) {
+          after[at + i] = static_cast<char>(r.Uniform(alphabet));
+        }
+      }
+    }
+    PageDiff got = DiffPage(before.data(), after.data());
+    ASSERT_EQ(ToSpans(got), ToSpans(ByteWiseDiff(before.data(), after.data())))
+        << "page " << page;
+    (got.count == 2 ? split : got.count == 1 ? whole : none)++;
+  }
+  // The sample exercises every outcome, the split one most of all.
+  EXPECT_GT(split, 3000);
+  EXPECT_GT(whole, 1000);
+  EXPECT_GT(none, 100);
 }
 
 TEST(LibTpTest, CommitForcesTheLog) {
