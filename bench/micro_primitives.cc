@@ -1,11 +1,14 @@
 // Microbenchmarks (google-benchmark, real wall-clock time) for the
 // building blocks the simulator executes billions of times: CRC32C,
 // slotted-page operations, LIBTP's page diff, log record codec, disk
-// service-time math, and the lock manager fast path. These measure
-// *simulator* efficiency — virtual-time results live in the fig*/ablation*
-// binaries.
+// service-time math, the buffer cache's lookup and dirty list, the flight
+// recorder, and the lock manager fast path. These measure *simulator*
+// efficiency — virtual-time results live in the fig*/ablation* binaries.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+
+#include "cache/buffer_cache.h"
 #include "common/crc32c.h"
 #include "db/page.h"
 #include "disk/disk_model.h"
@@ -13,6 +16,7 @@
 #include "libtp/log_record.h"
 #include "libtp/page_diff.h"
 #include "sim/sim_env.h"
+#include "sim/trace.h"
 #include "txn/lock_manager.h"
 
 namespace lfstx {
@@ -97,6 +101,75 @@ void BM_DiskServiceTime(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiskServiceTime);
+
+// Fills `cache` with blocks 0..n-1 of file 1, unpinned and clean.
+void FillCache(BufferCache* cache, uint64_t n) {
+  for (uint64_t i = 0; i < n; i++) {
+    cache->Release(cache->GetNoLoad(BufferKey{1, i}).value());
+  }
+}
+
+// A Get of a resident block, with a loader that captures as much as the
+// file system's read path does (five words). The hit never calls it.
+void BM_BufferCacheHit(benchmark::State& state) {
+  SimEnv env;
+  BufferCache cache(&env, 512);
+  FillCache(&cache, 512);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    uint64_t lblock = i++ % 512;
+    uint64_t addr = 1000 + lblock;
+    auto r = cache.Get(BufferKey{1, lblock},
+                       [&env, &cache, lblock, addr, i](char* dst) {
+                         memset(dst, static_cast<int>(lblock + addr + i),
+                                kBlockSize);
+                         env.Consume(cache.capacity());
+                         return Status::OK();
+                       });
+    benchmark::DoNotOptimize(r.value());
+    cache.Release(r.value());
+  }
+}
+BENCHMARK(BM_BufferCacheHit);
+
+// The segment writer's and syncer's dirty scan over a full cache of
+// state.range(0) frames, 4 of them dirty.
+void BM_CollectDirty(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  SimEnv env;
+  BufferCache cache(&env, n);
+  FillCache(&cache, n);
+  for (uint64_t i = 0; i < 4; i++) {
+    Buffer* b = cache.Peek(BufferKey{1, i * n / 4});
+    cache.MarkDirty(b);
+    cache.Release(b);
+  }
+  for (auto _ : state) {
+    std::vector<Buffer*> dirty = cache.CollectDirty();
+    for (Buffer* b : dirty) cache.Release(b);
+    benchmark::DoNotOptimize(dirty.data());
+  }
+}
+BENCHMARK(BM_CollectDirty)->Arg(512)->Arg(2048);
+
+// One io_end-shaped disk event into the flight recorder, the default
+// state of an untraced run.
+void BM_TraceEmitFlight(benchmark::State& state) {
+  SimTime clock = 0;
+  Tracer tracer(&clock);
+  tracer.EnableFlightRecorder(64);
+  uint64_t block = 0;
+  for (auto _ : state) {
+    clock += 13;
+    block = (block * 48271 + 11) % 300000;
+    LFSTX_TRACE(&tracer, TraceCat::kDisk, "io_end", {"op", "read"},
+                {"block", block}, {"nblocks", uint32_t{1}}, {"cause", "txn"},
+                {"service_us", uint64_t{14250}},
+                {"latency_us", uint64_t{20371}});
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TraceEmitFlight);
 
 void BM_LockAcquireRelease(benchmark::State& state) {
   SimEnv env;

@@ -1,7 +1,9 @@
 #include "cache/buffer_cache.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 
 #include "common/check_macros.h"
 
@@ -11,6 +13,7 @@ BufferCache::BufferCache(SimEnv* env, size_t capacity_blocks,
                          std::string instance)
     : env_(env), capacity_(capacity_blocks), instance_(std::move(instance)) {
   assert(capacity_ >= 8);
+  buffers_.reserve(capacity_);
   MetricsRegistry* m = env_->metrics();
   auto g = [&](const char* leaf, const char* unit, const char* help,
                std::function<double()> fn) {
@@ -27,7 +30,7 @@ BufferCache::BufferCache(SimEnv* env, size_t capacity_blocks,
   g("resident", "blocks", "frames currently cached",
     [this] { return static_cast<double>(buffers_.size()); });
   g("dirty", "blocks", "dirty frames right now",
-    [this] { return static_cast<double>(dirty_count_); });
+    [this] { return static_cast<double>(dirty_.size()); });
   g("capacity", "blocks", "configured frame count",
     [this] { return static_cast<double>(capacity_); });
   g("readahead.issued", "count", "clustered readahead requests",
@@ -48,10 +51,39 @@ std::string BufferCache::MetricName(const char* leaf) const {
 BufferCache::~BufferCache() { env_->metrics()->DropOwner(this); }
 
 void BufferCache::TouchLru(Buffer* buf) {
-  if (buf->in_lru) lru_.erase(buf->lru_pos);
+  if (buf->in_lru) {
+    lru_.splice(lru_.end(), lru_, buf->lru_pos);
+    return;
+  }
   lru_.push_back(buf);
   buf->lru_pos = std::prev(lru_.end());
   buf->in_lru = true;
+}
+
+void BufferCache::SetDirty(Buffer* buf, bool dirty) {
+  if (dirty && !buf->dirty) dirty_.emplace(buf->key, buf);
+  if (!dirty && buf->dirty) dirty_.erase(buf->key);
+  buf->dirty = dirty;
+}
+
+void BufferCache::SetTxnOwner(Buffer* buf, TxnId txn) {
+  if (buf->txn_dirty && buf->txn_owner == txn) return;
+  if (buf->txn_dirty) txn_lists_.erase(TxnKey{buf->txn_owner, buf->key});
+  if (txn != kNoTxn) txn_lists_.emplace(TxnKey{txn, buf->key}, buf);
+  buf->txn_dirty = txn != kNoTxn;
+  buf->txn_owner = txn;
+}
+
+BufferCache::FrameMap::iterator BufferCache::DropFrame(FrameMap::iterator it) {
+  Buffer* buf = it->second.get();
+  if (buf->in_lru) lru_.erase(buf->lru_pos);
+  SetDirty(buf, false);
+  SetTxnOwner(buf, kNoTxn);
+  if (buf->prefetched) {
+    prefetched_count_--;
+    stats_.readahead_wasted++;
+  }
+  return buffers_.erase(it);
 }
 
 Result<Buffer*> BufferCache::Frame(BufferKey key, bool* fresh) {
@@ -106,8 +138,10 @@ bool BufferCache::EvictCleanOne() {
   // demand-loaded data. The preference deliberately excludes the hot half:
   // a just-installed prefetch run sits there, and preferring it would make
   // each InstallPrefetched of a full cache evict the run's previous frame.
+  // With no prefetched frame resident there is nothing to prefer, so the
+  // scan stops at the first eligible frame.
   Buffer* victim = nullptr;
-  const size_t cold_limit = lru_.size() / 2;
+  const size_t cold_limit = prefetched_count_ == 0 ? 0 : lru_.size() / 2;
   size_t pos = 0;
   for (Buffer* b : lru_) {
     const bool cold = pos++ < cold_limit;
@@ -122,11 +156,8 @@ bool BufferCache::EvictCleanOne() {
     if (victim == nullptr) victim = b;
   }
   if (victim == nullptr) return false;
-  if (victim->prefetched) stats_.readahead_wasted++;
   stats_.evictions++;
-  lru_.erase(victim->lru_pos);
-  victim->in_lru = false;
-  buffers_.erase(victim->key);
+  DropFrame(victim);
   return true;
 }
 
@@ -164,32 +195,20 @@ Status BufferCache::EvictOne() {
       }
     }
     stats_.evictions++;
-    lru_.erase(victim->lru_pos);
-    victim->in_lru = false;
-    buffers_.erase(victim->key);
+    DropFrame(victim);
     return Status::OK();
   }
   return Status::NoSpace(
       "buffer cache exhausted: all frames pinned or transaction-dirty");
 }
 
-Result<Buffer*> BufferCache::Get(BufferKey key,
-                                 std::function<Status(char*)> load) {
-  bool fresh = false;
-  LFSTX_ASSIGN_OR_RETURN(Buffer * buf, Frame(key, &fresh));
-  if (fresh) {
-    buf->io_in_progress = true;
-    Status s = load(buf->data);
-    buf->io_in_progress = false;
-    if (buf->io_wait != nullptr) buf->io_wait->WakeAll();
-    if (!s.ok()) {
-      buf->pin_count--;
-      if (buf->pin_count == 0 && !buf->dirty) {
-        lru_.erase(buf->lru_pos);
-        buffers_.erase(key);
-      }
-      return s;
-    }
+Result<Buffer*> BufferCache::FinishLoad(Buffer* buf, Status load_status) {
+  buf->io_in_progress = false;
+  if (buf->io_wait != nullptr) buf->io_wait->WakeAll();
+  if (!load_status.ok()) {
+    buf->pin_count--;
+    if (buf->pin_count == 0 && !buf->dirty) DropFrame(buf);
+    return load_status;
   }
   return buf;
 }
@@ -219,6 +238,7 @@ bool BufferCache::InstallPrefetched(BufferKey key, const char* data,
   memcpy(buf->data, data, kBlockSize);
   buf->disk_addr = disk_addr;
   buf->prefetched = true;
+  prefetched_count_++;
   buffers_.emplace(key, std::move(owned));
   TouchLru(buf);
   return true;
@@ -231,13 +251,9 @@ void BufferCache::Release(Buffer* buf) {
 }
 
 void BufferCache::MarkDirty(Buffer* buf) {
-  if (!buf->dirty) {
-    buf->dirtied_at = env_->Now();
-    dirty_count_++;
-  }
-  buf->dirty = true;
-  buf->txn_dirty = false;
-  buf->txn_owner = kNoTxn;
+  if (!buf->dirty) buf->dirtied_at = env_->Now();
+  SetDirty(buf, true);
+  SetTxnOwner(buf, kNoTxn);
   mutation_gen_++;
 }
 
@@ -245,56 +261,46 @@ void BufferCache::MarkTxnDirty(Buffer* buf, TxnId txn) {
   LFSTX_CHECK(txn != kNoTxn,
               "transaction list needs a real owner (buffers marked with "
               "kNoTxn would never commit or abort)");
-  if (buf->dirty) dirty_count_--;
-  buf->txn_dirty = true;
-  buf->txn_owner = txn;
-  buf->dirty = false;  // invisible to the syncer until commit
+  SetDirty(buf, false);  // invisible to the syncer until commit
+  SetTxnOwner(buf, txn);
   buf->dirtied_at = env_->Now();
   mutation_gen_++;
 }
 
 void BufferCache::MarkClean(Buffer* buf) {
-  if (buf->dirty) dirty_count_--;
-  buf->dirty = false;
-  buf->txn_dirty = false;
-  buf->txn_owner = kNoTxn;
+  SetDirty(buf, false);
+  SetTxnOwner(buf, kNoTxn);
   mutation_gen_++;
 }
 
 std::vector<Buffer*> BufferCache::TakeTxnBuffers(TxnId txn) {
   std::vector<Buffer*> out;
-  for (auto& [key, buf] : buffers_) {
-    if (buf->txn_dirty && buf->txn_owner == txn) {
-      buf->pin_count++;
-      out.push_back(buf.get());
-    }
+  for (auto it = txn_lists_.lower_bound(TxnKey{txn, BufferKey{}});
+       it != txn_lists_.end() && it->first.first == txn; ++it) {
+    it->second->pin_count++;
+    out.push_back(it->second);
   }
   return out;
 }
 
 void BufferCache::InvalidateTxnBuffers(TxnId txn) {
-  for (auto it = buffers_.begin(); it != buffers_.end();) {
-    Buffer* buf = it->second.get();
-    if (buf->txn_dirty && buf->txn_owner == txn) {
-      LFSTX_CHECK(buf->pin_count == 0,
-                  "aborting transaction's buffer is still pinned — a live "
-                  "reference would survive the invalidation");
-      if (buf->dirty) dirty_count_--;
-      if (buf->in_lru) lru_.erase(buf->lru_pos);
-      it = buffers_.erase(it);
-      mutation_gen_++;
-    } else {
-      ++it;
-    }
+  auto it = txn_lists_.lower_bound(TxnKey{txn, BufferKey{}});
+  while (it != txn_lists_.end() && it->first.first == txn) {
+    Buffer* buf = (it++)->second;  // DropFrame erases buf's entry
+    LFSTX_CHECK(buf->pin_count == 0,
+                "aborting transaction's buffer is still pinned — a live "
+                "reference would survive the invalidation");
+    DropFrame(buf);
+    mutation_gen_++;
   }
 }
 
 std::vector<Buffer*> BufferCache::CollectDirty(SimTime before) {
   std::vector<Buffer*> out;
-  for (auto& [key, buf] : buffers_) {
-    if (buf->dirty && !buf->io_in_progress && buf->dirtied_at <= before) {
+  for (auto& [key, buf] : dirty_) {
+    if (!buf->io_in_progress && buf->dirtied_at <= before) {
       buf->pin_count++;
-      out.push_back(buf.get());
+      out.push_back(buf);
     }
   }
   return out;
@@ -302,10 +308,10 @@ std::vector<Buffer*> BufferCache::CollectDirty(SimTime before) {
 
 std::vector<Buffer*> BufferCache::CollectDirtyFile(FileId file) {
   std::vector<Buffer*> out;
-  auto it = buffers_.lower_bound(BufferKey{file, 0});
-  for (; it != buffers_.end() && it->first.file == file; ++it) {
-    Buffer* buf = it->second.get();
-    if (buf->dirty && !buf->io_in_progress) {
+  for (auto it = dirty_.lower_bound(BufferKey{file, 0});
+       it != dirty_.end() && it->first.file == file; ++it) {
+    Buffer* buf = it->second;
+    if (!buf->io_in_progress) {
       buf->pin_count++;
       out.push_back(buf);
     }
@@ -314,17 +320,19 @@ std::vector<Buffer*> BufferCache::CollectDirtyFile(FileId file) {
 }
 
 void BufferCache::DropFile(FileId file, uint64_t from_lblock) {
-  auto it = buffers_.lower_bound(BufferKey{file, from_lblock});
-  while (it != buffers_.end() && it->first.file == file) {
+  // Truncate and delete are rare, so a full pass over the hash map is
+  // cheaper than keeping a third, per-file index of every resident frame.
+  for (auto it = buffers_.begin(); it != buffers_.end();) {
     Buffer* buf = it->second.get();
+    if (buf->key.file != file || buf->key.lblock < from_lblock) {
+      ++it;
+      continue;
+    }
     LFSTX_CHECK(
         buf->pin_count == 0 && !buf->txn_dirty && !buf->io_in_progress,
         "DropFile hit a pinned, transaction, or in-flight buffer — the "
         "caller must quiesce the file first");
-    if (buf->dirty) dirty_count_--;
-    if (buf->prefetched) stats_.readahead_wasted++;
-    if (buf->in_lru) lru_.erase(buf->lru_pos);
-    it = buffers_.erase(it);
+    it = DropFrame(it);
     mutation_gen_++;
   }
 }
@@ -333,14 +341,6 @@ size_t BufferCache::pinned_count() const {
   size_t n = 0;
   for (const auto& [key, buf] : buffers_) {
     if (buf->pin_count > 0) n++;
-  }
-  return n;
-}
-
-size_t BufferCache::txn_dirty_count() const {
-  size_t n = 0;
-  for (const auto& [key, buf] : buffers_) {
-    if (buf->txn_dirty) n++;
   }
   return n;
 }
@@ -356,19 +356,33 @@ size_t BufferCache::io_in_progress_count() const {
 std::vector<std::string> BufferCache::CheckInvariants() const {
   std::vector<std::string> problems;
   auto problem = [&](std::string p) { problems.push_back(std::move(p)); };
+  auto where = [](const BufferKey& k) {
+    return "(file " + std::to_string(k.file) + ", lblock " +
+           std::to_string(k.lblock) + ")";
+  };
 
   if (buffers_.size() > capacity_) {
     problem("resident " + std::to_string(buffers_.size()) +
             " buffers exceed capacity " + std::to_string(capacity_));
   }
-  // Every frame the map owns must be on the LRU list exactly once, with a
-  // self-consistent back-pointer, and the accounting counters must match a
-  // full recount.
+  // Walk the frames in key order so the report never depends on hash
+  // order. Every frame the map owns must be on the LRU list exactly once,
+  // with a self-consistent back-pointer, and must sit on the dirty list or
+  // its transaction's list exactly when its flags say so.
+  std::vector<const FrameMap::value_type*> frames;
+  frames.reserve(buffers_.size());
+  for (const auto& slot : buffers_) frames.push_back(&slot);
+  std::sort(frames.begin(), frames.end(), [](const auto* a, const auto* b) {
+    return a->first < b->first;
+  });
   size_t in_lru = 0;
   size_t dirty = 0;
-  for (const auto& [key, buf] : buffers_) {
-    std::string who = "buffer (file " + std::to_string(key.file) +
-                      ", lblock " + std::to_string(key.lblock) + ")";
+  size_t txn_dirty = 0;
+  size_t prefetched = 0;
+  for (const auto* slot : frames) {
+    const BufferKey& key = slot->first;
+    const Buffer* buf = slot->second.get();
+    std::string who = "buffer " + where(key);
     if (!(buf->key == key)) {
       problem(who + " is keyed under a different map slot");
     }
@@ -378,13 +392,28 @@ std::vector<std::string> BufferCache::CheckInvariants() const {
     }
     if (buf->in_lru) {
       in_lru++;
-      if (*buf->lru_pos != buf.get()) {
+      if (*buf->lru_pos != buf) {
         problem(who + " LRU back-pointer does not point at itself");
       }
     } else {
       problem(who + " is resident but not on the LRU list");
     }
-    if (buf->dirty) dirty++;
+    if (buf->dirty) {
+      dirty++;
+      auto d = dirty_.find(key);
+      if (d == dirty_.end() || d->second != buf) {
+        problem(who + " is dirty but not on the dirty list");
+      }
+    }
+    if (buf->txn_dirty) {
+      txn_dirty++;
+      auto t = txn_lists_.find(TxnKey{buf->txn_owner, key});
+      if (t == txn_lists_.end() || t->second != buf) {
+        problem(who + " is not on transaction " +
+                std::to_string(buf->txn_owner) + "'s list");
+      }
+    }
+    if (buf->prefetched) prefetched++;
     if (buf->dirty && buf->txn_dirty) {
       problem(who + " is on both the dirty and the transaction list");
     }
@@ -407,14 +436,37 @@ std::vector<std::string> BufferCache::CheckInvariants() const {
   for (Buffer* buf : lru_) {
     auto it = buffers_.find(buf->key);
     if (it == buffers_.end() || it->second.get() != buf) {
-      problem("LRU entry (file " + std::to_string(buf->key.file) +
-              ", lblock " + std::to_string(buf->key.lblock) +
-              ") is not resident in the map");
+      problem("LRU entry " + where(buf->key) + " is not resident in the map");
     }
   }
-  if (dirty != dirty_count_) {
-    problem("dirty_count says " + std::to_string(dirty_count_) +
-            ", recount says " + std::to_string(dirty));
+  // Index entries must name resident frames in the matching state; the
+  // resident check comes first, so a stale entry is never dereferenced.
+  for (const auto& [key, buf] : dirty_) {
+    auto it = buffers_.find(key);
+    if (it == buffers_.end() || it->second.get() != buf || !buf->dirty) {
+      problem("dirty list entry " + where(key) +
+              " is not a resident dirty frame");
+    }
+  }
+  for (const auto& [tkey, buf] : txn_lists_) {
+    auto it = buffers_.find(tkey.second);
+    if (it == buffers_.end() || it->second.get() != buf || !buf->txn_dirty ||
+        buf->txn_owner != tkey.first) {
+      problem("transaction " + std::to_string(tkey.first) + " list entry " +
+              where(tkey.second) + " is not a resident frame it owns");
+    }
+  }
+  if (dirty != dirty_.size()) {
+    problem("dirty list holds " + std::to_string(dirty_.size()) +
+            " frames, recount says " + std::to_string(dirty));
+  }
+  if (txn_dirty != txn_lists_.size()) {
+    problem("transaction lists hold " + std::to_string(txn_lists_.size()) +
+            " frames, recount says " + std::to_string(txn_dirty));
+  }
+  if (prefetched != prefetched_count_) {
+    problem("prefetched count says " + std::to_string(prefetched_count_) +
+            ", recount says " + std::to_string(prefetched));
   }
   return problems;
 }
@@ -428,10 +480,10 @@ void BufferCache::Clear() {
   }
   buffers_.clear();
   lru_.clear();
-  dirty_count_ = 0;
+  dirty_.clear();
+  txn_lists_.clear();
+  prefetched_count_ = 0;
   mutation_gen_++;
 }
-
-
 
 }  // namespace lfstx

@@ -1,24 +1,31 @@
 // The operating system's buffer cache (paper sections 2-4).
 //
-// Frames are keyed by (file, logical block). The cache is LRU with pinning;
-// dirty victims are pushed back to the owning file system through a
-// WritebackHandler, because the write path is what distinguishes FFS
-// (overwrite in place) from LFS (append to the log).
+// Frames are keyed by (file, logical block) in a hash map. The cache is LRU
+// with pinning; dirty victims are pushed back to the owning file system
+// through a WritebackHandler, because the write path is what distinguishes
+// FFS (overwrite in place) from LFS (append to the log).
 //
 // Embedded-transaction support is the paper's inode extension: besides the
-// normal per-file dirty list, a buffer can sit on a *transaction list*
+// normal dirty list, a buffer can sit on a *transaction list*
 // (MarkTxnDirty). Such buffers are unevictable until the transaction
 // commits (moving them to the dirty list) or aborts (invalidating them) —
 // implementation restriction 1 of section 4.5.
+//
+// Both lists are real indexes, kept in step with every flag change and
+// every dropped frame: the dirty list is ordered by key, and the
+// transaction lists by (transaction, key). A flush, commit or abort
+// therefore visits only the frames it returns, in key order, however large
+// the cache is. CheckInvariants recounts both against a full scan.
 #ifndef LFSTX_CACHE_BUFFER_CACHE_H_
 #define LFSTX_CACHE_BUFFER_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -82,9 +89,17 @@ class BufferCache {
   size_t capacity() const { return capacity_; }
   size_t size() const { return buffers_.size(); }
 
-  /// Pinned, valid buffer for `key`, calling `load` to fill it on a miss.
-  /// Concurrent misses of the same block coalesce on one load.
-  Result<Buffer*> Get(BufferKey key, std::function<Status(char*)> load);
+  /// Pinned, valid buffer for `key`, calling `load(char* dst)` to fill it
+  /// on a miss. Concurrent misses of the same block coalesce on one load.
+  /// The loader is a template parameter so a hit never builds a closure.
+  template <typename Load>
+  Result<Buffer*> Get(BufferKey key, Load&& load) {
+    bool fresh = false;
+    LFSTX_ASSIGN_OR_RETURN(Buffer * buf, Frame(key, &fresh));
+    if (!fresh) return buf;
+    buf->io_in_progress = true;
+    return FinishLoad(buf, load(buf->data));
+  }
 
   /// Pinned buffer without loading (caller will overwrite it fully, or the
   /// block is brand new). Contents are zeroed on a miss.
@@ -124,17 +139,17 @@ class BufferCache {
   /// Called by the file system after it persisted the buffer.
   void MarkClean(Buffer* buf);
 
-  /// Detach and return txn's buffers (commit path: caller re-marks them
+  /// Return txn's buffers in key order (commit path: caller re-marks them
   /// dirty and flushes). Buffers come back pinned once each.
   std::vector<Buffer*> TakeTxnBuffers(TxnId txn);
   /// Drop txn's buffers entirely (abort path): the on-disk before-images
   /// become the visible versions again.
   void InvalidateTxnBuffers(TxnId txn);
 
-  /// Snapshot of dirty (non-transaction) buffers, optionally only those
-  /// dirtied at or before `before`. Buffers are returned pinned.
+  /// Snapshot of dirty (non-transaction) buffers in key order, optionally
+  /// only those dirtied at or before `before`. Buffers are returned pinned.
   std::vector<Buffer*> CollectDirty(SimTime before = ~SimTime{0});
-  /// Dirty buffers belonging to one file, pinned.
+  /// Dirty buffers belonging to one file, in block order, pinned.
   std::vector<Buffer*> CollectDirtyFile(FileId file);
 
   /// Invalidate all buffers of a file (delete/truncate). Pinned or
@@ -156,19 +171,21 @@ class BufferCache {
     uint64_t readahead_wasted = 0;  ///< prefetched frames dropped unreferenced
   };
   const Stats& stats() const { return stats_; }
-  size_t dirty_count() const { return dirty_count_; }
+  size_t dirty_count() const { return dirty_.size(); }
 
   /// Instantaneous census used by the quiesce-point checkers (CheckBufferCache
   /// and CheckTxn in src/check/): none of these may be nonzero at a true
   /// quiescent point except after explicit pinning by the caller.
   size_t pinned_count() const;
-  size_t txn_dirty_count() const;
+  size_t txn_dirty_count() const { return txn_lists_.size(); }
   size_t io_in_progress_count() const;
 
   /// Deep structural self-check: LRU list ↔ hash map coherence, pin-count
-  /// sanity, dirty accounting. Returns one message per violated invariant;
+  /// sanity, and a full recount of the dirty frames, transaction-list
+  /// frames and prefetched frames against the indexes and counter that
+  /// track them. Returns one message per violated invariant, in key order;
   /// empty means structurally sound. Cheap enough to run after every test
-  /// round (O(resident buffers)).
+  /// round (O(resident buffers · log)).
   std::vector<std::string> CheckInvariants() const;
 
   /// Bumped by every logical content-state change: dirty/clean transitions,
@@ -187,17 +204,40 @@ class BufferCache {
   void PopNoDirtyEviction() { no_dirty_eviction_--; }
 
  private:
+  /// A transaction list entry's key: (owner, block).
+  using TxnKey = std::pair<TxnId, BufferKey>;
+  struct KeyHash {
+    size_t operator()(const BufferKey& k) const {
+      return static_cast<size_t>(k.file * 0x9e3779b97f4a7c15ull ^ k.lblock);
+    }
+  };
+  using FrameMap =
+      std::unordered_map<BufferKey, std::unique_ptr<Buffer>, KeyHash>;
+
   Result<Buffer*> Frame(BufferKey key, bool* fresh);
+  /// Ends a Get miss's load: wakes waiters, and on failure unpins and drops
+  /// the half-built frame.
+  Result<Buffer*> FinishLoad(Buffer* buf, Status load_status);
   Status EvictOne();
   /// Reclaim one clean, unpinned frame, preferring never-referenced
   /// prefetches over demand-loaded data. Returns false if every clean
   /// frame is pinned or in flight.
   bool EvictCleanOne();
   void TouchLru(Buffer* buf);
+  /// Take `buf` off the LRU list, the dirty and transaction lists and the
+  /// prefetched count (a frame dropped still prefetched counts as wasted
+  /// readahead), then free it. `it` is the frame's residency-map slot; the
+  /// iterator after it is returned.
+  FrameMap::iterator DropFrame(FrameMap::iterator it);
+  void DropFrame(Buffer* buf) { DropFrame(buffers_.find(buf->key)); }
+  /// Flag transitions that keep the dirty and transaction lists in step.
+  void SetDirty(Buffer* buf, bool dirty);
+  void SetTxnOwner(Buffer* buf, TxnId txn);
   /// First-reference bookkeeping shared by Get/Peek hit paths.
   void NoteReferenced(Buffer* buf) {
     if (buf->prefetched) {
       buf->prefetched = false;
+      prefetched_count_--;
       stats_.readahead_hits++;
     }
   }
@@ -207,9 +247,11 @@ class BufferCache {
   size_t capacity_;
   std::string instance_;
   WritebackHandler* writeback_ = nullptr;
-  std::map<BufferKey, std::unique_ptr<Buffer>> buffers_;
+  FrameMap buffers_;
   std::list<Buffer*> lru_;  // front = coldest
-  size_t dirty_count_ = 0;
+  std::map<BufferKey, Buffer*> dirty_;   // the dirty list, key order
+  std::map<TxnKey, Buffer*> txn_lists_;  // all transaction lists
+  size_t prefetched_count_ = 0;  // resident frames still flagged prefetched
   int no_dirty_eviction_ = 0;
   uint64_t mutation_gen_ = 0;
   Stats stats_;

@@ -236,6 +236,12 @@ class Lfs : public FsCore {
   SimMutex checkpoint_lock_;
   SimMutex flush_lock_;
   SimProc* flush_owner_ = nullptr;  // detects re-entrant flushes
+  /// FlushLocked's chunk staging buffer (a summary block plus one segment
+  /// of payload), allocated by the first flush and reused by every later
+  /// one. Its bytes are live only from opening a chunk to sealing it, all
+  /// under the flush lock; `stage_live_` marks that window.
+  std::vector<char> stage_;
+  bool stage_live_ = false;
   WaitQueue clean_wait_;   // writer waits here for the cleaner
   Cleaner* cleaner_ = nullptr;
   bool cleaning_in_progress_ = false;

@@ -47,8 +47,13 @@ Status Lfs::FlushLocked(TxnId txn) {
   }
 
   // ---- chunk assembly state ----
-  std::vector<char> chunk(
-      (1ull + options_.segment_blocks) * kBlockSize);
+  // Each chunk is staged in stage_: every block written (the summary and
+  // nplaced payload blocks) is fully overwritten first, so stale bytes
+  // from an earlier flush never reach the disk.
+  if (stage_.empty()) {
+    stage_.resize((1ull + options_.segment_blocks) * kBlockSize);
+  }
+  char* const chunk = stage_.data();
   std::vector<SummaryEntry> entries;
   uint32_t nplaced = 0;
   uint32_t chunk_cap = 0;
@@ -63,14 +68,22 @@ Status Lfs::FlushLocked(TxnId txn) {
   // number of pinned frames to one chunk regardless of flush size.
   std::vector<Buffer*> chunk_buffers;
   cache_->PushNoDirtyEviction();
-  struct EvictionGuard {
-    BufferCache* cache;
-    ~EvictionGuard() { cache->PopNoDirtyEviction(); }
-  } eviction_guard{cache_};
+  struct FlushGuard {
+    Lfs* lfs;
+    const bool* chunk_open;
+    ~FlushGuard() {
+      lfs->cache_->PopNoDirtyEviction();
+      if (*chunk_open) lfs->stage_live_ = false;  // error exit mid-chunk
+    }
+  } flush_guard{this, &chunk_open};
+  auto close_chunk = [&] {
+    if (chunk_open) stage_live_ = false;
+    chunk_open = false;
+  };
 
   auto seal = [&](bool final_commit) -> Status {
     if (!chunk_open || entries.empty()) {
-      chunk_open = false;
+      close_chunk();
       return Status::OK();
     }
     // LFSTX_YIELD_OK(flush lock serializes log appends; the GenStamp below aborts if the head moves)
@@ -99,7 +112,7 @@ Status Lfs::FlushLocked(TxnId txn) {
     s.txn = txn;
     s.txn_commit = final_commit && txn != kNoTxn;
     s.entries = entries;
-    s.Encode(chunk.data(), chunk.data() + kBlockSize);
+    s.Encode(chunk, chunk + kBlockSize);
     env_->Consume(env_->costs().segment_block_cpu_us);
     LFSTX_TRACE(env_->tracer(), TraceCat::kLfs, "partial_segment",
                 {"seg", cur_seg_}, {"base", chunk_base},
@@ -117,7 +130,7 @@ Status Lfs::FlushLocked(TxnId txn) {
       env_->log_econ()->ChargeBlocks(static_cast<LogByteCat>(c), chunk_cat[c]);
       chunk_cat[c] = 0;
     }
-    LFSTX_RETURN_IF_ERROR(disk_->Write(chunk_base, 1 + nplaced, chunk.data()));
+    LFSTX_RETURN_IF_ERROR(disk_->Write(chunk_base, 1 + nplaced, chunk));
     LFSTX_GEN_CHECK(head,
                     "log head moved during a partial-segment write — the "
                     "flush lock's exclusion was violated");
@@ -127,7 +140,7 @@ Status Lfs::FlushLocked(TxnId txn) {
     lfs_stats_.blocks_written += nplaced;
     entries.clear();
     nplaced = 0;
-    chunk_open = false;
+    close_chunk();
     // The chunk is durable: its buffers may now be evicted and re-read.
     for (Buffer* b : chunk_buffers) {
       cache_->MarkClean(b);
@@ -144,6 +157,10 @@ Status Lfs::FlushLocked(TxnId txn) {
     chunk_base = SegBase(cur_seg_) + cur_off_;
     chunk_cap = std::min<uint32_t>(Summary::MaxEntries(),
                                    options_.segment_blocks - cur_off_ - 1);
+    LFSTX_CHECK(!stage_live_,
+                "LFS flush opened a staging chunk while another flush's "
+                "chunk is live — the flush lock's exclusion was violated");
+    stage_live_ = true;
     chunk_open = true;
     return Status::OK();
   };
@@ -157,7 +174,7 @@ Status Lfs::FlushLocked(TxnId txn) {
       LFSTX_RETURN_IF_ERROR(open_chunk());
     }
     BlockAddr addr = chunk_base + 1 + nplaced;
-    memcpy(chunk.data() + (1ull + nplaced) * kBlockSize, src, kBlockSize);
+    memcpy(chunk + (1ull + nplaced) * kBlockSize, src, kBlockSize);
     entries.push_back(SummaryEntry{static_cast<uint32_t>(kind), inum, lblock});
     chunk_cat[static_cast<int>(cat)]++;
     nplaced++;
@@ -166,7 +183,7 @@ Status Lfs::FlushLocked(TxnId txn) {
     return addr;
   };
 
-  // ---- 1. data blocks, sorted by (file, logical block) ----
+  // ---- 1. data blocks, in (file, logical block) order ----
   std::vector<Buffer*> data;
   for (Buffer* b : cache_->CollectDirty()) {
     if (IsFileMeta(b->key.file) || b->key.file == kMetaFileId ||
@@ -176,8 +193,6 @@ Status Lfs::FlushLocked(TxnId txn) {
       data.push_back(b);
     }
   }
-  std::sort(data.begin(), data.end(),
-            [](Buffer* a, Buffer* b) { return a->key < b->key; });
   // Provenance: a cleaning-context flush charges its whole payload to the
   // cleaner (copy-forward and the metadata churn it causes); otherwise
   // data splits into WAL-file appends vs. true user data.
@@ -211,8 +226,6 @@ Status Lfs::FlushLocked(TxnId txn) {
         cache_->Release(b);
       }
     }
-    std::sort(out.begin(), out.end(),
-              [](Buffer* a, Buffer* b) { return a->key < b->key; });
     return out;
   };
   for (bool children : {true, false}) {

@@ -1,6 +1,7 @@
 #include "sim/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -61,19 +62,38 @@ int CatIndex(TraceCat c) {
 }
 
 void AppendEscaped(std::string* out, const char* s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   for (; *s; s++) {
     char c = *s;
     if (c == '"' || c == '\\') {
       out->push_back('\\');
       out->push_back(c);
     } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
+      const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+      out->append(esc, sizeof(esc));
     } else {
       out->push_back(c);
     }
   }
+}
+
+// Number formatting with std::to_chars: no locale, no format-string
+// parsing, and byte-for-byte what the printf conversions named below print.
+template <typename T>
+void AppendInt(std::string* out, T v) {  // %llu / %lld
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void AppendDouble(std::string* out, double v) {  // %.6g; non-finite -> 0
+  if (!std::isfinite(v)) {
+    out->push_back('0');
+    return;
+  }
+  char buf[32];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 6)
+                       .ptr);
 }
 
 }  // namespace
@@ -150,39 +170,49 @@ void Tracer::EnableFlightRecorder(size_t per_cat) {
   flight_.clear();
   if (per_cat > 0) {
     flight_.resize(sizeof(kCatNames) / sizeof(kCatNames[0]));
+    for (FlightRing& ring : flight_) ring.slots.resize(per_cat);
   }
 }
 
 void Tracer::DumpFlight(FILE* out) const {
   if (flight_mask_ == 0) return;
   // Merge the per-category rings back into emission order.
-  std::vector<const std::pair<uint64_t, std::string>*> all;
-  for (const auto& ring : flight_) {
-    for (const auto& e : ring) all.push_back(&e);
+  std::vector<const FlightSlot*> all;
+  for (const FlightRing& ring : flight_) {
+    for (const FlightSlot& slot : ring.slots) {
+      if (!slot.line.empty()) all.push_back(&slot);
+    }
   }
   std::sort(all.begin(), all.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+            [](const auto* a, const auto* b) { return a->seq < b->seq; });
   fprintf(out, "[flight] last %zu events (<= %zu per category):\n",
           all.size(), flight_per_cat_);
-  for (const auto* e : all) {
-    fwrite(e->second.data(), 1, e->second.size(), out);
+  for (const FlightSlot* slot : all) {
+    fwrite(slot->line.data(), 1, slot->line.size(), out);
   }
 }
 
 void Tracer::Emit(TraceCat c, const char* event,
                   std::initializer_list<TraceField> fields) {
-  std::string line;
-  line.reserve(128);
+  // Format straight into the category's oldest flight slot, or into the
+  // reused line when the recorder skips this category.
+  std::string* target = &line_;
+  if ((flight_mask_ & static_cast<uint32_t>(c)) != 0) {
+    FlightRing& ring = flight_[CatIndex(c)];
+    FlightSlot& slot = ring.slots[ring.next];
+    ring.next = (ring.next + 1) % ring.slots.size();
+    slot.seq = flight_seq_++;
+    target = &slot.line;
+  }
+  std::string& line = *target;
+  line.clear();
   line += "{\"t\":";
-  char buf[64];
-  snprintf(buf, sizeof(buf), "%llu",
-           static_cast<unsigned long long>(clock_ ? *clock_ : 0));
-  line += buf;
+  AppendInt(&line, clock_ ? *clock_ : SimTime{0});
   // Machine tag only applies to the shared file sink; capture sinks are
   // single-machine by construction and must stay byte-stable across runs.
   if (machine_ != 0 && capture_ == nullptr) {
-    snprintf(buf, sizeof(buf), ",\"m\":%u", machine_);
-    line += buf;
+    line += ",\"m\":";
+    AppendInt(&line, machine_);
   }
   line += ",\"cat\":\"";
   line += CategoryName(c);
@@ -195,21 +225,13 @@ void Tracer::Emit(TraceCat c, const char* event,
     line += "\":";
     switch (f.kind) {
       case TraceField::Kind::kU64:
-        snprintf(buf, sizeof(buf), "%llu",
-                 static_cast<unsigned long long>(f.u));
-        line += buf;
+        AppendInt(&line, f.u);
         break;
       case TraceField::Kind::kI64:
-        snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(f.i));
-        line += buf;
+        AppendInt(&line, f.i);
         break;
       case TraceField::Kind::kF64:
-        if (std::isfinite(f.f)) {
-          snprintf(buf, sizeof(buf), "%.6g", f.f);
-        } else {
-          snprintf(buf, sizeof(buf), "0");
-        }
-        line += buf;
+        AppendDouble(&line, f.f);
         break;
       case TraceField::Kind::kStr:
         line += "\"";
@@ -219,11 +241,6 @@ void Tracer::Emit(TraceCat c, const char* event,
     }
   }
   line += "}\n";
-  if ((flight_mask_ & static_cast<uint32_t>(c)) != 0) {
-    auto& ring = flight_[CatIndex(c)];
-    if (ring.size() >= flight_per_cat_) ring.pop_front();
-    ring.emplace_back(flight_seq_++, line);
-  }
   // User sinks (and the emitted counter) see only user-enabled categories;
   // flight-only events must not perturb a capture test's byte-exact output.
   if ((mask_ & static_cast<uint32_t>(c)) == 0) return;

@@ -19,10 +19,8 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <initializer_list>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -121,10 +119,13 @@ class Tracer {
   /// Flight-recorder mode: buffer the last `per_cat` events of every
   /// category in memory, independently of any user sink or mask, so a
   /// failed LFSTX_CHECK can dump the immediate history of an otherwise
-  /// untraced run (see SimEnv's check dumper). Events that the user mask
-  /// also matches still go to the normal sink and still count in
-  /// events_emitted(); buffered-only events do neither. Pass 0 to turn
-  /// the recorder off and free the buffers.
+  /// untraced run (see SimEnv's check dumper). Each category owns
+  /// `per_cat` line slots, reused round-robin: an event is formatted
+  /// straight into the slot it overwrites, so once every slot has held a
+  /// line as long as the new one, recording allocates nothing. Events that
+  /// the user mask also matches still go to the normal sink and still
+  /// count in events_emitted(); buffered-only events do neither. Pass 0 to
+  /// turn the recorder off and free the buffers.
   void EnableFlightRecorder(size_t per_cat);
   bool flight_enabled() const { return flight_mask_ != 0; }
   /// Prints the buffered events to `out`, oldest first, across all
@@ -141,6 +142,18 @@ class Tracer {
   static const char* CategoryName(TraceCat c);
 
  private:
+  /// One category's ring: `slots[next]` is overwritten by the next event.
+  /// A slot's seq is its event's emission number; an empty line marks a
+  /// slot not yet used.
+  struct FlightSlot {
+    uint64_t seq = 0;
+    std::string line;
+  };
+  struct FlightRing {
+    std::vector<FlightSlot> slots;
+    size_t next = 0;
+  };
+
   void ReleaseSink();
 
   const SimTime* clock_;
@@ -151,12 +164,13 @@ class Tracer {
   uint32_t machine_ = 0;  // attachment order on the shared file, 1-based
   std::string* capture_ = nullptr;
   uint64_t emitted_ = 0;
+  std::string line_;  // reused line for events the flight recorder skips
   // Flight rings: one per category bit, each holding the last
-  // `flight_per_cat_` (seq, line) pairs; seq merges them back into
-  // emission order at dump time.
+  // `flight_per_cat_` events; seq merges them back into emission order at
+  // dump time.
   size_t flight_per_cat_ = 0;
   uint64_t flight_seq_ = 0;
-  std::vector<std::deque<std::pair<uint64_t, std::string>>> flight_;
+  std::vector<FlightRing> flight_;
 };
 
 #ifdef LFSTX_DISABLE_TRACING

@@ -6,7 +6,9 @@
 // JSON reader, so format drift here breaks them.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -96,6 +98,27 @@ std::string StrField(const std::string& line, const std::string& key) {
   pos += needle.size();
   size_t end = line.find('"', pos);
   return line.substr(pos, end - pos);
+}
+
+// Everything DumpFlight prints.
+std::string FlightDump(const Tracer& tr) {
+  FILE* tmp = tmpfile();
+  if (tmp == nullptr) return "";
+  tr.DumpFlight(tmp);
+  fflush(tmp);
+  std::string dump(static_cast<size_t>(ftell(tmp)), '\0');
+  rewind(tmp);
+  size_t got = fread(dump.data(), 1, dump.size(), tmp);
+  fclose(tmp);
+  dump.resize(got);
+  return dump;
+}
+
+// The dump's event lines, without the "[flight]" header line.
+std::string FlightLines(const Tracer& tr) {
+  std::string dump = FlightDump(tr);
+  size_t nl = dump.find('\n');
+  return nl == std::string::npos ? "" : dump.substr(nl + 1);
 }
 
 // Contended multi-terminal TPC-B on one architecture with every trace
@@ -221,16 +244,7 @@ TEST(TraceFormatTest, FlightRecorderBuffersWithoutEmitting) {
     ASSERT_TRUE(k->TxnCommit().ok());
     // Buffered-only events do not count as emitted and reach no sink.
     EXPECT_EQ(tr->events_emitted(), emitted0);
-    FILE* tmp = tmpfile();
-    ASSERT_NE(tmp, nullptr);
-    tr->DumpFlight(tmp);
-    fflush(tmp);
-    long size = ftell(tmp);
-    ASSERT_GT(size, 0);
-    std::string dump(static_cast<size_t>(size), '\0');
-    rewind(tmp);
-    ASSERT_EQ(fread(dump.data(), 1, dump.size(), tmp), dump.size());
-    fclose(tmp);
+    std::string dump = FlightDump(*tr);
     EXPECT_NE(dump.find("[flight]"), std::string::npos);
     EXPECT_NE(dump.find("\"ev\":\"txn_commit\""), std::string::npos);
     for (const std::string& line : Lines(dump)) {
@@ -239,6 +253,89 @@ TEST(TraceFormatTest, FlightRecorderBuffersWithoutEmitting) {
       }
     }
   });
+}
+
+// Every field kind at its edges, against the exact bytes the tracer's
+// original snprintf formatting ("%llu", "%lld", "%.6g", "\\u%04x")
+// printed for the same event.
+TEST(TraceFormatTest, FieldFormattingIsPinned) {
+  SimTime clock = 41780;
+  Tracer tr(&clock);
+  std::string cap;
+  tr.SetCapture(&cap);
+  tr.Enable(kTraceAll);
+  const char tricky[] = {'q', '"', 'b', '\\', 'c', '\x01', 'd', '\x1f', 0};
+  LFSTX_TRACE(&tr, TraceCat::kDisk, "io_end",
+              {"u", std::numeric_limits<uint64_t>::max()},
+              {"i", std::numeric_limits<int64_t>::min()},
+              {"u32", uint32_t{7}}, {"neg", -3}, {"yes", true},
+              {"a", 0.1}, {"b", 1e-7}, {"c", 123456789.0}, {"d", -2.5},
+              {"e", 1e21}, {"z", 0.0}, {"nan", std::nan("")},
+              {"inf", std::numeric_limits<double>::infinity()},
+              {"s", tricky}, {"null", static_cast<const char*>(nullptr)});
+  EXPECT_EQ(cap,
+            "{\"t\":41780,\"cat\":\"disk\",\"ev\":\"io_end\","
+            "\"u\":18446744073709551615,\"i\":-9223372036854775808,"
+            "\"u32\":7,\"neg\":-3,\"yes\":1,"
+            "\"a\":0.1,\"b\":1e-07,\"c\":1.23457e+08,\"d\":-2.5,"
+            "\"e\":1e+21,\"z\":0,\"nan\":0,\"inf\":0,"
+            "\"s\":\"q\\\"b\\\\c\\u0001d\\u001f\",\"null\":\"\"}\n");
+  EXPECT_TRUE(IsFlatJsonObject(cap.substr(0, cap.size() - 1))) << cap;
+}
+
+// The flight recorder formats each event into a reused slot; what it
+// dumps must be byte-for-byte what a capture sink received.
+TEST(TraceFormatTest, FlightDumpMatchesCaptureBytes) {
+  SimTime clock = 0;
+  Tracer tr(&clock);
+  std::string cap;
+  tr.SetCapture(&cap);
+  tr.Enable(kTraceAll);
+  tr.EnableFlightRecorder(64);
+  for (uint64_t i = 0; i < 40; i++) {
+    clock += 7;
+    LFSTX_TRACE(&tr, TraceCat::kDisk, "io_end", {"block", i * 8},
+                {"blocks", uint64_t{8}}, {"service_us", 1234.5 + i});
+    if (i % 3 == 0) {
+      LFSTX_TRACE(&tr, TraceCat::kLock, "lock_wait", {"txn", i},
+                  {"mode", i % 2 == 0 ? "shared" : "exclusive"});
+    }
+  }
+  EXPECT_EQ(tr.events_emitted(), 54u);
+  EXPECT_EQ(FlightLines(tr), cap);
+}
+
+// A category's ring keeps its last 64 events; merging the rings still
+// yields one timeline in emission order.
+TEST(TraceFormatTest, FlightRingKeepsLastEventsInEmissionOrder) {
+  SimTime clock = 0;
+  Tracer flight(&clock);
+  flight.EnableFlightRecorder(64);
+  Tracer all(&clock);  // the same events, every one kept
+  std::string cap;
+  all.SetCapture(&cap);
+  all.Enable(kTraceAll);
+  for (uint64_t i = 0; i < 150; i++) {
+    clock++;
+    for (Tracer* tr : {&flight, &all}) {
+      LFSTX_TRACE(tr, TraceCat::kDisk, "io_end", {"i", i});
+      if (i % 10 == 0) LFSTX_TRACE(tr, TraceCat::kCleaner, "pass", {"i", i});
+    }
+  }
+  EXPECT_EQ(flight.events_emitted(), 0u);
+  // Expected: disk events 86..149 (the last 64) and all 15 cleaner events.
+  std::string want;
+  size_t kept = 0;
+  for (const std::string& line : Lines(cap)) {
+    if (StrField(line, "cat") == "disk" && Field(line, "i") < 86) continue;
+    want += line + "\n";
+    kept++;
+  }
+  EXPECT_EQ(kept, 64u + 15u);
+  std::string dump = FlightDump(flight);
+  EXPECT_EQ(dump.substr(0, dump.find('\n')),
+            "[flight] last 79 events (<= 64 per category):");
+  EXPECT_EQ(FlightLines(flight), want);
 }
 
 }  // namespace
