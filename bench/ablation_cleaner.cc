@@ -47,6 +47,11 @@ TpcbMeasurement MeasureWithCleaner(const BenchConfig& cfg, bool enabled,
         return;
       }
     }
+    // The cleaner columns cover the measured window, warm-up excluded.
+    Cleaner::CleanerStats cleaner0;
+    if (rig->machine->cleaner != nullptr) {
+      cleaner0 = rig->machine->cleaner->stats();
+    }
     auto r = driver.Run(txns);
     if (!r.ok()) {
       out.error = r.status().ToString();
@@ -56,8 +61,9 @@ TpcbMeasurement MeasureWithCleaner(const BenchConfig& cfg, bool enabled,
     out.elapsed = r.value().elapsed;
     out.txns = r.value().transactions;
     if (rig->machine->cleaner != nullptr) {
-      out.cleaner_cleaned = rig->machine->cleaner->stats().segments_cleaned;
-      out.cleaner_busy = rig->machine->cleaner->stats().busy_us;
+      const Cleaner::CleanerStats& c = rig->machine->cleaner->stats();
+      out.cleaner_cleaned = c.segments_cleaned - cleaner0.segments_cleaned;
+      out.cleaner_busy = c.busy_us - cleaner0.busy_us;
     }
     out.metrics_json = rig->MetricsJson();
     out.ok = true;

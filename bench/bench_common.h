@@ -301,6 +301,7 @@ struct TpcbMeasurement {
   double tps = 0;
   SimTime elapsed = 0;
   uint64_t txns = 0;
+  /// Cleaner work over the measured window only (warm-up excluded).
   uint64_t cleaner_cleaned = 0;
   SimTime cleaner_busy = 0;
   uint64_t syscalls = 0;
@@ -533,6 +534,21 @@ inline std::string DiskCauseJson(const Profiler::DiskAgg cause[kNumIoCauses]) {
   return out;
 }
 
+/// --fsck: sync, then run every invariant checker (src/check/). Returns
+/// why the sweep failed; empty when it is clean or was not asked for.
+inline std::string InvariantSweep(const BenchConfig& cfg, ArchRig* rig,
+                                  Arch arch) {
+  if (!cfg.fsck) return "";
+  fprintf(stderr, "[bench] %s: invariant sweep...\n", ArchName(arch));
+  Status synced = rig->machine->fs->SyncAll();
+  if (!synced.ok()) return synced.ToString();
+  CheckSummary summary = RunAllChecks(*rig);
+  if (!summary.clean()) return "invariant sweep failed:\n" + summary.ToString();
+  fprintf(stderr, "[bench] %s: sweep clean (%zu checkers)\n", ArchName(arch),
+          summary.reports.size());
+  return "";
+}
+
 /// Build a rig, load TPC-B, warm up, and run `measure_txns` transactions.
 inline TpcbMeasurement MeasureTpcb(Arch arch, const BenchConfig& cfg,
                                    uint64_t warmup_txns,
@@ -562,6 +578,10 @@ inline TpcbMeasurement MeasureTpcb(Arch arch, const BenchConfig& cfg,
       }
     }
     uint64_t syscalls0 = rig->env()->stats().syscalls;
+    Cleaner::CleanerStats cleaner0;
+    if (rig->machine->cleaner != nullptr) {
+      cleaner0 = rig->machine->cleaner->stats();
+    }
     // Snapshot the profiler so the reported attribution covers exactly the
     // measured window (warmup excluded). The embedded manager tags its
     // spans "embedded"; both user-level architectures go through LIBTP.
@@ -642,26 +662,13 @@ inline TpcbMeasurement MeasureTpcb(Arch arch, const BenchConfig& cfg,
       PrintBlameTable(ArchSlug(arch), delta);
     }
     if (rig->machine->cleaner != nullptr) {
-      out.cleaner_cleaned = rig->machine->cleaner->stats().segments_cleaned;
-      out.cleaner_busy = rig->machine->cleaner->stats().busy_us;
+      const Cleaner::CleanerStats& c = rig->machine->cleaner->stats();
+      out.cleaner_cleaned = c.segments_cleaned - cleaner0.segments_cleaned;
+      out.cleaner_busy = c.busy_us - cleaner0.busy_us;
     }
     out.metrics_json = rig->MetricsJson();
-    if (cfg.fsck) {
-      fprintf(stderr, "[bench] %s: invariant sweep...\n", ArchName(arch));
-      Status synced = rig->machine->fs->SyncAll();
-      if (!synced.ok()) {
-        out.error = synced.ToString();
-        return;
-      }
-      CheckSummary summary = RunAllChecks(*rig);
-      if (!summary.clean()) {
-        out.error = "invariant sweep failed:\n" + summary.ToString();
-        return;
-      }
-      fprintf(stderr, "[bench] %s: sweep clean (%zu checkers)\n",
-              ArchName(arch), summary.reports.size());
-    }
-    out.ok = true;
+    out.error = InvariantSweep(cfg, rig.get(), arch);
+    out.ok = out.error.empty();
   });
   if (!run_status.ok() && out.error.empty()) {
     out.error = run_status.ToString();

@@ -65,7 +65,8 @@ ScanMeasurement MeasureScanAfterUpdates(Arch arch, const BenchConfig& cfg,
     out.scan_mbps = scan.value().mb_per_sec;
     out.metrics_json = rig->MetricsJson();
     PrintRigProfile(cfg, rig.get(), std::string("fig6_") + ArchSlug(arch));
-    out.ok = true;
+    out.error = InvariantSweep(cfg, rig.get(), arch);
+    out.ok = out.error.empty();
   });
   if (!s.ok() && out.error.empty()) out.error = s.ToString();
   return out;

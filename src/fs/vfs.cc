@@ -76,6 +76,15 @@ std::vector<Inode*> FsCore::DirtyInodes() {
   return out;
 }
 
+std::vector<Inode*> FsCore::InCoreInodes() const {
+  std::vector<Inode*> out;
+  out.reserve(inodes_.size());
+  for (const auto& [num, ino] : inodes_) out.push_back(ino.get());
+  std::sort(out.begin(), out.end(),
+            [](Inode* a, Inode* b) { return a->num() < b->num(); });
+  return out;
+}
+
 void FsCore::ClearInodeTable() { inodes_.clear(); }
 
 bool FsCore::AnyOpenFiles() const {
@@ -809,23 +818,6 @@ Status FsCore::SetTxnProtected(const std::string& path, bool on) {
     ino->d.flags &= static_cast<uint16_t>(~kInodeFlagTxnProtected);
   }
   return NoteInodeDirty(ino);
-}
-
-Status FsCore::SyncFile(InodeNum inum) {
-  LFSTX_ASSIGN_OR_RETURN(Inode * ino, GetInode(inum));
-  for (FileId fid : {ino->data_file_id(), ino->meta_file_id()}) {
-    for (Buffer* buf : cache_->CollectDirtyFile(fid)) {
-      Status s = buf->dirty ? WriteBack(buf) : Status::OK();
-      cache_->Release(buf);
-      LFSTX_RETURN_IF_ERROR(s);
-    }
-  }
-  if (ino->dirty) {
-    // Push the inode itself to its on-disk home (FS-specific via
-    // NoteInodeDirty + SyncAll paths); subclasses override when a file-
-    // granularity inode write is possible.
-  }
-  return Status::OK();
 }
 
 }  // namespace lfstx

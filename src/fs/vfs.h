@@ -133,7 +133,6 @@ class FsCore : public FileSystem {
   Status Write(InodeNum inum, uint64_t offset, Slice data) override;
   Status Truncate(InodeNum inum, uint64_t new_size) override;
   Status SetTxnProtected(const std::string& path, bool on) override;
-  Status SyncFile(InodeNum inum) override;
 
   void MarkWalFile(InodeNum inum) override { wal_inums_.insert(inum); }
   /// True iff `f` is the data or meta file of a WAL-tagged inode. The
@@ -202,8 +201,10 @@ class FsCore : public FileSystem {
   Status InitRoot();
   /// Drop all in-core inodes (called from Unmount()).
   void ClearInodeTable();
-  /// Walk every in-core dirty inode (LFS segment writer, FFS sync).
+  /// Walk every in-core dirty inode (FFS sync).
   std::vector<Inode*> DirtyInodes();
+  /// Every in-core inode, in inode-number order (LFS segment writer).
+  std::vector<Inode*> InCoreInodes() const;
   /// Resolve a path to an inode, charging directory scan CPU.
   Result<Inode*> Resolve(const std::string& path);
   Result<Inode*> ResolveParent(const std::string& path, std::string* name);

@@ -230,8 +230,11 @@ Status Cleaner::CleanOne() {
   // have relocated every remaining live block, and reclaiming the victim
   // here is what lets the next engagement run at all — it needs a clean
   // segment to start, and an abort that freed nothing is an absorbing
-  // state. The checkpoint goes to the fixed region, so it cannot fail for
-  // lack of log space.
+  // state. The image goes to the fixed region, but the checkpoint first
+  // appends the inode-map blocks the failed flush left dirty (one chunk
+  // of at most InodeMap::nblocks() blocks, plus any dirty directory). With
+  // the log full that chunk lands in the victim just reclaimed, which has
+  // room for it, so the checkpoint cannot fail for lack of log space.
   auto salvage = [&](Status s) {
     if (lfs_->usage_.state(victim) == SegState::kDirty &&
         lfs_->usage_.live(victim) == 0) {

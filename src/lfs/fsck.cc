@@ -133,9 +133,11 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
     if (a != 0) claim(a, "inode map block");
   }
 
-  // Directory entries must reference live inodes (walk from the root).
+  // Directory entries must reference live inodes (walk from the root),
+  // and every live inode must be named by one of them.
   std::vector<InodeNum> stack{kRootInode};
   std::set<InodeNum> visited;
+  std::set<InodeNum> named{kRootInode};
   while (!stack.empty()) {
     InodeNum dnum = stack.back();
     stack.pop_back();
@@ -159,12 +161,21 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
                              dnum, entry.name.c_str(), entry.inum));
           continue;
         }
+        named.insert(entry.inum);
         auto child = fs->GetInode(entry.inum);
         if (child.ok() &&
             child.value()->d.file_type() == FileType::kDirectory) {
           stack.push_back(entry.inum);
         }
       }
+    }
+  }
+
+  // An orphan is a lost free: the file's blocks stay live forever.
+  for (InodeNum inum : live_inums) {
+    if (!named.count(inum)) {
+      report.Problem(Fmt("inode #%u is mapped but no directory reachable "
+                         "from the root names it (orphan)", inum));
     }
   }
 

@@ -6,7 +6,9 @@
 //   * the segment usage table's live counts match a full recount;
 //   * every imap entry points at a block that really contains that inode
 //     at the recorded version;
-//   * directory entries reference live inodes.
+//   * directory entries reference live inodes;
+//   * every inode the imap maps is named by a directory entry reachable
+//     from the root (no orphans: a lost free would leak its blocks).
 //
 // Registered as the "lfs" checker in check/registry.cc; callable directly
 // when only an Lfs is at hand. Counters: files, directories, mapped_blocks.

@@ -1,8 +1,10 @@
 // The inode map ("inode map blocks" of Figure 1): inode number -> current
 // log address of the inode, plus a version for inode-number reuse. The
-// in-memory table is authoritative; dirty map blocks are serialized into
-// the log at each segment write, and block addresses are recorded in the
-// checkpoint.
+// in-memory table is authoritative. As in Sprite LFS, dirty map blocks are
+// serialized into the log only ahead of a checkpoint capture, during a
+// cleaning pass, and after an inode is freed; their block addresses are
+// recorded in the checkpoint. Roll-forward rebuilds every other change
+// from the inode blocks written after the checkpoint.
 #ifndef LFSTX_LFS_INODE_MAP_H_
 #define LFSTX_LFS_INODE_MAP_H_
 

@@ -178,8 +178,7 @@ Status Lfs::Unmount() {
 Status Lfs::SyncAll() { return Flush(kNoTxn); }
 
 Status Lfs::SyncFile(InodeNum inum) {
-  (void)inum;  // LFS always writes whole segments
-  return Flush(kNoTxn);
+  return FlushUnderLock(kNoTxn, FlushScope::kFile, inum);
 }
 
 Status Lfs::WriteBack(Buffer* buf) {
@@ -194,9 +193,10 @@ Status Lfs::WriteBack(Buffer* buf) {
 
 Status Lfs::Checkpoint() {
   if (!mounted_) return Status::OK();  // daemon tick before boot finishes
-  // Fuzzy path: serialize against other fuzzy checkpointers, snapshot
-  // under the flush lock, then write the image with the lock released so
-  // transactions keep committing during the multi-block region write.
+  // Fuzzy path: serialize against other fuzzy checkpointers, log the
+  // dirty inode map and snapshot under the flush lock, then write the
+  // image with the lock released so transactions keep committing during
+  // the multi-block region write.
   SimMutexGuard cg(&checkpoint_lock_);
   if (!cg.locked()) return Status::Busy("stopped before checkpoint");
   CheckpointData cp;
@@ -210,6 +210,10 @@ Status Lfs::Checkpoint() {
     }
     // No image write can be in flight here: fuzzy writers hold
     // checkpoint_lock_ and locked writers finish inside the flush lock.
+    flush_owner_ = SimEnv::Current();
+    Status logged = LogImapLocked();
+    flush_owner_ = nullptr;
+    LFSTX_RETURN_IF_ERROR(logged);
     LFSTX_RETURN_IF_ERROR(CaptureCheckpointLocked(&cp, &region));
   }
   Status s = WriteCheckpointImage(cp, region);
@@ -246,6 +250,7 @@ Result<InodeNum> Lfs::AllocInodeNum() { return imap_.AllocInum(); }
 Status Lfs::ReleaseInodeNum(Inode* ino) {
   BlockAddr prev = imap_.Free(ino->num());
   if (prev != 0) {
+    imap_free_unlogged_ = true;
     auto it = inode_block_refs_.find(prev);
     if (it != inode_block_refs_.end() && --it->second == 0) {
       usage_.DecLive(SegOf(prev), 1);

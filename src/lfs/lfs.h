@@ -78,6 +78,8 @@ class Lfs : public FsCore {
   Status Mount() override;  ///< includes crash recovery (roll-forward)
   Status Unmount() override;
   Status SyncAll() override;
+  /// fsync: writes `inum`'s dirty blocks and inode plus the namespace
+  /// closure (see FlushScope::kFile), not the whole cache.
   Status SyncFile(InodeNum inum) override;
 
   /// WritebackHandler: an eviction of any dirty buffer triggers a full
@@ -174,7 +176,33 @@ class Lfs : public FsCore {
   }
 
   // ---- segment writer (segment_writer.cc) ----
-  Status FlushLocked(TxnId txn);
+  /// What one FlushLocked call writes.
+  enum class FlushScope {
+    /// Every dirty block and inode: sync, eviction write-back, the syncer
+    /// and the embedded commit.
+    kAll,
+    /// One file's dirty data blocks, indirect blocks and inode, plus the
+    /// namespace closure: every dirty directory block and directory inode,
+    /// and every dirty inode never yet written. Without the closure a
+    /// recovered directory could name an inode the log never saw (fsync).
+    kFile,
+    /// The namespace closure and every dirty inode-map block: the append
+    /// that precedes a checkpoint capture.
+    kCheckpoint,
+  };
+  /// Dirty inode-map blocks are written only when a checkpoint capture
+  /// follows this flush, a cleaning pass is running, or an inode was freed
+  /// since the last imap write. Roll-forward rebuilds the rest from inode
+  /// blocks: the on-disk imap blocks a checkpoint names, plus the inode
+  /// blocks written after it, equal the in-memory map.
+  Status FlushLocked(TxnId txn, FlushScope scope = FlushScope::kAll,
+                     InodeNum file = kInvalidInode);
+  /// Lock the log and flush under it (Flush, SyncFile).
+  Status FlushUnderLock(TxnId txn, FlushScope scope, InodeNum file);
+  /// Append the dirty inode-map blocks, if any, with the namespace
+  /// closure (FlushScope::kCheckpoint), so the next capture never names a
+  /// stale map.
+  Status LogImapLocked();
   /// Move the write point to a fresh clean segment, waiting on the cleaner
   /// if none is available.
   Status AdvanceSegment();
@@ -192,8 +220,9 @@ class Lfs : public FsCore {
   /// Encode and write a captured image. Does not require the flush lock.
   Status WriteCheckpointImage(const CheckpointData& cp, BlockAddr region);
   /// Capture + write under the flush lock (format, unmount, periodic,
-  /// cleaner). Skips when the log is clean or a fuzzy image write is in
-  /// flight (two concurrent region writes could tear both regions).
+  /// cleaner, recovery), after LogImapLocked. Skips when the log is clean
+  /// or a fuzzy image write is in flight (two concurrent region writes
+  /// could tear both regions).
   Status WriteCheckpointLocked();
   /// True when nothing was appended since the last capture — the on-disk
   /// image is already current.
@@ -219,6 +248,9 @@ class Lfs : public FsCore {
   uint64_t checkpoint_seq_ = 0;
   bool checkpoint_to_a_ = true;
   uint32_t segments_since_checkpoint_ = 0;
+  /// An inode was freed since the last imap write. Roll-forward cannot
+  /// learn a free from inode blocks, so the next flush logs the imap.
+  bool imap_free_unlogged_ = false;
   /// State at the last checkpoint capture, for skip-if-clean. Stale usage
   /// counts (which can change without the head moving) are fine to leave
   /// uncheckpointed: recovery rebuilds usage exactly.

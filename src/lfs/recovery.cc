@@ -7,7 +7,9 @@
 // path (format, unmount, periodic, cleaner) keeps the lock across both.
 // The dual regions alternate, so a crash mid-write falls back to the
 // other region — provided at most one region write is ever in flight,
-// which the checkpoint_write_in_flight_ flag enforces.
+// which the checkpoint_write_in_flight_ flag enforces. Every capture
+// first logs the dirty inode-map blocks (LogImapLocked): flushes leave
+// them to roll-forward, and an image must not name a stale map.
 //
 // Recovery loads the newer valid checkpoint, rolls the log forward along
 // the summary chain (staging transaction-tagged chunks until their commit
@@ -87,6 +89,7 @@ Status Lfs::WriteCheckpointLocked() {
     lfs_stats_.checkpoints_skipped++;
     return Status::OK();
   }
+  LFSTX_RETURN_IF_ERROR(LogImapLocked());
   CheckpointData cp;
   BlockAddr region = 0;
   LFSTX_RETURN_IF_ERROR(CaptureCheckpointLocked(&cp, &region));
@@ -309,13 +312,9 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   LFSTX_RETURN_IF_ERROR(RebuildUsage());
 
   // ---- 5. persist the recovered state ----
-  Status s = Status::OK();
-  if (!imap_.DirtyBlocks().empty()) {
-    // Roll-forward learned inode locations that the on-disk imap blocks
-    // don't reflect yet; push them into the log before checkpointing.
-    s = FlushLocked(kNoTxn);
-  }
-  if (s.ok()) s = WriteCheckpointLocked();
+  // Roll-forward learned inode locations the on-disk imap blocks do not
+  // reflect yet; the checkpoint logs them before its capture.
+  Status s = WriteCheckpointLocked();
   recovery_stats_.total_us = env_->Now() - recover_start;
 
   // Mirror into metrics so tests and benches can assert on recovery

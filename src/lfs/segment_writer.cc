@@ -1,6 +1,9 @@
-// The segment writer: gathers every dirty block, assigns log addresses,
-// updates the metadata chain bottom-up (data -> indirect -> inode -> inode
-// map), and pushes each partial segment to disk as one contiguous write.
+// The segment writer: gathers the dirty blocks of a flush's scope (the
+// whole cache, or one file plus the namespace closure), assigns log
+// addresses, updates the metadata chain bottom-up (data -> indirect ->
+// inode -> inode map), and pushes each partial segment to disk as one
+// contiguous write. Inode-map blocks go out only with checkpoints,
+// cleaning passes and frees; roll-forward rebuilds the rest.
 #include <algorithm>
 #include <cstring>
 
@@ -19,6 +22,10 @@ bool IsFileMeta(FileId f) {
 }  // namespace
 
 Status Lfs::Flush(TxnId txn) {
+  return FlushUnderLock(txn, FlushScope::kAll, kInvalidInode);
+}
+
+Status Lfs::FlushUnderLock(TxnId txn, FlushScope scope, InodeNum file) {
   if (flush_owner_ != nullptr && flush_owner_ == SimEnv::Current()) {
     return Status::Internal("re-entrant LFS flush");
   }
@@ -27,12 +34,17 @@ Status Lfs::Flush(TxnId txn) {
     return Status::Busy("simulation stopped while waiting for the log");
   }
   flush_owner_ = SimEnv::Current();
-  Status s = FlushLocked(txn);
+  Status s = FlushLocked(txn, scope, file);
   flush_owner_ = nullptr;
   return s;
 }
 
-Status Lfs::FlushLocked(TxnId txn) {
+Status Lfs::LogImapLocked() {
+  if (imap_.DirtyBlocks().empty()) return Status::OK();
+  return FlushLocked(kNoTxn, FlushScope::kCheckpoint);
+}
+
+Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   lfs_stats_.flushes++;
 
   // Hold regular flushes out of the cleaner's reserve before they consume
@@ -183,16 +195,47 @@ Status Lfs::FlushLocked(TxnId txn) {
     return addr;
   };
 
-  // ---- 1. data blocks, in (file, logical block) order ----
-  std::vector<Buffer*> data;
-  for (Buffer* b : cache_->CollectDirty()) {
-    if (IsFileMeta(b->key.file) || b->key.file == kMetaFileId ||
-        b->key.file == kInodeMapFileId) {
-      cache_->Release(b);  // handled in later passes
-    } else {
-      data.push_back(b);
-    }
+  // ---- 0. scope: the files whose blocks this flush writes ----
+  // kAll walks the cache's dirty list. The scoped flushes walk the index
+  // of each file in scope instead, in inode order, which is the dirty
+  // list's order; the in-core table is read afresh on every pass, since
+  // the pass before may have yielded on a chunk write.
+  if (scope == FlushScope::kFile) {
+    LFSTX_RETURN_IF_ERROR(GetInode(file).status());
   }
+  auto in_scope = [&](Inode* ino) {
+    return (scope == FlushScope::kFile && ino->num() == file) ||
+           ino->d.file_type() == FileType::kDirectory;
+  };
+  // The scope's dirty buffers whose key passes `want`, pinned, in key
+  // order.
+  auto collect = [&](auto want) {
+    std::vector<Buffer*> out;
+    auto keep = [&](Buffer* b) {
+      if (want(b->key)) {
+        out.push_back(b);
+      } else {
+        cache_->Release(b);  // another pass's
+      }
+    };
+    if (scope == FlushScope::kAll) {
+      for (Buffer* b : cache_->CollectDirty()) keep(b);
+    } else {
+      for (Inode* ino : InCoreInodes()) {
+        if (!in_scope(ino)) continue;
+        for (FileId f : {ino->data_file_id(), ino->meta_file_id()}) {
+          for (Buffer* b : cache_->CollectDirtyFile(f)) keep(b);
+        }
+      }
+    }
+    return out;
+  };
+
+  // ---- 1. data blocks, in (file, logical block) order ----
+  std::vector<Buffer*> data = collect([](BufferKey k) {
+    return !IsFileMeta(k.file) && k.file != kMetaFileId &&
+           k.file != kInodeMapFileId;
+  });
   // Provenance: a cleaning-context flush charges its whole payload to the
   // cleaner (copy-forward and the metadata churn it causes); otherwise
   // data splits into WAL-file appends vs. true user data.
@@ -214,22 +257,11 @@ Status Lfs::FlushLocked(TxnId txn) {
   }
 
   // ---- 2./3. indirect blocks: children first, then roots ----
-  auto collect_meta = [&](bool children) {
-    std::vector<Buffer*> out;
-    for (Buffer* b : cache_->CollectDirty()) {
-      bool want = IsFileMeta(b->key.file) &&
-                  ((children && b->key.lblock >= kMetaDoubleChildBase) ||
-                   (!children && b->key.lblock < kMetaDoubleChildBase));
-      if (want) {
-        out.push_back(b);
-      } else {
-        cache_->Release(b);
-      }
-    }
-    return out;
-  };
   for (bool children : {true, false}) {
-    for (Buffer* b : collect_meta(children)) {
+    for (Buffer* b : collect([children](BufferKey k) {
+           return IsFileMeta(k.file) &&
+                  (k.lblock >= kMetaDoubleChildBase) == children;
+         })) {
       InodeNum inum = static_cast<InodeNum>(b->key.file & 0xffffffffu);
       LFSTX_ASSIGN_OR_RETURN(Inode * ino, GetInode(inum));
       LFSTX_ASSIGN_OR_RETURN(
@@ -247,9 +279,15 @@ Status Lfs::FlushLocked(TxnId txn) {
   }
 
   // ---- 4. inodes, packed kInodesPerBlock to a block ----
-  std::vector<Inode*> dirty_inodes = DirtyInodes();
-  std::sort(dirty_inodes.begin(), dirty_inodes.end(),
-            [](Inode* a, Inode* b) { return a->num() < b->num(); });
+  // A scoped flush also writes every dirty inode the log has never seen:
+  // a directory block it writes may name one.
+  std::vector<Inode*> dirty_inodes;
+  for (Inode* ino : InCoreInodes()) {
+    if (ino->dirty && (scope == FlushScope::kAll || in_scope(ino) ||
+                       imap_.Get(ino->num()).inode_addr == 0)) {
+      dirty_inodes.push_back(ino);
+    }
+  }
   for (size_t i = 0; i < dirty_inodes.size(); i += kInodesPerBlock) {
     char iblock[kBlockSize];
     memset(iblock, 0, sizeof(iblock));
@@ -283,22 +321,34 @@ Status Lfs::FlushLocked(TxnId txn) {
     }
   }
 
-  // ---- 5. inode-map blocks ----
-  for (uint32_t idx : imap_.DirtyBlocks()) {
-    char mblock[kBlockSize];
-    imap_.EncodeBlock(idx, mblock);
-    LFSTX_ASSIGN_OR_RETURN(BlockAddr addr,
-                           place(BlockKind::kImap,
-                                 cleaning_in_progress_ ? LogByteCat::kCleaner
-                                                       : LogByteCat::kImap,
-                                 kInvalidInode, idx, mblock));
-    BlockAddr prev = imap_.block_addrs()[idx];
-    if (prev != 0) usage_.DecLive(SegOf(prev), 1);
-    imap_.block_addrs()[idx] = addr;
+  // ---- 5. inode-map blocks, only when roll-forward cannot do without ----
+  // A periodic checkpoint is decided here, not after the seal, so its imap
+  // blocks ride in this flush's last chunk; nothing below can activate
+  // another segment unless imap blocks are placed.
+  bool checkpoint_due =
+      segments_since_checkpoint_ >= options_.checkpoint_every_segments;
+  if (scope == FlushScope::kCheckpoint || checkpoint_due ||
+      cleaning_in_progress_ || imap_free_unlogged_) {
+    for (uint32_t idx : imap_.DirtyBlocks()) {
+      char mblock[kBlockSize];
+      imap_.EncodeBlock(idx, mblock);
+      LFSTX_ASSIGN_OR_RETURN(
+          BlockAddr addr,
+          place(BlockKind::kImap,
+                cleaning_in_progress_ ? LogByteCat::kCleaner
+                                      : LogByteCat::kImap,
+                kInvalidInode, idx, mblock));
+      BlockAddr prev = imap_.block_addrs()[idx];
+      if (prev != 0) usage_.DecLive(SegOf(prev), 1);
+      imap_.block_addrs()[idx] = addr;
+    }
+    imap_.ClearDirty();
+    imap_free_unlogged_ = false;
   }
-  imap_.ClearDirty();
 
   LFSTX_RETURN_IF_ERROR(seal(/*final_commit=*/true));
+  // The checkpoint append's caller captures right after it.
+  if (scope == FlushScope::kCheckpoint) return Status::OK();
   return MaybePeriodicCheckpoint();
 }
 

@@ -1,15 +1,17 @@
 // Invariant-checker framework tests: a healthy machine sweeps clean on
 // every checker, and each checker detects the corruption it exists for —
-// a bitmap/reachability mismatch (ffs), a leaked pin (cache), a leaked
-// lock (locks), a flipped byte in the durable WAL region (log), and a
-// transaction still live at a quiescent point (txn). The LFS walker's
-// detection tests live in fsck_test.cc.
+// a bitmap/reachability mismatch (ffs), an orphan inode (lfs), a leaked
+// pin (cache), a leaked lock (locks), a flipped byte in the durable WAL
+// region (log), and a transaction still live at a quiescent point (txn).
+// The LFS walker's other detection tests live in fsck_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
 #include "check/registry.h"
 #include "ffs/ffs.h"
+#include "fs/directory.h"
+#include "lfs/lfs.h"
 #include "libtp/log_manager.h"
 #include "machines.h"
 #include "txn/lock_manager.h"
@@ -110,6 +112,47 @@ TEST(CheckFfsTest, DetectsInodeReferencingFreeBlock) {
       if (p.find("bitmap says") != std::string::npos) found = true;
     }
     EXPECT_TRUE(found) << report.value().ToString();
+  });
+  env.Run();
+}
+
+TEST(CheckLfsTest, DetectsOrphanInode) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  BufferCache cache(&env, 1024);
+  Lfs fs(&env, &disk, &cache);
+  cache.set_writeback(&fs);
+  env.Spawn("main", [&] {
+    ASSERT_TRUE(fs.Format().ok());
+    InodeNum ino = fs.Create("/lost").value();
+    ASSERT_TRUE(fs.Close(ino).ok());
+    ASSERT_TRUE(fs.SyncAll().ok());
+    CheckContext ctx;
+    ctx.env = &env;
+    ctx.lfs = &fs;
+    auto report = CheckLfsStructure(ctx);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
+
+    // Erase the name on disk but leave the inode mapped: what a free that
+    // never reached the log leaves behind.
+    Inode* root = fs.GetInode(kRootInode).value();
+    BlockAddr dir_block = fs.MapBlock(root, 0).value();
+    char block[kBlockSize];
+    disk.RawRead(dir_block, 1, block);
+    int slot = FindDirEntry(block, "lost");
+    ASSERT_GE(slot, 0);
+    EncodeDirEntry(block, static_cast<uint32_t>(slot), kInvalidInode, "");
+    disk.RawWrite(dir_block, 1, block);
+
+    report = CheckLfsStructure(ctx);
+    ASSERT_TRUE(report.ok());
+    EXPECT_FALSE(report.value().clean) << "orphan inode not detected";
+    bool named = false;
+    for (const auto& p : report.value().problems) {
+      if (p.find("orphan") != std::string::npos) named = true;
+    }
+    EXPECT_TRUE(named) << report.value().ToString();
   });
   env.Run();
 }

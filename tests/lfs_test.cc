@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "lfs/cleaner.h"
+#include "lfs/fsck.h"
 #include "lfs/lfs.h"
 
 namespace lfstx {
@@ -366,6 +367,251 @@ TEST(LfsTest, InodeNumbersAreReusedWithBumpedVersion) {
     ASSERT_TRUE(f.fs.SyncAll().ok());
     EXPECT_GT(f.fs.imap().Get(second).version, v1);  // ...at a new version
   });
+}
+
+TEST(LfsTest, SyncFileWritesOnlyThatFile) {
+  LfsFixture f;
+  RunIn(&f.env, [&] {
+    ASSERT_TRUE(f.fs.Format().ok());
+    InodeNum a = f.fs.Create("/a").value();
+    InodeNum b = f.fs.Create("/b").value();
+    ASSERT_TRUE(f.fs.SyncAll().ok());  // the namespace is on disk
+    ASSERT_TRUE(f.fs.Write(a, 0, std::string(4 * kBlockSize, 'a')).ok());
+    ASSERT_TRUE(f.fs.Write(b, 0, std::string(kBlockSize, 'b')).ok());
+    f.disk.ResetStats();
+    ASSERT_TRUE(f.fs.SyncFile(b).ok());
+    // A summary block, b's data block and b's inode block.
+    EXPECT_LE(f.disk.stats().blocks_written, 3u);
+    EXPECT_EQ(f.cache.dirty_count(), 4u);  // a's data is still dirty
+    EXPECT_TRUE(f.fs.GetInode(a).value()->dirty);
+    EXPECT_FALSE(f.fs.GetInode(b).value()->dirty);
+  });
+}
+
+TEST(LfsTest, SyncFileMakesEveryNameInItsDirectoryDurable) {
+  // /a is created but never synced; fsync of /b writes the root directory
+  // block, which names /a too, so /a's inode must go out with it.
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("test", [&] {
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      ASSERT_TRUE(fs.Create("/a").ok());
+      InodeNum b = fs.Create("/b").value();
+      ASSERT_TRUE(fs.Write(b, 0, Slice("fsynced")).ok());
+      ASSERT_TRUE(fs.SyncFile(b).ok());
+      // Crash now: no Unmount.
+    }
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Mount().ok());
+      auto r = fs.Open("/b");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      char buf[16] = {0};
+      EXPECT_EQ(fs.Read(r.value(), 0, 16, buf).value(), 7u);
+      EXPECT_EQ(std::string(buf, 7), "fsynced");
+      ASSERT_TRUE(fs.Close(r.value()).ok());
+      auto report = CheckLfs(&fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report.value().clean) << report.value().ToString();
+    }
+  });
+  env.Run();
+}
+
+TEST(LfsTest, RollForwardReplaysALoggedFree) {
+  // Roll-forward learns inode locations from inode blocks, but a free
+  // leaves no inode block behind: the flush after it must log the imap.
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  InodeNum c = kInvalidInode;
+  env.Spawn("test", [&] {
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      c = fs.Create("/c").value();
+      ASSERT_TRUE(fs.Write(c, 0, Slice("doomed")).ok());
+      ASSERT_TRUE(fs.Close(c).ok());
+      ASSERT_TRUE(fs.SyncAll().ok());
+      ASSERT_TRUE(fs.Checkpoint().ok());
+      ASSERT_TRUE(fs.Remove("/c").ok());
+      ASSERT_TRUE(fs.SyncAll().ok());
+      // Crash before the next checkpoint.
+    }
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Mount().ok());
+      EXPECT_GT(fs.recovery_stats().chunks, 0u);
+      EXPECT_FALSE(fs.imap().InUse(c));
+      EXPECT_EQ(fs.Open("/c").status().code(), Code::kNotFound);
+      auto report = CheckLfs(&fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report.value().clean) << report.value().ToString();
+    }
+  });
+  env.Run();
+}
+
+TEST(LfsTest, CheckpointLogsTheDirtyImapBeforeItsCapture) {
+  // Files made durable by fsync alone are known to the in-memory imap and
+  // to roll-forward, not to the on-disk imap. A checkpoint moves the
+  // roll-forward start past their inode blocks, so it must log the imap
+  // first — on the periodic path inside the flush's last chunk.
+  for (bool fuzzy : {false, true}) {
+    SCOPED_TRACE(fuzzy ? "fuzzy checkpoint" : "periodic checkpoint");
+    SimEnv env;
+    SimDisk disk(&env, SimDisk::Options{});
+    const int kFiles = 4;
+    env.Spawn("test", [&] {
+      {
+        BufferCache cache(&env, 1024);
+        Lfs::Options opt;
+        opt.checkpoint_every_segments = fuzzy ? 1000 : 1;
+        Lfs fs(&env, &disk, &cache, opt);
+        cache.set_writeback(&fs);
+        ASSERT_TRUE(fs.Format().ok());
+        for (int i = 0; i < kFiles; i++) {
+          InodeNum ino = fs.Create("/f" + std::to_string(i)).value();
+          ASSERT_TRUE(fs.Write(ino, 0, "file " + std::to_string(i)).ok());
+          ASSERT_TRUE(fs.SyncFile(ino).ok());
+          ASSERT_TRUE(fs.Close(ino).ok());
+        }
+        ASSERT_FALSE(fs.imap().DirtyBlocks().empty());
+        uint64_t checkpoints = fs.lfs_stats().checkpoints;
+        if (fuzzy) {
+          ASSERT_TRUE(fs.Checkpoint().ok());
+        } else {
+          // A flush that opens a segment makes the periodic checkpoint due.
+          InodeNum big = fs.Create("/big").value();
+          ASSERT_TRUE(
+              fs.Write(big, 0, std::string(200 * kBlockSize, 'b')).ok());
+          ASSERT_TRUE(fs.Close(big).ok());
+          uint64_t flushes = fs.lfs_stats().flushes;
+          ASSERT_TRUE(fs.SyncAll().ok());
+          EXPECT_EQ(fs.lfs_stats().flushes, flushes + 1);
+        }
+        EXPECT_EQ(fs.lfs_stats().checkpoints, checkpoints + 1);
+        EXPECT_TRUE(fs.imap().DirtyBlocks().empty());
+        // Crash right after the checkpoint.
+      }
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Mount().ok());
+      EXPECT_EQ(fs.recovery_stats().chunks, 0u);  // the checkpoint has it all
+      for (int i = 0; i < kFiles; i++) {
+        auto r = fs.Open("/f" + std::to_string(i));
+        ASSERT_TRUE(r.ok()) << i << ": " << r.status().ToString();
+        char buf[16] = {0};
+        EXPECT_EQ(fs.Read(r.value(), 0, 16, buf).value(), 6u);
+        EXPECT_EQ(std::string(buf, 6), "file " + std::to_string(i));
+        ASSERT_TRUE(fs.Close(r.value()).ok());
+      }
+      auto report = CheckLfs(&fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report.value().clean) << report.value().ToString();
+    });
+    env.Run();
+  }
+}
+
+TEST(LfsTest, CleanerSalvageCheckpointsWhenTheLogIsFull) {
+  // A cleaning pass that runs out of log after relocating its victim's
+  // live blocks reclaims the victim and checkpoints. The checkpoint first
+  // logs the dirty imap, and with the log full that chunk can only go into
+  // the victim just reclaimed. Where the log fills up depends on the
+  // layout, so try filler sizes until a pass hits exactly that case.
+  SimDisk::Options small;
+  small.geometry.cylinders = 20;  // nine 128-block segments
+  bool salvaged = false;
+  for (uint64_t filler = 0; filler < 160 && !salvaged; filler++) {
+    SimEnv env;
+    SimDisk disk(&env, small);
+    env.Spawn("test", [&] {
+      std::string expect(300 * kBlockSize, 'g');
+      {
+        BufferCache cache(&env, 1024);
+        Lfs::Options opt;
+        opt.checkpoint_every_segments = 1000;
+        Lfs fs(&env, &disk, &cache, opt);
+        cache.set_writeback(&fs);
+        ASSERT_TRUE(fs.Format().ok());
+        InodeNum g = fs.Create("/g").value();
+        ASSERT_TRUE(fs.Write(g, 0, expect).ok());
+        ASSERT_TRUE(fs.SyncAll().ok());
+        // Kill all but eight blocks of the segment holding g's block 150:
+        // a pure-data segment, and the emptiest one in the log.
+        Inode* gi = fs.GetInode(g).value();
+        auto seg_of = [&](BlockAddr a) {
+          return (a - fs.seg_start()) / fs.segment_blocks();
+        };
+        uint64_t victim = seg_of(fs.MapBlock(gi, 150).value());
+        int kept = 0;
+        for (uint64_t lb = 0; lb < 300; lb++) {
+          if (seg_of(fs.MapBlock(gi, lb).value()) != victim) continue;
+          if (kept++ < 8) continue;
+          memset(expect.data() + lb * kBlockSize, 'h', kBlockSize);
+          ASSERT_TRUE(
+              fs.Write(g, lb * kBlockSize,
+                       Slice(expect.data() + lb * kBlockSize, kBlockSize))
+                  .ok());
+        }
+        ASSERT_TRUE(fs.Close(g).ok());
+        ASSERT_TRUE(fs.SyncAll().ok());
+        // Fill the log. With no cleaner attached the writer may take the
+        // last clean segment; a filler that does not fit is skipped.
+        InodeNum h = fs.Create("/h").value();
+        uint64_t fill =
+            (fs.clean_segments() + 1) * fs.segment_blocks() - filler;
+        Status filled = fs.Write(h, 0, std::string(fill * kBlockSize, 'f'));
+        ASSERT_TRUE(fs.Close(h).ok());
+        if (!filled.ok() || !fs.SyncAll().ok() || fs.clean_segments() != 0) {
+          return;
+        }
+        ASSERT_FALSE(fs.imap().DirtyBlocks().empty());
+
+        {
+          Cleaner::Options copt;
+          copt.poll_interval = 1000 * kSecond;  // passes run only on demand
+          Cleaner cleaner(&env, &fs, copt);
+          uint64_t checkpoints = fs.lfs_stats().checkpoints;
+          Status s = cleaner.CleanOne();
+          if (s.ok() || cleaner.stats().segments_cleaned == 0) return;
+          salvaged = true;
+          EXPECT_EQ(s.code(), Code::kNoSpace) << s.ToString();
+          EXPECT_EQ(fs.lfs_stats().checkpoints, checkpoints + 1);
+          EXPECT_TRUE(fs.imap().DirtyBlocks().empty());
+        }
+        // Detached, the cleaner no longer holds the writer to its reserve:
+        // the log is all live data, and the unmount flush takes the room
+        // the victim left.
+        ASSERT_TRUE(fs.Unmount().ok());
+      }
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Mount().ok());
+      auto report = CheckLfs(&fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report.value().clean) << report.value().ToString();
+      InodeNum g = fs.Open("/g").value();
+      std::string got(expect.size(), '\0');
+      ASSERT_EQ(fs.Read(g, 0, got.size(), got.data()).value(), got.size());
+      EXPECT_TRUE(got == expect);
+      ASSERT_TRUE(fs.Close(g).ok());
+    });
+    env.Run();
+  }
+  EXPECT_TRUE(salvaged) << "no filler size made a cleaning pass salvage";
 }
 
 TEST(LfsTest, SparseFileReadsZeroes) {
