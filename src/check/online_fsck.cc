@@ -135,8 +135,12 @@ void OnlineFsck::AuditImapBlock(uint32_t idx) {
 void OnlineFsck::AuditSegment(uint32_t seg) {
   const SegmentUsage& usage = lfs_->usage();
   stats_.audits++;
-  if (usage.live(seg) > lfs_->segment_blocks()) {
-    Problem("live_count_exceeds_segment", seg, usage.live(seg));
+  uint32_t occupied = 0;
+  for (uint32_t slot = 0; slot < usage.segment_blocks(); slot++) {
+    if (usage.owner(seg, slot).kind != 0) occupied++;
+  }
+  if (usage.live(seg) != occupied) {
+    Problem("live_count_is_not_occupied_slots", seg, usage.live(seg));
   }
   if (usage.state(seg) == SegState::kActive &&
       seg != lfs_->current_segment()) {

@@ -7,8 +7,9 @@
 // Two audit tiers:
 //  * In-memory invariants (non-yielding, race-free by cooperation): every
 //    mapped inode address lands inside the segment area in a non-clean
-//    segment; per-segment live counts are sane; exactly the active
-//    segment is in the kActive state.
+//    segment; each segment's live count equals its occupied owner slots
+//    (and is zero when clean); exactly the active segment is in the
+//    kActive state.
 //  * Disk verification (yields on a timed read): read one mapped inode
 //    block back and confirm the inode is present with the mapped version.
 //    Guarded by a GenStamp on the inode map — if the map mutated while

@@ -69,6 +69,10 @@ struct Inode {
   /// it locks out all accesses to the particular files being cleaned").
   bool being_cleaned = false;
   std::unique_ptr<WaitQueue> clean_wait;  // lazily created by the cleaner
+  /// A truncate or remove is releasing this file's blocks. The cleaner
+  /// must not copy them meanwhile: a copy would dirty (and its flush pin)
+  /// buffers the free is about to drop.
+  bool freeing = false;
 
   /// Sequential-read detector for clustered readahead: the logical block a
   /// purely sequential reader would touch next. A read of this block (or of
@@ -78,9 +82,14 @@ struct Inode {
 
   InodeNum num() const { return d.inum; }
   /// Cache/lock namespace of this file's data blocks.
-  FileId data_file_id() const { return d.inum; }
+  FileId data_file_id() const { return DataFileId(d.inum); }
   /// Cache namespace of this file's indirect blocks.
-  FileId meta_file_id() const { return static_cast<FileId>(d.inum) | (1ull << 40); }
+  FileId meta_file_id() const { return MetaFileId(d.inum); }
+
+  static FileId DataFileId(InodeNum inum) { return inum; }
+  static FileId MetaFileId(InodeNum inum) {
+    return static_cast<FileId>(inum) | (1ull << 40);
+  }
 };
 
 /// Meta-namespace logical block layout: 0 = single indirect block,

@@ -524,6 +524,14 @@ Status FsCore::Write(InodeNum inum, uint64_t offset, Slice data) {
 }
 
 Status FsCore::FreeFileBlocks(Inode* ino, uint64_t from_block) {
+  // A free is an access like any other: wait out a kernel cleaner that
+  // holds the file, then keep every cleaner off it until the free is done.
+  LFSTX_RETURN_IF_ERROR(EnterDataPath(ino));
+  ino->freeing = true;
+  struct FreeingReset {
+    Inode* ino;
+    ~FreeingReset() { ino->freeing = false; }
+  } freeing_reset{ino};
   uint64_t nblocks = ino->d.size_blocks();
   for (uint64_t lb = from_block; lb < nblocks; lb++) {
     LFSTX_ASSIGN_OR_RETURN(BlockAddr a, MapBlock(ino, lb));

@@ -19,7 +19,7 @@ struct RawCpHeader {
   uint64_t timestamp;
   uint64_t next_write_seq;
   uint32_t crc;
-  uint32_t pad;
+  uint32_t next_segment;
 };
 static_assert(sizeof(RawCpHeader) == 56);
 constexpr uint32_t kCpMagic = 0x43504B31;  // "CPK1"
@@ -42,6 +42,7 @@ void CheckpointData::Encode(char* out, uint32_t nblocks) const {
   h.cur_segment = cur_segment;
   h.cur_offset = cur_offset;
   h.cur_generation = cur_generation;
+  h.next_segment = next_segment;
   h.seq = seq;
   h.timestamp = timestamp;
   h.next_write_seq = next_write_seq;
@@ -77,6 +78,7 @@ Result<CheckpointData> CheckpointData::Decode(const char* in,
   cp.cur_segment = h.cur_segment;
   cp.cur_offset = h.cur_offset;
   cp.cur_generation = h.cur_generation;
+  cp.next_segment = h.next_segment;
   cp.next_write_seq = h.next_write_seq;
   cp.imap_addrs.resize(h.n_imap);
   const char* p = in + sizeof(h);

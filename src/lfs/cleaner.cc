@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
+#include <utility>
 
 namespace lfstx {
 
@@ -40,11 +40,11 @@ Cleaner::Cleaner(SimEnv* env, Lfs* lfs, Options options)
               [this] { return static_cast<double>(stats_.dead_blocks_dropped); });
   m->AddGauge(this, "cleaner.rounds", "count", "watermark-triggered rounds",
               [this] { return static_cast<double>(stats_.rounds); });
-  m->AddGauge(this, "cleaner.segment_reads", "count",
-              "victim segments read back",
-              [this] { return static_cast<double>(stats_.segment_reads); });
+  m->AddGauge(this, "cleaner.read_requests", "count",
+              "victim reads, one per contiguous run of live uncached blocks",
+              [this] { return static_cast<double>(stats_.read_requests); });
   m->AddGauge(this, "cleaner.blocks_read", "blocks",
-              "blocks read back from victims",
+              "live blocks read back from victims",
               [this] { return static_cast<double>(stats_.blocks_read); });
   // Histogram, not a bare counter: a tail cleaning stall (one CleanOne
   // that owned the log for tens of milliseconds) is invisible in a total.
@@ -99,9 +99,13 @@ void Cleaner::Loop() {
     uint64_t dead_before = stats_.dead_blocks_dropped;  // LFSTX_YIELD_OK(pre-pass snapshot compared across the pass on purpose)
     Status s = CleanOne();
     if (!s.ok()) break;  // nothing cleanable right now
+    // No dead block dropped and no gain: the victim was fully live, or the
+    // pass had to leave it dirty (a file being freed owns some of its
+    // blocks) and greedy would pick it again. The next pass can do no
+    // better.
     if (stats_.dead_blocks_dropped == dead_before &&
         lfs_->clean_segments() <= best) {
-      break;  // fully-live victim and no gain: the next pass can do no better
+      break;
     }
     if (lfs_->clean_segments() > best) {
       best = lfs_->clean_segments();
@@ -113,18 +117,17 @@ void Cleaner::Loop() {
   lfs_->clean_wait_.WakeAll();
 }
 
-Status Cleaner::LockFiles(const std::vector<InodeNum>& inums,
-                          std::vector<Inode*>* locked) {
+void Cleaner::LockFiles(const std::vector<InodeNum>& inums,
+                        std::vector<Inode*>* locked) {
   for (InodeNum inum : inums) {
     auto r = lfs_->GetInode(inum);
-    if (!r.ok()) continue;  // deleted since the segment was written
+    if (!r.ok()) continue;  // deleted since the block was written
     Inode* ino = r.value();
     if (!ino->being_cleaned) {
       ino->being_cleaned = true;
       locked->push_back(ino);
     }
   }
-  return Status::OK();
 }
 
 void Cleaner::UnlockFiles(const std::vector<Inode*>& locked) {
@@ -133,6 +136,25 @@ void Cleaner::UnlockFiles(const std::vector<Inode*>& locked) {
     if (ino->clean_wait != nullptr) ino->clean_wait->WakeAll();
   }
 }
+
+namespace {
+
+constexpr uint32_t kNotFetched = ~0u;
+
+bool IsFileBlock(const SummaryEntry& o) {
+  return o.kind == static_cast<uint32_t>(BlockKind::kData) ||
+         o.kind == static_cast<uint32_t>(BlockKind::kIndirect);
+}
+
+/// Cache key of a data or indirect block, from its owner alone.
+BufferKey CacheKey(const SummaryEntry& o) {
+  return BufferKey{o.kind == static_cast<uint32_t>(BlockKind::kData)
+                       ? Inode::DataFileId(o.inum)
+                       : Inode::MetaFileId(o.inum),
+                   o.lblock};
+}
+
+}  // namespace
 
 Status Cleaner::CleanOne() {
   SimTime t0 = env_->Now();
@@ -168,11 +190,11 @@ Status Cleaner::CleanOne() {
     return s;
   };
 
-  // The kernel-mode cleaner owns the log for the whole pass, victim read
+  // The kernel-mode cleaner owns the log for the whole pass, reads
   // included (the behavior behind the TPC-B throughput dips, section 5.1).
-  // The user-space cleaner reads the victim with no locks held — regular
-  // transactions keep running and contend only for the disk arm (section
-  // 5.4) — then takes the log lock for the copy-forward "system call".
+  // The user-space cleaner reads with no locks held — regular transactions
+  // keep running and contend only for the disk arm (section 5.4) — then
+  // takes the log lock for the copy-forward "system call".
   if (options_.mode == Mode::kKernel && !lock_log()) {
     return Status::Busy("stopped");
   }
@@ -182,8 +204,7 @@ Status Cleaner::CleanOne() {
   // whose copy-forward is guaranteed smallest.
   CleanPolicy policy = lfs_->clean_segments() <= 1 ? CleanPolicy::kGreedy
                                                    : options_.policy;
-  auto victim_r =
-      lfs_->usage_.PickVictim(policy, env_->Now(), lfs_->segment_blocks());
+  auto victim_r = lfs_->usage_.PickVictim(policy, env_->Now());
   if (!victim_r.ok()) return finish(victim_r.status());
   uint32_t victim = victim_r.value();
   // LFSTX_YIELD_OK(revalidated against usage_ after the log lock is reacquired below)
@@ -205,21 +226,58 @@ Status Cleaner::CleanOne() {
               {"victim", victim}, {"live", lfs_->usage_.live(victim)},
               {"gen", gen}, {"clean_left", lfs_->clean_segments()});
 
-  // Read the whole victim in one request.
-  std::vector<char> seg(static_cast<size_t>(seg_blocks) * kBlockSize);
-  if (Status s = lfs_->disk()->Read(base, seg_blocks, seg.data()); !s.ok()) {
-    return finish(s);
+  // Inodes whose current copy lies in the victim, found through the inode
+  // map. The victim takes no new writes, so this only shrinks.
+  std::vector<std::pair<BlockAddr, InodeNum>> inodes;
+  const InodeMap& imap = lfs_->imap_;
+  for (InodeNum inum = 1; inum <= imap.max_inodes(); inum++) {
+    BlockAddr a = imap.Get(inum).inode_addr;
+    if (a >= base && a < base + seg_blocks) inodes.emplace_back(a, inum);
   }
-  stats_.segment_reads++;
-  stats_.blocks_read += seg_blocks;
+
+  // Victim blocks read back, packed; fetched_at[slot] indexes them.
+  std::vector<char> fetched;
+  std::vector<uint32_t> fetched_at(seg_blocks, kNotFetched);
+  // Read `slots` (ascending), one request per address-contiguous run.
+  auto fetch = [&](const std::vector<uint32_t>& slots) -> Status {
+    size_t i = 0;
+    while (i < slots.size()) {
+      size_t j = i + 1;
+      while (j < slots.size() && slots[j] == slots[j - 1] + 1) j++;
+      uint32_t n = static_cast<uint32_t>(j - i);
+      uint32_t first = static_cast<uint32_t>(fetched.size() / kBlockSize);
+      fetched.resize(fetched.size() + static_cast<size_t>(n) * kBlockSize);
+      LFSTX_RETURN_IF_ERROR(lfs_->disk()->Read(
+          base + slots[i], n,
+          fetched.data() + static_cast<size_t>(first) * kBlockSize));
+      for (uint32_t k = 0; k < n; k++) fetched_at[slots[i] + k] = first + k;
+      stats_.read_requests++;
+      stats_.blocks_read += n;
+      i = j;
+    }
+    return Status::OK();
+  };
+  // The live data and indirect blocks neither cached nor fetched yet.
+  auto uncached = [&] {
+    std::vector<uint32_t> slots;
+    for (uint32_t slot = 0; slot < seg_blocks; slot++) {
+      const SummaryEntry& o = lfs_->usage_.owner(victim, slot);
+      if (IsFileBlock(o) && fetched_at[slot] == kNotFetched &&
+          !lfs_->cache()->Resident(CacheKey(o))) {
+        slots.push_back(slot);
+      }
+    }
+    return slots;
+  };
 
   if (!locked_log) {
+    if (Status s = fetch(uncached()); !s.ok()) return finish(s);
     if (!lock_log()) return finish(Status::Busy("stopped"));
-    // The log moved on while the victim was being read. A dirty segment
-    // cannot be reactivated, so the buffer is still this incarnation's
-    // bytes; revalidate anyway and drop the pass if the segment changed
-    // state under us (the per-block liveness checks below handle blocks
-    // that merely died in the meantime).
+    // The log moved on during the reads. A dirty segment cannot be
+    // reactivated, so the fetched bytes are still this incarnation's;
+    // revalidate anyway and drop the pass if the segment changed state
+    // under us (the per-block liveness checks below handle blocks that
+    // merely died in the meantime).
     if (lfs_->usage_.state(victim) != SegState::kDirty ||
         lfs_->usage_.generation(victim) != gen) {
       return finish(Status::OK());
@@ -254,140 +312,108 @@ Status Cleaner::CleanOne() {
   if (lfs_->cache()->dirty_count() > 0) {
     if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return salvage(s);
   }
-
-  // Parse this incarnation's chunks.
-  struct Chunk {
-    Summary summary;
-    uint32_t off;
-  };
-  std::vector<Chunk> chunks;
-  uint32_t off = 0;
-  while (off + 1 < seg_blocks) {
-    const char* sb = seg.data() + static_cast<size_t>(off) * kBlockSize;
-    auto npeek = Summary::PeekNBlocks(sb);
-    if (!npeek.ok()) break;
-    uint32_t n = npeek.value();
-    if (off + 1 + n > seg_blocks) break;
-    auto sres = Summary::Decode(
-        sb, seg.data() + static_cast<size_t>(off + 1) * kBlockSize, n);
-    if (!sres.ok()) break;
-    if (sres.value().generation != gen) break;  // stale older incarnation
-    chunks.push_back(Chunk{sres.take(), off});
-    off += 1 + n;
-    env_->Consume(env_->costs().segment_block_cpu_us * (1 + n));
-  }
-
-  // The kernel-mode cleaner locks every file it touches for the duration
-  // (the behavior behind the TPC-B throughput dips, section 5.1).
+  // Read what is still missing: every live block in kernel mode, and in
+  // user-space mode whatever the cache evicted since the unlocked reads.
+  if (Status s = fetch(uncached()); !s.ok()) return finish(s);
   if (options_.mode == Mode::kKernel) {
-    std::vector<InodeNum> inums;
-    for (const Chunk& c : chunks) {
-      for (uint32_t i = 0; i < c.summary.nblocks(); i++) {
-        const SummaryEntry& e = c.summary.entries[i];
-        BlockKind kind = static_cast<BlockKind>(e.kind);
-        if (kind == BlockKind::kData || kind == BlockKind::kIndirect) {
-          inums.push_back(e.inum);
-        } else if (kind == BlockKind::kInode) {
-          const char* payload =
-              seg.data() + static_cast<size_t>(c.off + 1 + i) * kBlockSize;
-          for (uint32_t slot = 0; slot < kInodesPerBlock; slot++) {
-            DiskInode d;
-            DecodeInode(payload, slot, &d);
-            if (d.inum != kInvalidInode &&
-                d.file_type() != FileType::kFree) {
-              inums.push_back(d.inum);
-            }
-          }
-        }
-      }
+    // The kernel-mode cleaner locks the files that own the victim's live
+    // blocks and inodes before it touches any of them in the cache (the
+    // behavior behind the TPC-B throughput dips, section 5.1). Not
+    // before: the drain and the reads above are where the accesses the
+    // previous pass locked out get to run. A pass that locked first would
+    // re-lock them at once, and a writer stalled at the reserve would
+    // never kill a block while passes that net no segment went on.
+    std::vector<InodeNum> owners;
+    for (uint32_t slot = 0; slot < seg_blocks; slot++) {
+      const SummaryEntry& o = lfs_->usage_.owner(victim, slot);
+      if (IsFileBlock(o)) owners.push_back(o.inum);
     }
-    std::set<InodeNum> unique(inums.begin(), inums.end());
-    if (Status s = LockFiles(
-            std::vector<InodeNum>(unique.begin(), unique.end()), &locked);
-        !s.ok()) {
-      return finish(s);
-    }
+    for (const auto& entry : inodes) owners.push_back(entry.second);
+    std::sort(owners.begin(), owners.end());
+    owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+    LockFiles(owners, &locked);
   }
 
   // Liveness check + copy-forward: mark every live block dirty in the
-  // cache (or the in-core inode / inode map) so the next flush rewrites it.
-  uint64_t live_copied = 0, dead = 0;
-  for (const Chunk& c : chunks) {
-    for (uint32_t i = 0; i < c.summary.nblocks(); i++) {
-      const SummaryEntry& e = c.summary.entries[i];
-      BlockAddr addr = base + c.off + 1 + i;
-      const char* payload =
-          seg.data() + static_cast<size_t>(c.off + 1 + i) * kBlockSize;
-      BlockKind kind = static_cast<BlockKind>(e.kind);
-      bool live = false;
-      if (kind == BlockKind::kData || kind == BlockKind::kIndirect) {
-        auto ir = lfs_->GetInode(e.inum);
-        if (ir.ok()) {
-          auto mr = kind == BlockKind::kData
-                        ? lfs_->MapBlock(ir.value(), e.lblock)
-                        : lfs_->GetMetaBlockHome(ir.value(), e.lblock);
-          if (mr.ok() && mr.value() == addr) {
-            live = true;
-            FileId fid = kind == BlockKind::kData
-                             ? ir.value()->data_file_id()
-                             : ir.value()->meta_file_id();
-            Buffer* buf = lfs_->cache()->Peek(BufferKey{fid, e.lblock});
-            if (buf != nullptr) {
-              // Cached: if clean, its contents equal this log copy; if
-              // dirty, a newer version will be flushed anyway. Either way
-              // just make sure it gets rewritten.
-              lfs_->cache()->MarkDirty(buf);
-              lfs_->cache()->Release(buf);
-            } else {
-              auto br = lfs_->cache()->GetNoLoad(BufferKey{fid, e.lblock});
-              if (!br.ok()) return finish(br.status());
-              memcpy(br.value()->data, payload, kBlockSize);
-              lfs_->cache()->MarkDirty(br.value());
-              lfs_->cache()->Release(br.value());
-              env_->Consume(env_->costs().segment_block_cpu_us);
-            }
-          }
-        }
-      } else if (kind == BlockKind::kInode) {
-        for (uint32_t slot = 0; slot < kInodesPerBlock; slot++) {
-          DiskInode d;
-          DecodeInode(payload, slot, &d);
-          if (d.inum == kInvalidInode || d.file_type() == FileType::kFree) {
+  // cache (or the in-core inode / inode map) so the next flush rewrites
+  // it. The slots are snapshotted first: the copy loop's own flushes
+  // empty them as they relocate blocks.
+  std::vector<std::pair<uint32_t, SummaryEntry>> live;
+  for (uint32_t slot = 0; slot < seg_blocks; slot++) {
+    const SummaryEntry& o = lfs_->usage_.owner(victim, slot);
+    if (o.kind != 0) live.emplace_back(slot, o);
+  }
+  uint64_t live_copied = 0;
+  for (const auto& [slot, o] : live) {
+    BlockAddr addr = base + slot;
+    BlockKind kind = static_cast<BlockKind>(o.kind);
+    bool copied = false;
+    if (IsFileBlock(o)) {
+      // A block is live while its owner still maps it here. One that was
+      // evicted since the reads is fetched now, then checked again, since
+      // the read yields. A file whose blocks a truncate or remove is
+      // releasing is left alone: its blocks are dying, and the victim
+      // waits for a later pass.
+      for (;;) {
+        auto ir = lfs_->GetInode(o.inum);
+        if (!ir.ok() || ir.value()->freeing) break;
+        auto mr = kind == BlockKind::kData
+                      ? lfs_->MapBlock(ir.value(), o.lblock)
+                      : lfs_->GetMetaBlockHome(ir.value(), o.lblock);
+        if (!mr.ok() || mr.value() != addr) break;
+        Buffer* buf = lfs_->cache()->Peek(CacheKey(o));
+        if (buf == nullptr) {
+          if (fetched_at[slot] == kNotFetched) {
+            if (Status s = fetch({slot}); !s.ok()) return finish(s);
             continue;
           }
-          const ImapEntry& ie = lfs_->imap_.Get(d.inum);
-          if (ie.inode_addr == addr && ie.version == d.version) {
-            auto ir = lfs_->GetInode(d.inum);
-            if (ir.ok()) {
-              live = true;
-              if (Status s = lfs_->NoteInodeDirty(ir.value()); !s.ok()) {
-                return finish(s);
-              }
-            }
-          }
+          // A miss installs the fetched copy; a frame another process is
+          // loading (or has dirtied since) is already at least as new.
+          const char* src =
+              fetched.data() + static_cast<size_t>(fetched_at[slot]) *
+                                   kBlockSize;
+          auto br = lfs_->cache()->Get(CacheKey(o), [&](char* dst) {
+            memcpy(dst, src, kBlockSize);
+            env_->Consume(env_->costs().segment_block_cpu_us);
+            return Status::OK();
+          });
+          if (!br.ok()) return finish(br.status());
+          buf = br.value();
         }
-      } else if (kind == BlockKind::kImap) {
-        uint32_t idx = static_cast<uint32_t>(e.lblock);
-        if (idx < lfs_->imap_.nblocks() &&
-            lfs_->imap_.block_addrs()[idx] == addr) {
-          live = true;
-          lfs_->imap_.MarkBlockDirty(idx);
+        // Cached: if clean, its contents equal this log copy; if dirty, a
+        // newer version will be flushed anyway. Either way just make sure
+        // it gets rewritten.
+        lfs_->cache()->MarkDirty(buf);
+        lfs_->cache()->Release(buf);
+        copied = true;
+        break;
+      }
+    } else if (kind == BlockKind::kInode) {
+      for (const auto& [at, inum] : inodes) {
+        if (at != addr || lfs_->imap_.Get(inum).inode_addr != addr) continue;
+        auto ir = lfs_->GetInode(inum);
+        if (!ir.ok()) continue;
+        copied = true;
+        if (Status s = lfs_->NoteInodeDirty(ir.value()); !s.ok()) {
+          return finish(s);
         }
       }
-      if (live) {
-        live_copied++;
-      } else {
-        dead++;
+    } else if (kind == BlockKind::kImap) {
+      uint32_t idx = static_cast<uint32_t>(o.lblock);
+      if (idx < lfs_->imap_.nblocks() &&
+          lfs_->imap_.block_addrs()[idx] == addr) {
+        copied = true;
+        lfs_->imap_.MarkBlockDirty(idx);
       }
-      // Keep the copy-forward working set bounded: flush part-way if the
-      // cache is filling with copied blocks.
-      if (lfs_->cache()->dirty_count() * 2 >= lfs_->cache()->capacity()) {
-        if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return salvage(s);
-      }
+    }
+    if (copied) live_copied++;
+    // Keep the copy-forward working set bounded: flush part-way if the
+    // cache is filling with copied blocks.
+    if (lfs_->cache()->dirty_count() * 2 >= lfs_->cache()->capacity()) {
+      if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return salvage(s);
     }
   }
   stats_.live_blocks_copied += live_copied;
-  stats_.dead_blocks_dropped += dead;
 
   // Rewrite the live data elsewhere, reclaim the victim, and checkpoint so
   // the crash-recovery window never references the reclaimed segment.
@@ -397,11 +423,20 @@ Status Cleaner::CleanOne() {
     // against recently-modified blocks inside one system call.
     env_->Syscall(live_copied * 5);
   }
+  // A reclaimed victim drops every payload block of its incarnation that
+  // the pass did not copy. One left dirty (a file being freed still owns
+  // some of its blocks) drops nothing yet.
+  uint64_t dead = 0;
   if (lfs_->usage_.state(victim) == SegState::kDirty &&
       lfs_->usage_.live(victim) == 0) {
+    uint32_t written = lfs_->usage_.written(victim);
+    LFSTX_CHECK(live_copied <= written,
+                "the cleaner copied more blocks than the victim was written");
+    dead = written - live_copied;
     lfs_->usage_.MarkClean(victim);
     stats_.segments_cleaned++;
   }
+  stats_.dead_blocks_dropped += dead;
   if (Status s = lfs_->WriteCheckpointLocked(); !s.ok()) return finish(s);
   LFSTX_TRACE(env_->tracer(), TraceCat::kCleaner, "clean_end",
               {"victim", victim}, {"live_copied", live_copied},

@@ -1,15 +1,23 @@
 // The cleaner: LFS's garbage collector (sections 2 and 5.4).
 //
+// A pass reads only the live blocks it moves. The usage table's owner
+// slots (segment_usage.h) name every live block of the victim, so the pass
+// reads the live data and indirect blocks the cache lacks, one disk request
+// per address-contiguous run, finds the victim's live inodes through the
+// inode map, and never reads the victim whole.
+//
 // Two placements are modeled, because the difference is one of the paper's
 // findings:
-//  * kKernel  — the implementation measured in the paper: while a segment
-//    is cleaned, every file with blocks in it is locked, so regular
-//    processing on those files stops ("periods of very high transaction
-//    throughput are interrupted by periods of no transaction throughput").
+//  * kKernel  — the implementation measured in the paper: the pass owns the
+//    log throughout, and once it has read the victim's live blocks it locks
+//    every file that owns one of them or one of its inodes, so regular
+//    processing on those files stops until the pass ends ("periods of very
+//    high transaction throughput are interrupted by periods of no
+//    transaction throughput").
 //  * kUserSpace — the section 5.4 redesign: no file locks; the cleaner
-//    copies blocks and revalidates against recently-modified blocks in a
-//    short system call, so applications keep running (they only share the
-//    disk arm).
+//    reads the live blocks with no lock held, then copies them and
+//    revalidates against recently-modified blocks in a short system call,
+//    so applications keep running (they only share the disk arm).
 #ifndef LFSTX_LFS_CLEANER_H_
 #define LFSTX_LFS_CLEANER_H_
 
@@ -42,8 +50,8 @@ class Cleaner {
     uint64_t live_blocks_copied = 0;
     uint64_t dead_blocks_dropped = 0;
     uint64_t rounds = 0;
-    uint64_t segment_reads = 0;  ///< victim segments read back
-    uint64_t blocks_read = 0;    ///< blocks read back from victims
+    uint64_t read_requests = 0;  ///< victim reads, one per contiguous run
+    uint64_t blocks_read = 0;    ///< live blocks read back from victims
     SimTime busy_us = 0;  ///< time spent inside CleanOne
   };
 
@@ -80,10 +88,9 @@ class Cleaner {
   };
 
   void Loop();
-  /// Collect the inodes referenced by the victim's summaries and lock them
-  /// (kernel mode).
-  Status LockFiles(const std::vector<InodeNum>& inums,
-                   std::vector<Inode*>* locked);
+  /// Lock the files `inums` names (kernel mode); deleted ones are skipped.
+  void LockFiles(const std::vector<InodeNum>& inums,
+                 std::vector<Inode*>* locked);
   void UnlockFiles(const std::vector<Inode*>& locked);
 
   SimEnv* env_;

@@ -3,11 +3,37 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
 
 #include "fs/directory.h"
 #include "harness/table.h"
 
 namespace lfstx {
+
+namespace {
+/// One block's owner: "block 12 of #5", "inode map block 0", "none".
+std::string DescribeOwner(const SummaryEntry& o) {
+  switch (static_cast<BlockKind>(o.kind)) {
+    case BlockKind::kData:
+      return Fmt("block %llu of #%u", (unsigned long long)o.lblock, o.inum);
+    case BlockKind::kIndirect:
+      if (o.lblock == kMetaSingleIndirect) {
+        return Fmt("indirect block of #%u", o.inum);
+      }
+      if (o.lblock == kMetaDoubleRoot) {
+        return Fmt("double-indirect root of #%u", o.inum);
+      }
+      return Fmt("double-indirect child %llu of #%u",
+                 (unsigned long long)(o.lblock - kMetaDoubleChildBase),
+                 o.inum);
+    case BlockKind::kInode:
+      return Fmt("inode block of #%u", o.inum);
+    case BlockKind::kImap:
+      return Fmt("inode map block %llu", (unsigned long long)o.lblock);
+  }
+  return o.kind == 0 ? "none" : Fmt("kind %u", o.kind);
+}
+}  // namespace
 
 Result<CheckReport> CheckLfs(Lfs* fs) {
   CheckReport report;
@@ -18,29 +44,34 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
   const SegmentUsage& usage = fs->usage();
   const uint64_t total_blocks = disk->num_blocks();
 
-  std::map<BlockAddr, std::string> owner;  // block -> who claims it
   std::vector<uint32_t> live(fs->nsegments(), 0);
+  const uint32_t seg_blocks = fs->segment_blocks();
   const uint64_t seg_start = fs->seg_start();
   const uint64_t seg_end =
-      seg_start + static_cast<uint64_t>(fs->nsegments()) *
-                      fs->segment_blocks();
+      seg_start + static_cast<uint64_t>(fs->nsegments()) * seg_blocks;
   auto seg_of = [&](BlockAddr a) {
-    return static_cast<uint32_t>((a - seg_start) / fs->segment_blocks());
+    return static_cast<uint32_t>((a - seg_start) / seg_blocks);
   };
+  // The owner each claim implies, numbered as the segment writer numbers
+  // its summaries, per segment-area block.
+  std::vector<SummaryEntry> recount(seg_end - seg_start);
 
-  auto claim = [&](BlockAddr a, const std::string& who) {
+  auto claim = [&](BlockAddr a, BlockKind kind, InodeNum inum,
+                   uint64_t lblock) {
+    SummaryEntry who{static_cast<uint32_t>(kind), inum, lblock};
     if (a < seg_start || a >= seg_end || a >= total_blocks) {
       report.Problem(Fmt("%s points outside the segment area (block %llu)",
-                         who.c_str(), (unsigned long long)a));
+                         DescribeOwner(who).c_str(), (unsigned long long)a));
       return;
     }
-    auto [it, fresh] = owner.emplace(a, who);
-    if (!fresh) {
+    SummaryEntry& slot = recount[a - seg_start];
+    if (slot.kind != 0) {
       report.Problem(Fmt("block %llu claimed by both %s and %s",
-                         (unsigned long long)a, it->second.c_str(),
-                         who.c_str()));
+                         (unsigned long long)a, DescribeOwner(slot).c_str(),
+                         DescribeOwner(who).c_str()));
       return;
     }
+    slot = who;
     live[seg_of(a)]++;
     mapped_blocks++;
   };
@@ -56,7 +87,7 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
     live_inums.insert(inum);
     // Inode blocks are shared; claim each once.
     if (inode_block_claims[e.inode_addr]++ == 0) {
-      claim(e.inode_addr, Fmt("inode block of #%u", inum));
+      claim(e.inode_addr, BlockKind::kInode, inum, 0);
     }
     disk->RawRead(e.inode_addr, 1, block);
     DiskInode d;
@@ -81,20 +112,17 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
     }
 
     uint64_t nblocks = d.size_blocks();
-    auto claim_data = [&](BlockAddr a, uint64_t lb) {
-      claim(a, Fmt("inode #%u block %llu", inum, (unsigned long long)lb));
-    };
     for (uint32_t i = 0; i < kNumDirect; i++) {
       if (d.direct[i] != 0) {
         if (i >= nblocks) {
           report.Problem(Fmt("inode #%u maps block %u beyond EOF", inum, i));
         }
-        claim_data(d.direct[i], i);
+        claim(d.direct[i], BlockKind::kData, inum, i);
       }
     }
-    auto walk_leaf = [&](BlockAddr leaf_addr, uint64_t first_lb,
-                         const char* what) {
-      claim(leaf_addr, Fmt("inode #%u %s", inum, what));
+    auto walk_leaf = [&](BlockAddr leaf_addr, uint64_t meta_lb,
+                         uint64_t first_lb) {
+      claim(leaf_addr, BlockKind::kIndirect, inum, meta_lb);
       disk->RawRead(leaf_addr, 1, leaf);
       for (uint32_t i = 0; i < kPtrsPerBlock; i++) {
         uint64_t a;
@@ -105,32 +133,33 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
             report.Problem(Fmt("inode #%u maps block %llu beyond EOF", inum,
                                (unsigned long long)lb));
           }
-          claim_data(a, lb);
+          claim(a, BlockKind::kData, inum, lb);
         }
       }
     };
     if (d.indirect != 0) {
-      walk_leaf(d.indirect, kNumDirect, "indirect block");
+      walk_leaf(d.indirect, kMetaSingleIndirect, kNumDirect);
     }
     if (d.double_indirect != 0) {
-      claim(d.double_indirect, Fmt("inode #%u double-indirect root", inum));
+      claim(d.double_indirect, BlockKind::kIndirect, inum, kMetaDoubleRoot);
       char root[kBlockSize];
       disk->RawRead(d.double_indirect, 1, root);
       for (uint32_t c = 0; c < kPtrsPerBlock; c++) {
         uint64_t a;
         memcpy(&a, root + c * 8, 8);
         if (a != 0) {
-          walk_leaf(a, kNumDirect + kPtrsPerBlock +
-                           static_cast<uint64_t>(c) * kPtrsPerBlock,
-                    Fmt("double-indirect child %u", c).c_str());
+          walk_leaf(a, kMetaDoubleChildBase + c,
+                    kNumDirect + kPtrsPerBlock +
+                        static_cast<uint64_t>(c) * kPtrsPerBlock);
         }
       }
     }
   }
 
   // Inode map blocks are live too.
-  for (BlockAddr a : imap.block_addrs()) {
-    if (a != 0) claim(a, "inode map block");
+  for (uint32_t idx = 0; idx < imap.nblocks(); idx++) {
+    BlockAddr a = imap.block_addrs()[idx];
+    if (a != 0) claim(a, BlockKind::kImap, kInvalidInode, idx);
   }
 
   // Directory entries must reference live inodes (walk from the root),
@@ -189,6 +218,28 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
         usage.live(seg) != live[seg]) {
       report.Problem(Fmt("segment %u usage says %u live, recount says %u",
                          seg, usage.live(seg), live[seg]));
+    }
+  }
+
+  // Owner-table cross-check, slot by slot in both directions. An inode
+  // block's summary names the first inode packed in it, which may since
+  // have moved, so inode blocks compare by kind only.
+  auto same_owner = [](const SummaryEntry& a, const SummaryEntry& b) {
+    if (a.kind != b.kind) return false;
+    return a.kind == static_cast<uint32_t>(BlockKind::kInode) ||
+           (a.inum == b.inum && a.lblock == b.lblock);
+  };
+  for (uint32_t seg = 0; seg < fs->nsegments(); seg++) {
+    for (uint32_t slot = 0; slot < seg_blocks; slot++) {
+      const SummaryEntry& table = usage.owner(seg, slot);
+      const SummaryEntry& found =
+          recount[static_cast<size_t>(seg) * seg_blocks + slot];
+      if (!same_owner(table, found)) {
+        report.Problem(Fmt("segment %u slot %u: usage table owner %s, "
+                           "recount owner %s",
+                           seg, slot, DescribeOwner(table).c_str(),
+                           DescribeOwner(found).c_str()));
+      }
     }
   }
 

@@ -3,7 +3,8 @@
 // inode and its block map, and cross-checks:
 //   * every mapped block address lands inside the segment area;
 //   * no two mappings claim the same disk block;
-//   * the segment usage table's live counts match a full recount;
+//   * the segment usage table's live counts match a full recount, and its
+//     owner slots name exactly the blocks the recount finds, slot by slot;
 //   * every imap entry points at a block that really contains that inode
 //     at the recorded version;
 //   * directory entries reference live inodes;

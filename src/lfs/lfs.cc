@@ -28,7 +28,7 @@ Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
     : FsCore(env, disk, cache),
       options_(options),
       imap_(options.max_inodes),
-      usage_(1),  // resized below once geometry is known
+      usage_(1, options.segment_blocks),  // resized once geometry is known
       // yield_ok: the checkpoint lock is held across the fuzzy image
       // write; the log lock serializes multi-I/O segment and checkpoint
       // writes, so holding them across disk I/O is their purpose.
@@ -46,13 +46,14 @@ Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
   geo_.seg_start = 1 + 2ull * cpb;
   geo_.nsegments =
       static_cast<uint32_t>((total - geo_.seg_start) / options_.segment_blocks);
-  usage_ = SegmentUsage(geo_.nsegments);
-  usage_.AttachTelemetry(env_, options_.segment_blocks);
+  usage_ = SegmentUsage(geo_.nsegments, options_.segment_blocks);
+  usage_.AttachTelemetry(env_);
 
   MetricsRegistry* m = env_->metrics();
   stall_blame_hist_ = m->GetHistogram(
       "blame.lfs.cleaner_us", "us",
-      "writer stall time blamed on the cleaner (one wait_edge each)");
+      "time stalled on the cleaner: writer stalls and kernel-cleaner file "
+      "lockouts (one wait_edge each)");
   m->AddGauge(this, "lfs.partial_segments", "count", "log chunks written",
               [this] { return static_cast<double>(lfs_stats_.partial_segments); });
   m->AddGauge(this, "lfs.segments_activated", "count",
@@ -152,10 +153,10 @@ Status Lfs::Mount() {
   geo_.checkpoint_blocks = sb.checkpoint_blocks;
   geo_.checkpoint_a = sb.checkpoint_a;
   geo_.checkpoint_b = sb.checkpoint_b;
-  usage_ = SegmentUsage(geo_.nsegments);
-  // Move-assignment replaced the telemetry-attached table; re-attach with
-  // the (possibly adopted on-disk) geometry before recovery mutates it.
-  usage_.AttachTelemetry(env_, options_.segment_blocks);
+  usage_ = SegmentUsage(geo_.nsegments, options_.segment_blocks);
+  // Move-assignment replaced the telemetry-attached table; re-attach
+  // before recovery mutates it.
+  usage_.AttachTelemetry(env_);
 
   LFSTX_RETURN_IF_ERROR(RecoverFromCheckpointAndRollForward());
   mounted_ = true;
@@ -253,7 +254,7 @@ Status Lfs::ReleaseInodeNum(Inode* ino) {
     imap_free_unlogged_ = true;
     auto it = inode_block_refs_.find(prev);
     if (it != inode_block_refs_.end() && --it->second == 0) {
-      usage_.DecLive(SegOf(prev), 1);
+      usage_.DecLive(SegOf(prev), SlotOf(prev));
       inode_block_refs_.erase(it);
     }
   }
@@ -274,18 +275,27 @@ Result<BlockAddr> Lfs::AllocBlockAddr(Inode* ino) {
 
 void Lfs::ReleaseBlockAddr(BlockAddr addr) {
   if (addr >= geo_.seg_start) {
-    usage_.DecLive(SegOf(addr), 1);
+    usage_.DecLive(SegOf(addr), SlotOf(addr));
   }
 }
 
 Status Lfs::EnterDataPath(Inode* ino) {
-  while (ino->being_cleaned) {
-    if (ino->clean_wait == nullptr) {
-      ino->clean_wait = std::make_unique<WaitQueue>(env_);
-    }
-    if (ino->clean_wait->Sleep() == WakeReason::kStopped) {
-      return Status::Busy("simulation stopped while file was being cleaned");
-    }
+  if (!ino->being_cleaned) return Status::OK();
+  // The kernel cleaner's file lockout is a cleaner stall like the writer's
+  // (StallForCleaner): same profiler phase, same blame edge.
+  bool stopped = WaitOnCleaner(
+      [this, ino] {
+        while (ino->being_cleaned) {
+          if (ino->clean_wait == nullptr) {
+            ino->clean_wait = std::make_unique<WaitQueue>(env_);
+          }
+          if (ino->clean_wait->Sleep() == WakeReason::kStopped) return true;
+        }
+        return false;
+      },
+      [ino] { return TraceField("inum", ino->num()); });
+  if (stopped) {
+    return Status::Busy("simulation stopped while file was being cleaned");
   }
   return Status::OK();
 }

@@ -14,6 +14,7 @@
 #ifndef LFSTX_LFS_LFS_H_
 #define LFSTX_LFS_LFS_H_
 
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -106,6 +107,8 @@ class Lfs : public FsCore {
   /// Segment currently receiving appends (online-fsck invariant:
   /// exactly the segments in state kActive).
   uint32_t current_segment() const { return cur_seg_; }
+  /// Blocks already used in the current segment.
+  uint32_t current_offset() const { return cur_off_; }
   uint32_t nsegments() const { return geo_.nsegments; }
   uint32_t segment_blocks() const { return options_.segment_blocks; }
   uint64_t seg_start() const { return geo_.seg_start; }
@@ -174,6 +177,10 @@ class Lfs : public FsCore {
     return geo_.seg_start +
            static_cast<uint64_t>(seg) * options_.segment_blocks;
   }
+  uint32_t SlotOf(BlockAddr addr) const {
+    return static_cast<uint32_t>((addr - geo_.seg_start) %
+                                 options_.segment_blocks);
+  }
 
   // ---- segment writer (segment_writer.cc) ----
   /// What one FlushLocked call writes.
@@ -199,10 +206,20 @@ class Lfs : public FsCore {
                      InodeNum file = kInvalidInode);
   /// Lock the log and flush under it (Flush, SyncFile).
   Status FlushUnderLock(TxnId txn, FlushScope scope, InodeNum file);
+  /// Whether a flush of `scope` could write anything: a dirty buffer or
+  /// in-core inode, an unlogged free, or (kCheckpoint) a dirty inode-map
+  /// block. Conservative for kFile, which it treats as kAll.
+  bool HasUnloggedChanges(FlushScope scope);
   /// Append the dirty inode-map blocks, if any, with the namespace
   /// closure (FlushScope::kCheckpoint), so the next capture never names a
   /// stale map.
   Status LogImapLocked();
+  /// The segment the log continues in once the current one is full: the
+  /// successor the last summary (or checkpoint) named while it is still
+  /// clean, else a fresh pick, remembered so the summary chain, the next
+  /// checkpoint and the next activation all agree on it. -1 if no segment
+  /// is clean.
+  int64_t EnsureSuccessor();
   /// Move the write point to a fresh clean segment, waiting on the cleaner
   /// if none is available.
   Status AdvanceSegment();
@@ -210,6 +227,14 @@ class Lfs : public FsCore {
   /// space, dropping the flush lock for the duration (hand-over-hand).
   /// Returns non-OK only if the simulation stopped.
   Status StallForCleaner();
+  /// Runs `wait` as a cleaner stall (the writer's, or a file access the
+  /// kernel cleaner locked out): its time is charged to
+  /// Phase::kCleanerStall and, if any passed, recorded as a blame edge
+  /// (blame.lfs.cleaner_us and an lfs/cleaner wait_edge whose last field is
+  /// `detail()`, read once the wait is over). Returns what `wait` returns:
+  /// true if the simulation stopped.
+  bool WaitOnCleaner(const std::function<bool()>& wait,
+                     const std::function<TraceField()>& detail);
   Status MaybePeriodicCheckpoint();
 
   // ---- checkpoint / recovery (checkpoint.cc, recovery.cc) ----
@@ -231,7 +256,8 @@ class Lfs : public FsCore {
            cur_seg_ == last_cp_seg_ && cur_off_ == last_cp_off_;
   }
   Status RecoverFromCheckpointAndRollForward();
-  /// Recompute every segment's live count by walking all inodes' maps.
+  /// Recompute every segment's owner slots and live count by walking all
+  /// inodes' maps.
   Status RebuildUsage();
 
   Options options_;
@@ -242,7 +268,7 @@ class Lfs : public FsCore {
   uint32_t cur_seg_ = 0;
   uint32_t cur_off_ = 0;   // blocks already used in cur_seg_
   uint32_t cur_gen_ = 0;   // generation of cur_seg_
-  int64_t next_seg_hint_ = -1;  // chosen early so summaries can chain
+  int64_t next_seg_hint_ = -1;  // successor named by summaries, checkpoints
   uint64_t log_head_gen_ = 0;   // see mutation_gen()
   uint64_t next_write_seq_ = 1;
   uint64_t checkpoint_seq_ = 0;

@@ -13,12 +13,12 @@
 //
 // Recovery loads the newer valid checkpoint, rolls the log forward along
 // the summary chain (staging transaction-tagged chunks until their commit
-// marker), then rebuilds the usage table exactly and writes a fresh
-// checkpoint. The roll-forward is one sequential pass that applies every
-// inode and inode-map update inline, in log order. The whole recovery
-// holds the flush lock: the cleaner and syncer daemons start before the
-// file system is mounted, and only the lock keeps them from appending to
-// a log whose head the scan has not found yet.
+// marker), then rebuilds the usage table and its owner slots exactly and
+// writes a fresh checkpoint. The roll-forward is one sequential pass that
+// applies every inode and inode-map update inline, in log order. The whole
+// recovery holds the flush lock: the cleaner and syncer daemons start
+// before the file system is mounted, and only the lock keeps them from
+// appending to a log whose head the scan has not found yet.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -41,6 +41,13 @@ Status Lfs::CaptureCheckpointLocked(CheckpointData* cp, BlockAddr* region) {
   cp->cur_segment = cur_seg_;
   cp->cur_offset = cur_off_;
   cp->cur_generation = cur_gen_;
+  // A write point with no room for a chunk continues in a successor. Name
+  // it now if the last summary could not (no clean segment then); the next
+  // activation takes the hint, so the chain and this image agree on it.
+  if (cur_off_ + 2 > options_.segment_blocks) {
+    int64_t next = EnsureSuccessor();
+    if (next >= 0) cp->next_segment = static_cast<uint32_t>(next);
+  }
   cp->next_write_seq = next_write_seq_;
   cp->imap_addrs = imap_.block_addrs();
   cp->usage_bytes.resize(usage_.SerializedBytes());
@@ -164,6 +171,9 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   cur_seg_ = best.cur_segment;
   cur_off_ = best.cur_offset;
   cur_gen_ = best.cur_generation;
+  next_seg_hint_ = best.next_segment == kNoSegment
+                       ? -1
+                       : static_cast<int64_t>(best.next_segment);
   log_head_gen_++;
   next_write_seq_ = best.next_write_seq;
   // The on-disk image we just restored *is* the state of the log head:
@@ -217,8 +227,15 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   std::map<TxnId, std::vector<Staged>> staged;
 
   Status scan_status = Status::OK();
+  // A checkpoint taken when the last chunk filled its segment points at
+  // the segment's end; the chain continues in the successor it recorded.
   // LFSTX_YIELD_OK(flush lock held: only this scan moves the log head)
   BlockAddr next = SegBase(cur_seg_) + cur_off_;
+  if (cur_off_ + 2 > options_.segment_blocks) {
+    next = next_seg_hint_ >= 0
+               ? SegBase(static_cast<uint32_t>(next_seg_hint_))
+               : kInvalidBlock;
+  }
   // LFSTX_YIELD_OK(flush lock held: only this scan moves the log head)
   uint64_t expect_seq = next_write_seq_;
   std::vector<char> seg_buf(
@@ -259,11 +276,7 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
                 {"txn", s.txn}, {"commit", s.txn_commit});
     recovery_stats_.payload_blocks += n;
 
-    if (off == 0) {
-      // Entering a segment the chain activated after the checkpoint.
-      usage_.SetRaw(seg, SegState::kDirty, usage_.live(seg), s.generation,
-                    s.timestamp);
-    }
+    usage_.ReplayChunk(seg, off, n, s.generation, s.timestamp);
     for (uint32_t i = 0; i < s.nblocks(); i++) {
       const SummaryEntry& e = s.entries[i];
       BlockAddr addr = next + 1 + i;
@@ -348,21 +361,29 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
 }
 
 Status Lfs::RebuildUsage() {
-  std::vector<uint32_t> live(geo_.nsegments, 0);
+  usage_.ClearLive();
   inode_block_refs_.clear();
   char block[kBlockSize];
   char child[kBlockSize];
 
-  auto count = [&](BlockAddr addr) {
+  // Owners are numbered as CheckLfs numbers them: data blocks by file
+  // block, indirect blocks by meta-namespace block, inode blocks by the
+  // first inode found in them, imap blocks by index.
+  auto claim = [&](BlockAddr addr, BlockKind kind, InodeNum inum,
+                   uint64_t lblock) {
     if (addr >= geo_.seg_start && addr < disk_->num_blocks()) {
-      live[SegOf(addr)]++;
+      usage_.RestoreLive(SegOf(addr), SlotOf(addr),
+                         SummaryEntry{static_cast<uint32_t>(kind), inum,
+                                      lblock});
     }
   };
 
   for (InodeNum inum = 1; inum <= options_.max_inodes; inum++) {
     const ImapEntry& e = imap_.Get(inum);
     if (e.inode_addr == 0) continue;
-    if (inode_block_refs_[e.inode_addr]++ == 0) count(e.inode_addr);
+    if (inode_block_refs_[e.inode_addr]++ == 0) {
+      claim(e.inode_addr, BlockKind::kInode, inum, 0);
+    }
     disk_->RawRead(e.inode_addr, 1, block);
     DiskInode d;
     bool found = false;
@@ -372,44 +393,45 @@ Status Lfs::RebuildUsage() {
     }
     if (!found) continue;
     for (uint32_t i = 0; i < kNumDirect; i++) {
-      if (d.direct[i] != 0) count(d.direct[i]);
+      if (d.direct[i] != 0) claim(d.direct[i], BlockKind::kData, inum, i);
     }
-    auto walk_leaf = [&](BlockAddr leaf_addr) {
-      count(leaf_addr);
+    auto walk_leaf = [&](BlockAddr leaf_addr, uint64_t meta_lblock,
+                         uint64_t first_lb) {
+      claim(leaf_addr, BlockKind::kIndirect, inum, meta_lblock);
       disk_->RawRead(leaf_addr, 1, child);
       for (uint32_t i = 0; i < kPtrsPerBlock; i++) {
         uint64_t a;
         memcpy(&a, child + i * 8, 8);
-        if (a != 0) count(a);
+        if (a != 0) claim(a, BlockKind::kData, inum, first_lb + i);
       }
     };
-    if (d.indirect != 0) walk_leaf(d.indirect);
+    if (d.indirect != 0) {
+      walk_leaf(d.indirect, kMetaSingleIndirect, kNumDirect);
+    }
     if (d.double_indirect != 0) {
-      count(d.double_indirect);
+      claim(d.double_indirect, BlockKind::kIndirect, inum, kMetaDoubleRoot);
       char root[kBlockSize];
       disk_->RawRead(d.double_indirect, 1, root);
-      for (uint32_t i = 0; i < kPtrsPerBlock; i++) {
+      for (uint32_t c = 0; c < kPtrsPerBlock; c++) {
         uint64_t a;
-        memcpy(&a, root + i * 8, 8);
-        if (a != 0) walk_leaf(a);
+        memcpy(&a, root + c * 8, 8);
+        if (a != 0) {
+          walk_leaf(a, kMetaDoubleChildBase + c,
+                    kNumDirect + kPtrsPerBlock +
+                        static_cast<uint64_t>(c) * kPtrsPerBlock);
+        }
       }
     }
   }
-  for (BlockAddr a : imap_.block_addrs()) {
-    if (a != 0) count(a);
+  for (uint32_t idx = 0; idx < imap_.nblocks(); idx++) {
+    BlockAddr a = imap_.block_addrs()[idx];
+    if (a != 0) claim(a, BlockKind::kImap, kInvalidInode, idx);
   }
 
   for (uint32_t seg = 0; seg < geo_.nsegments; seg++) {
-    SegState state;
-    if (seg == cur_seg_) {
-      state = SegState::kActive;
-    } else if (live[seg] > 0) {
-      state = SegState::kDirty;
-    } else {
-      state = SegState::kClean;
-    }
-    usage_.SetRaw(seg, state, live[seg], usage_.generation(seg),
-                  usage_.write_time(seg));
+    usage_.SetState(seg, seg == cur_seg_        ? SegState::kActive
+                         : usage_.live(seg) > 0 ? SegState::kDirty
+                                                : SegState::kClean);
   }
   return Status::OK();
 }

@@ -7,10 +7,11 @@
 // contiguous disk request (this is the whole point — section 2).
 //
 // The summary records, per following block, which (inode, logical block) it
-// holds, so the cleaner can check liveness, and carries a CRC over the
-// summary *and* the payload so recovery can detect torn writes. Summaries
-// chain: each one names the disk address where the next summary will be
-// written, which is what roll-forward follows after a crash.
+// holds (the usage table keeps the same owners in memory for the cleaner,
+// segment_usage.h), and carries a CRC over the summary *and* the payload
+// so recovery can detect torn writes. Summaries chain: each one names the
+// disk address where the next summary will be written, which is what
+// roll-forward follows after a crash.
 //
 // Transaction atomicity (embedded manager): a partial segment written on
 // behalf of a transaction commit carries the txn id; the chunk that

@@ -1,5 +1,6 @@
 #include "lfs/segment_usage.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -8,42 +9,50 @@
 
 namespace lfstx {
 
-SegmentUsage::SegmentUsage(uint32_t nsegments)
-    : nsegments_(nsegments), clean_count_(nsegments), entries_(nsegments) {}
+SegmentUsage::SegmentUsage(uint32_t nsegments, uint32_t segment_blocks)
+    : nsegments_(nsegments),
+      segment_blocks_(segment_blocks),
+      clean_count_(nsegments),
+      entries_(nsegments),
+      owners_(static_cast<size_t>(nsegments) * segment_blocks) {}
 
-void SegmentUsage::AttachTelemetry(SimEnv* env, uint32_t segment_blocks) {
+void SegmentUsage::AttachTelemetry(SimEnv* env) {
   env_ = env;
-  segment_blocks_ = segment_blocks;
   lifetime_hist_ = env->metrics()->GetHistogram(
       "lfs.segment_lifetime_us", "us",
       "virtual age of a segment from last write to cleaned");
 }
 
-void SegmentUsage::AddLive(uint32_t seg, uint32_t blocks, SimTime now) {
-  assert(seg < nsegments_);
-  entries_[seg].live += blocks;
+void SegmentUsage::AddLive(uint32_t seg, uint32_t slot,
+                           const SummaryEntry& owner, SimTime now) {
+  bool placed = RestoreLive(seg, slot, owner);
+  LFSTX_CHECK(placed,
+              "placing a block in an occupied slot — the owner table lost "
+              "a death, or the writer reused a live address");
+  entries_[seg].written++;
   entries_[seg].write_time = now;
-  total_live_ += blocks;
-  mutation_gen_++;
 }
 
-void SegmentUsage::DecLive(uint32_t seg, uint32_t blocks) {
-  assert(seg < nsegments_);
-  // Clamp rather than assert: usage is a cleaning heuristic and recovery
-  // rebuilds it exactly; transient undercounts must not kill the system.
-  uint32_t dec = entries_[seg].live >= blocks ? blocks : entries_[seg].live;
-  entries_[seg].live -= dec;
-  total_live_ -= dec;
+void SegmentUsage::DecLive(uint32_t seg, uint32_t slot) {
+  assert(seg < nsegments_ && slot < segment_blocks_);
+  SummaryEntry& o = owners_[Index(seg, slot)];
+  LFSTX_CHECK(o.kind != 0,
+              "a block died in an empty slot — the owner table is no "
+              "longer exact, and the cleaner trusts it");
+  o = SummaryEntry{};
+  entries_[seg].live--;
+  total_live_--;
   mutation_gen_++;
 }
 
 uint32_t SegmentUsage::Activate(uint32_t seg) {
   LFSTX_CHECK(entries_[seg].state == SegState::kClean,
               "activating a non-clean segment would overwrite live data");
+  LFSTX_CHECK(entries_[seg].live == 0,
+              "a clean segment still owns live blocks");
   entries_[seg].state = SegState::kActive;
   entries_[seg].generation++;
-  total_live_ -= entries_[seg].live;
-  entries_[seg].live = 0;
+  entries_[seg].written = 0;
   clean_count_--;
   mutation_gen_++;
   if (env_ != nullptr) {
@@ -82,24 +91,45 @@ void SegmentUsage::MarkClean(uint32_t seg) {
   }
 }
 
-void SegmentUsage::SetRaw(uint32_t seg, SegState state, uint32_t live,
-                          uint32_t gen, SimTime write_time) {
-  if (entries_[seg].state == SegState::kClean &&
-      state != SegState::kClean) {
+void SegmentUsage::ReplayChunk(uint32_t seg, uint32_t off, uint32_t nblocks,
+                               uint32_t gen, SimTime time) {
+  Entry& e = entries_[seg];
+  if (off == 0) {
+    e.generation = gen;
+    e.written = 0;
+    e.write_time = time;
+  }
+  e.written += nblocks;
+  mutation_gen_++;
+}
+
+void SegmentUsage::ClearLive() {
+  for (auto& e : entries_) e.live = 0;
+  std::fill(owners_.begin(), owners_.end(), SummaryEntry{});
+  total_live_ = 0;
+  mutation_gen_++;
+}
+
+bool SegmentUsage::RestoreLive(uint32_t seg, uint32_t slot,
+                               const SummaryEntry& owner) {
+  assert(seg < nsegments_ && slot < segment_blocks_ && owner.kind != 0);
+  SummaryEntry& o = owners_[Index(seg, slot)];
+  if (o.kind != 0) return false;
+  o = owner;
+  entries_[seg].live++;
+  total_live_++;
+  mutation_gen_++;
+  return true;
+}
+
+void SegmentUsage::SetState(uint32_t seg, SegState state) {
+  if (entries_[seg].state == SegState::kClean && state != SegState::kClean) {
     clean_count_--;
   } else if (entries_[seg].state != SegState::kClean &&
              state == SegState::kClean) {
     clean_count_++;
   }
-  total_live_ += live;
-  total_live_ -= entries_[seg].live;
-  entries_[seg] = Entry{live, state, gen, write_time};
-  mutation_gen_++;
-}
-
-void SegmentUsage::ResetAllLive() {
-  for (auto& e : entries_) e.live = 0;
-  total_live_ = 0;
+  entries_[seg].state = state;
   mutation_gen_++;
 }
 
@@ -111,16 +141,15 @@ Result<uint32_t> SegmentUsage::PickClean(uint32_t after) const {
   return Status::NoSpace("no clean segments (cleaner has fallen behind)");
 }
 
-Result<uint32_t> SegmentUsage::PickVictim(CleanPolicy policy, SimTime now,
-                                          uint32_t segment_blocks) const {
+Result<uint32_t> SegmentUsage::PickVictim(CleanPolicy policy,
+                                          SimTime now) const {
   bool found = false;
   uint32_t best = 0;
   double best_score = 0;
   for (uint32_t seg = 0; seg < nsegments_; seg++) {
     const Entry& e = entries_[seg];
     if (e.state != SegState::kDirty) continue;
-    double u = static_cast<double>(e.live) / segment_blocks;
-    if (u > 1.0) u = 1.0;
+    double u = static_cast<double>(e.live) / segment_blocks_;
     double score;
     if (policy == CleanPolicy::kGreedy) {
       score = 1.0 - u;  // fewer live blocks = better
@@ -143,7 +172,7 @@ void SegmentUsage::Serialize(char* out) const {
   for (uint32_t i = 0; i < nsegments_; i++) {
     const Entry& e = entries_[i];
     char* p = out + static_cast<size_t>(i) * 16;
-    memcpy(p, &e.live, 4);
+    memcpy(p, &e.written, 4);
     uint8_t st = static_cast<uint8_t>(e.state);
     memcpy(p + 4, &st, 1);
     memcpy(p + 5, &e.generation, 4);
@@ -157,10 +186,11 @@ void SegmentUsage::Deserialize(const char* in) {
   mutation_gen_++;
   clean_count_ = 0;
   total_live_ = 0;
+  std::fill(owners_.begin(), owners_.end(), SummaryEntry{});
   for (uint32_t i = 0; i < nsegments_; i++) {
     const char* p = in + static_cast<size_t>(i) * 16;
     Entry e;
-    memcpy(&e.live, p, 4);
+    memcpy(&e.written, p, 4);
     uint8_t st;
     memcpy(&st, p + 4, 1);
     e.state = static_cast<SegState>(st);
@@ -173,7 +203,6 @@ void SegmentUsage::Deserialize(const char* in) {
     if (e.state == SegState::kActive) e.state = SegState::kDirty;
     entries_[i] = e;
     if (e.state == SegState::kClean) clean_count_++;
-    total_live_ += e.live;
   }
 }
 

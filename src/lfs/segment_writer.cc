@@ -44,6 +44,12 @@ Status Lfs::LogImapLocked() {
   return FlushLocked(kNoTxn, FlushScope::kCheckpoint);
 }
 
+bool Lfs::HasUnloggedChanges(FlushScope scope) {
+  return cache_->dirty_count() > 0 || !DirtyInodes().empty() ||
+         imap_free_unlogged_ ||
+         (scope == FlushScope::kCheckpoint && !imap_.DirtyBlocks().empty());
+}
+
 Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   lfs_stats_.flushes++;
 
@@ -53,8 +59,21 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   // it — a stalled writer would keep trickling blocks into the log
   // between cleaner passes, and every pass would re-carry that backlog
   // until the reserve ratchets away beneath the cleaner.
+  //
+  // A flush that a pass drained has nothing left to write, and while the
+  // reserve is whole it returns. Its writer goes on to overwrite more
+  // blocks, and only overwrites make the next passes gain ground: at high
+  // utilization a pass's copy-forward rewrites about as many metadata
+  // blocks as its victim held dead ones, so a cleaner whose writers are
+  // all parked nets no segment. Below the reserve (a pass dug into it) the
+  // writer waits even with nothing to write, so the backlog the next pass
+  // drains stays bounded.
   while (cleaner_ != nullptr && !cleaning_in_progress_ &&
          usage_.clean_count() <= kCleanerReserveSegments) {
+    if (usage_.clean_count() == kCleanerReserveSegments &&
+        !HasUnloggedChanges(scope)) {
+      return Status::OK();
+    }
     LFSTX_RETURN_IF_ERROR(StallForCleaner());
   }
 
@@ -106,15 +125,8 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     } else {
       // This chunk fills the segment; name the successor now so recovery
       // can follow the chain across the boundary.
-      if (next_seg_hint_ < 0 ||
-          usage_.state(static_cast<uint32_t>(next_seg_hint_)) !=
-              SegState::kClean) {
-        auto r = usage_.PickClean(cur_seg_);
-        next_seg_hint_ = r.ok() ? static_cast<int64_t>(r.value()) : -1;
-      }
-      if (next_seg_hint_ >= 0) {
-        next_addr = SegBase(static_cast<uint32_t>(next_seg_hint_));
-      }
+      int64_t next = EnsureSuccessor();
+      if (next >= 0) next_addr = SegBase(static_cast<uint32_t>(next));
     }
     Summary s;
     s.write_seq = next_write_seq_++;
@@ -142,12 +154,16 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
       env_->log_econ()->ChargeBlocks(static_cast<LogByteCat>(c), chunk_cat[c]);
       chunk_cat[c] = 0;
     }
-    LFSTX_RETURN_IF_ERROR(disk_->Write(chunk_base, 1 + nplaced, chunk));
+    Status wrote = disk_->Write(chunk_base, 1 + nplaced, chunk);
     LFSTX_GEN_CHECK(head,
                     "log head moved during a partial-segment write — the "
                     "flush lock's exclusion was violated");
+    // The chunk's slots are spent whether or not its write finished (a
+    // stopped simulation fails it): the owner table already holds its
+    // blocks, so the head must not offer those slots again.
     cur_off_ = after;
     log_head_gen_++;
+    LFSTX_RETURN_IF_ERROR(wrote);
     lfs_stats_.partial_segments++;
     lfs_stats_.blocks_written += nplaced;
     entries.clear();
@@ -187,11 +203,12 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     }
     BlockAddr addr = chunk_base + 1 + nplaced;
     memcpy(chunk + (1ull + nplaced) * kBlockSize, src, kBlockSize);
-    entries.push_back(SummaryEntry{static_cast<uint32_t>(kind), inum, lblock});
+    SummaryEntry owner{static_cast<uint32_t>(kind), inum, lblock};
+    entries.push_back(owner);
     chunk_cat[static_cast<int>(cat)]++;
     nplaced++;
     env_->Consume(env_->costs().segment_block_cpu_us);
-    usage_.AddLive(SegOf(addr), 1, env_->Now());
+    usage_.AddLive(SegOf(addr), SlotOf(addr), owner, env_->Now());
     return addr;
   };
 
@@ -313,7 +330,7 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
       if (prev != 0) {
         auto it = inode_block_refs_.find(prev);
         if (it != inode_block_refs_.end() && --it->second == 0) {
-          usage_.DecLive(SegOf(prev), 1);
+          usage_.DecLive(SegOf(prev), SlotOf(prev));
           inode_block_refs_.erase(it);
         }
       }
@@ -339,7 +356,7 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
                                       : LogByteCat::kImap,
                 kInvalidInode, idx, mblock));
       BlockAddr prev = imap_.block_addrs()[idx];
-      if (prev != 0) usage_.DecLive(SegOf(prev), 1);
+      if (prev != 0) usage_.DecLive(SegOf(prev), SlotOf(prev));
       imap_.block_addrs()[idx] = addr;
     }
     imap_.ClearDirty();
@@ -352,30 +369,33 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   return MaybePeriodicCheckpoint();
 }
 
-Status Lfs::AdvanceSegment() {
-  if (usage_.state(cur_seg_) == SegState::kActive) {
-    usage_.Retire(cur_seg_);
+int64_t Lfs::EnsureSuccessor() {
+  if (next_seg_hint_ < 0 ||
+      usage_.state(static_cast<uint32_t>(next_seg_hint_)) !=
+          SegState::kClean) {
+    auto r = usage_.PickClean(cur_seg_);
+    next_seg_hint_ = r.ok() ? static_cast<int64_t>(r.value()) : -1;
   }
+  return next_seg_hint_;
+}
+
+Status Lfs::AdvanceSegment() {
   for (;;) {
-    int64_t chosen = -1;
-    if (next_seg_hint_ >= 0 &&
-        usage_.state(static_cast<uint32_t>(next_seg_hint_)) ==
-            SegState::kClean) {
-      chosen = next_seg_hint_;
-    } else {
-      auto r = usage_.PickClean(cur_seg_);
-      if (r.ok()) chosen = r.value();
+    if (usage_.state(cur_seg_) == SegState::kActive) {
+      usage_.Retire(cur_seg_);
     }
-    next_seg_hint_ = -1;
+    // The successor the last summary named, unless it could name none.
+    int64_t next = EnsureSuccessor();
     // Regular flushes stop at the cleaner's reserve (see
     // kCleanerReserveSegments); only the cleaner's own pass may dig into
     // it, because that pass frees its victim at the end.
-    bool allowed = chosen >= 0 &&
-                   (cleaning_in_progress_ ||
-                    usage_.clean_count() > kCleanerReserveSegments ||
-                    cleaner_ == nullptr);
+    bool allowed = next >= 0 && (cleaning_in_progress_ ||
+                                 usage_.clean_count() >
+                                     kCleanerReserveSegments ||
+                                 cleaner_ == nullptr);
     if (allowed) {
-      cur_seg_ = static_cast<uint32_t>(chosen);
+      cur_seg_ = static_cast<uint32_t>(next);
+      next_seg_hint_ = -1;
       cur_gen_ = usage_.Activate(cur_seg_);
       cur_off_ = 0;
       log_head_gen_++;
@@ -397,8 +417,12 @@ Status Lfs::AdvanceSegment() {
       return Status::NoSpace("log full and no cleaner attached");
     }
     // Out of segments: wake the cleaner and wait, releasing the log lock
-    // so the cleaner can work.
+    // so the cleaner can work. The hint stays set across the wait, so a
+    // checkpoint the pass takes records the same successor the chain
+    // names, and the pass's own flush continues the chain there.
     LFSTX_RETURN_IF_ERROR(StallForCleaner());
+    // That flush may have moved the head to a segment with room left.
+    if (cur_off_ + 2 <= options_.segment_blocks) return Status::OK();
   }
 }
 
@@ -406,19 +430,33 @@ Status Lfs::StallForCleaner() {
   lfs_stats_.writer_stalls++;
   LFSTX_TRACE(env_->tracer(), TraceCat::kLfs, "writer_stall",
               {"clean_left", usage_.clean_count()});
+  bool stopped = WaitOnCleaner(
+      [this] {
+        cleaner_->Poke();
+        // Hand-over-hand with the cleaner: the lock must drop for the wait
+        // and come back before returning to the flush, which is not a
+        // lexical scope a guard can express.
+        flush_lock_.Unlock();  // lint-allow: hand-over-hand with the cleaner
+        clean_wait_.SleepFor(kSecond);
+        return !flush_lock_.Lock() ||  // lint-allow: hand-over-hand reacquire
+               env_->stop_requested();
+      },
+      [this] { return TraceField("clean_left", usage_.clean_count()); });
+  if (stopped) {
+    return Status::Busy("simulation stopped while waiting for cleaner");
+  }
+  flush_owner_ = SimEnv::Current();
+  return Status::OK();
+}
+
+bool Lfs::WaitOnCleaner(const std::function<bool()>& wait,
+                        const std::function<TraceField()>& detail) {
   SimTime since = env_->Now();
   uint64_t stall_us0 = env_->profiler()->PhaseTotal(Phase::kCleanerStall);
   bool stopped = false;
   {
     ProfPhaseScope prof_phase(env_->profiler(), Phase::kCleanerStall);
-    cleaner_->Poke();
-    // Hand-over-hand with the cleaner: the lock must drop for the wait
-    // and come back before returning to the flush, which is not a
-    // lexical scope a guard can express.
-    flush_lock_.Unlock();  // lint-allow: hand-over-hand with the cleaner
-    clean_wait_.SleepFor(kSecond);
-    stopped = !flush_lock_.Lock() ||  // lint-allow: hand-over-hand reacquire
-              env_->stop_requested();
+    stopped = wait();
   }
   uint64_t edge_us =
       env_->profiler()->PhaseTotal(Phase::kCleanerStall) - stall_us0;
@@ -427,14 +465,9 @@ Status Lfs::StallForCleaner() {
     LFSTX_TRACE(env_->tracer(), TraceCat::kBlame, "wait_edge",
                 {"kind", "lfs"}, {"src", "cleaner"},
                 {"waiter", env_->profiler()->CurrentSpanTxn()},
-                {"since", since}, {"waited_us", edge_us},
-                {"clean_left", usage_.clean_count()});
+                {"since", since}, {"waited_us", edge_us}, detail());
   }
-  if (stopped) {
-    return Status::Busy("simulation stopped while waiting for cleaner");
-  }
-  flush_owner_ = SimEnv::Current();
-  return Status::OK();
+  return stopped;
 }
 
 Status Lfs::MaybePeriodicCheckpoint() {

@@ -53,7 +53,7 @@ enum class Phase : uint8_t {
   kDiskWrite,      ///< blocked on a synchronous disk write
   kLockWait,       ///< blocked in a lock manager wait queue
   kLogWait,        ///< waiting for a log flush / group commit to durability
-  kCleanerStall,   ///< LFS writer stalled waiting for the cleaner
+  kCleanerStall,   ///< waiting on the LFS cleaner: writer stall or file lockout
 };
 inline constexpr int kNumPhases = 7;
 

@@ -1,8 +1,9 @@
 // Invariant-checker framework tests: a healthy machine sweeps clean on
 // every checker, and each checker detects the corruption it exists for —
-// a bitmap/reachability mismatch (ffs), an orphan inode (lfs), a leaked
-// pin (cache), a leaked lock (locks), a flipped byte in the durable WAL
-// region (log), and a transaction still live at a quiescent point (txn).
+// a bitmap/reachability mismatch (ffs), an orphan inode and an owner-table
+// slot that disagrees with the block maps (lfs), a leaked pin (cache), a
+// leaked lock (locks), a flipped byte in the durable WAL region (log), and
+// a transaction still live at a quiescent point (txn).
 // The LFS walker's other detection tests live in fsck_test.cc.
 #include <gtest/gtest.h>
 
@@ -153,6 +154,64 @@ TEST(CheckLfsTest, DetectsOrphanInode) {
       if (p.find("orphan") != std::string::npos) named = true;
     }
     EXPECT_TRUE(named) << report.value().ToString();
+  });
+  env.Run();
+}
+
+TEST(CheckLfsTest, DetectsOwnerTableMismatch) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  BufferCache cache(&env, 1024);
+  Lfs fs(&env, &disk, &cache);
+  cache.set_writeback(&fs);
+  env.Spawn("main", [&] {
+    ASSERT_TRUE(fs.Format().ok());
+    InodeNum ino = fs.Create("/moved").value();
+    ASSERT_TRUE(fs.Write(ino, 0, Slice("payload")).ok());
+    ASSERT_TRUE(fs.Close(ino).ok());
+    ASSERT_TRUE(fs.SyncAll().ok());
+    CheckContext ctx;
+    ctx.env = &env;
+    ctx.lfs = &fs;
+    auto report = CheckLfsStructure(ctx);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
+
+    // Point the on-disk inode's block 0 at slot 0 of segment 0, Format's
+    // first summary block: the segment's live count is unchanged, so only
+    // the slot-by-slot owner comparison can see it.
+    BlockAddr inode_addr = fs.imap().Get(ino).inode_addr;
+    char block[kBlockSize];
+    disk.RawRead(inode_addr, 1, block);
+    bool patched = false;
+    for (uint32_t slot = 0; slot < kInodesPerBlock; slot++) {
+      DiskInode d;
+      DecodeInode(block, slot, &d);
+      if (d.inum != ino) continue;
+      ASSERT_NE(d.direct[0], fs.seg_start());
+      d.direct[0] = fs.seg_start();
+      EncodeInode(d, block, slot);
+      patched = true;
+    }
+    ASSERT_TRUE(patched);
+    disk.RawWrite(inode_addr, 1, block);
+
+    report = CheckLfsStructure(ctx);
+    ASSERT_TRUE(report.ok());
+    EXPECT_FALSE(report.value().clean) << "owner mismatch not detected";
+    // Both directions: the slot the block map now names holds nothing in
+    // the table, and the slot the table names is no longer claimed.
+    std::string moved = "block 0 of #" + std::to_string(ino);
+    int both_ways = 0;
+    for (const auto& p : report.value().problems) {
+      if (p == "segment 0 slot 0: usage table owner none, recount owner " +
+                   moved ||
+          (p.find("usage table owner " + moved + ", recount owner none") !=
+           std::string::npos)) {
+        both_ways++;
+      }
+    }
+    EXPECT_EQ(both_ways, 2) << report.value().ToString();
   });
   env.Run();
 }

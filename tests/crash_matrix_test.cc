@@ -17,7 +17,9 @@
 // By default the matrix runs a stride that still hits every commit
 // boundary (the interesting edges) plus evenly spaced interior points;
 // LFSTX_CRASH_MATRIX_FULL=1 sweeps every boundary (CI's recovery-smoke
-// job).
+// job). A second, file-level sweep crashes at every block boundary after a
+// checkpoint whose write point is a segment's end, where roll-forward must
+// continue in the successor segment the checkpoint recorded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +29,8 @@
 
 #include "check/registry.h"
 #include "common/random.h"
+#include "lfs/fsck.h"
+#include "lfs/lfs.h"
 #include "machines.h"
 #include "tpcb/driver.h"
 #include "tpcb/loader.h"
@@ -185,6 +189,94 @@ uint64_t RecoverAndDigest(Arch arch, const Oracle& o, size_t k) {
   rig->env()->Run();
   EXPECT_TRUE(booted) << "reboot at crash point " << k << " did not finish";
   return digest;
+}
+
+// ---- a checkpoint taken at a segment's end ----
+
+/// Persist trace of: format; write and fsync an n-block /a; take a
+/// checkpoint; then create and fsync /b0../b3, one at a time. `mark` is the
+/// trace length once the checkpoint is durable; synced[i] once /b<i> is.
+/// Returns false when the checkpoint's write point left room for a chunk.
+bool RecordSegmentEndRun(uint64_t n, std::vector<SimDisk::TraceBlock>* trace,
+                         size_t* mark, std::vector<size_t>* synced) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  disk.RecordPersistTrace(trace);
+  bool at_end = false;
+  env.Spawn("main", [&] {
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Format().ok());
+    InodeNum a = fs.Create("/a").value();
+    ASSERT_TRUE(fs.Write(a, 0, std::string(n * kBlockSize, 'a')).ok());
+    ASSERT_TRUE(fs.SyncFile(a).ok());
+    ASSERT_TRUE(fs.Checkpoint().ok());
+    at_end = fs.current_offset() + 2 > fs.segment_blocks();
+    if (!at_end) return;
+    *mark = trace->size();
+    for (int i = 0; i < 4; i++) {
+      std::string name = "/b" + std::to_string(i);
+      InodeNum b = fs.Create(name).value();
+      ASSERT_TRUE(fs.Write(b, 0, Slice(name)).ok());
+      ASSERT_TRUE(fs.SyncFile(b).ok());
+      synced->push_back(trace->size());
+    }
+  });
+  env.Run();
+  disk.RecordPersistTrace(nullptr);
+  return at_end;
+}
+
+TEST(CrashMatrixSegmentEnd, EveryBoundaryAfterTheCheckpointKeepsSyncedFiles) {
+  std::vector<SimDisk::TraceBlock> trace;
+  size_t mark = 0;
+  std::vector<size_t> synced;
+  uint64_t n = 1;
+  for (; n < 400; n++) {
+    trace.clear();
+    synced.clear();
+    if (RecordSegmentEndRun(n, &trace, &mark, &synced)) break;
+  }
+  ASSERT_LT(n, 400u) << "no file size left a checkpoint at a segment's end";
+  ASSERT_EQ(synced.size(), 4u);
+
+  for (size_t k = mark; k <= trace.size(); k++) {
+    SimEnv env;
+    SimDisk disk(&env, SimDisk::Options{});
+    for (size_t j = 0; j < k; j++) {
+      disk.RawWrite(trace[j].addr, 1, trace[j].data.data());
+    }
+    env.Spawn("main", [&] {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Mount().ok()) << "crash point " << k;
+      FileStat st;
+      ASSERT_TRUE(fs.Stat("/a", &st).ok()) << "crash point " << k;
+      EXPECT_EQ(st.size, n * kBlockSize) << "crash point " << k;
+      for (size_t i = 0; i < synced.size(); i++) {
+        std::string name = "/b" + std::to_string(i);
+        auto b = fs.Open(name);
+        if (k < synced[i]) continue;  // may or may not have reached the log
+        ASSERT_TRUE(b.ok()) << "crash point " << k << ": " << name
+                            << " was synced but is gone";
+        char buf[8] = {0};
+        EXPECT_EQ(fs.Read(b.value(), 0, sizeof(buf), buf).value(),
+                  name.size());
+        EXPECT_EQ(std::string(buf, name.size()), name);
+        ASSERT_TRUE(fs.Close(b.value()).ok());
+      }
+      auto report = CheckLfs(&fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report.value().clean)
+          << "crash point " << k << ":\n" << report.value().ToString();
+    });
+    env.Run();
+    if (::testing::Test::HasFatalFailure()) {
+      FAIL() << "aborting segment-end sweep at crash point " << k;
+    }
+  }
 }
 
 class CrashMatrix : public ::testing::TestWithParam<Arch> {};

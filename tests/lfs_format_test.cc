@@ -149,57 +149,110 @@ TEST(InodeMapTest, DirtyBlockTracking) {
 
 // ------------------------------------------------------------ usage table --
 
+SummaryEntry DataOwner(InodeNum inum, uint64_t lblock) {
+  return SummaryEntry{static_cast<uint32_t>(BlockKind::kData), inum, lblock};
+}
+
+// Places `n` data blocks of inode 7 in slots 1..n of `seg`.
+void Fill(SegmentUsage* usage, uint32_t seg, uint32_t n, SimTime now) {
+  for (uint32_t slot = 1; slot <= n; slot++) {
+    usage->AddLive(seg, slot, DataOwner(7, slot), now);
+  }
+}
+
 TEST(SegmentUsageTest, LifecycleAndCounts) {
-  SegmentUsage usage(10);
+  SegmentUsage usage(10, 128);
   EXPECT_EQ(usage.clean_count(), 10u);
   uint32_t gen = usage.Activate(3);
   EXPECT_EQ(gen, 1u);
   EXPECT_EQ(usage.clean_count(), 9u);
-  usage.AddLive(3, 50, 1000);
-  usage.DecLive(3, 20);
+  Fill(&usage, 3, 50, 1000);
+  for (uint32_t slot = 1; slot <= 20; slot++) usage.DecLive(3, slot);
   EXPECT_EQ(usage.live(3), 30u);
+  EXPECT_EQ(usage.written(3), 50u);
   usage.Retire(3);
   EXPECT_EQ(usage.state(3), SegState::kDirty);
-  usage.DecLive(3, 30);
+  for (uint32_t slot = 21; slot <= 50; slot++) usage.DecLive(3, slot);
   usage.MarkClean(3);
   EXPECT_EQ(usage.clean_count(), 10u);
   EXPECT_EQ(usage.Activate(3), 2u);  // generation advances on reuse
+  EXPECT_EQ(usage.written(3), 0u);
 }
 
-TEST(SegmentUsageTest, DecLiveClampsAtZero) {
-  SegmentUsage usage(4);
+TEST(SegmentUsageTest, OwnersAreSetAndCleared) {
+  SegmentUsage usage(4, 128);
+  usage.Activate(1);
+  SummaryEntry inode{static_cast<uint32_t>(BlockKind::kInode), 9, 0};
+  usage.AddLive(1, 5, DataOwner(3, 44), 0);
+  usage.AddLive(1, 6, inode, 0);
+  EXPECT_EQ(usage.owner(1, 5).kind, static_cast<uint32_t>(BlockKind::kData));
+  EXPECT_EQ(usage.owner(1, 5).inum, 3u);
+  EXPECT_EQ(usage.owner(1, 5).lblock, 44u);
+  EXPECT_EQ(usage.owner(1, 6).inum, 9u);
+  EXPECT_EQ(usage.owner(1, 4).kind, 0u);
+  EXPECT_EQ(usage.live(1), 2u);
+  EXPECT_EQ(usage.total_live(), 2u);
+
+  usage.DecLive(1, 5);
+  EXPECT_EQ(usage.owner(1, 5).kind, 0u);
+  EXPECT_EQ(usage.live(1), 1u);
+  // A freed slot takes no new block until the segment is reused, but the
+  // table itself only cares that the slot is empty.
+  usage.AddLive(1, 5, DataOwner(4, 0), 0);
+  EXPECT_EQ(usage.owner(1, 5).inum, 4u);
+  EXPECT_EQ(usage.written(1), 3u);
+
+  // The mount-time rebuild starts from empty slots and refuses a second
+  // claim of one block instead of double-counting it.
+  usage.ClearLive();
+  EXPECT_EQ(usage.live(1), 0u);
+  EXPECT_EQ(usage.owner(1, 6).kind, 0u);
+  EXPECT_TRUE(usage.RestoreLive(1, 6, inode));
+  EXPECT_FALSE(usage.RestoreLive(1, 6, inode));
+  EXPECT_EQ(usage.live(1), 1u);
+  EXPECT_EQ(usage.written(1), 3u);  // only the writer counts writes
+}
+
+TEST(SegmentUsageDeathTest, AddToAnOccupiedSlotDies) {
+  SegmentUsage usage(4, 128);
   usage.Activate(0);
-  usage.AddLive(0, 5, 0);
-  usage.DecLive(0, 50);
-  EXPECT_EQ(usage.live(0), 0u);
+  usage.AddLive(0, 1, DataOwner(2, 0), 0);
+  EXPECT_DEATH(usage.AddLive(0, 1, DataOwner(2, 1), 0), "occupied slot");
+}
+
+TEST(SegmentUsageDeathTest, ClearOfAnEmptySlotDies) {
+  SegmentUsage usage(4, 128);
+  usage.Activate(0);
+  usage.AddLive(0, 1, DataOwner(2, 0), 0);
+  usage.DecLive(0, 1);
+  EXPECT_DEATH(usage.DecLive(0, 1), "empty slot");
 }
 
 TEST(SegmentUsageTest, GreedyPicksEmptiest) {
-  SegmentUsage usage(4);
+  SegmentUsage usage(4, 128);
   for (uint32_t s : {0u, 1u, 2u}) {
     usage.Activate(s);
-    usage.AddLive(s, 10 * (s + 1), 0);
+    Fill(&usage, s, 10 * (s + 1), 0);
     usage.Retire(s);
   }
-  EXPECT_EQ(usage.PickVictim(CleanPolicy::kGreedy, kSecond, 128).value(),
-            0u);
+  EXPECT_EQ(usage.PickVictim(CleanPolicy::kGreedy, kSecond).value(), 0u);
 }
 
 TEST(SegmentUsageTest, CostBenefitPrefersOldWhenEquallyLive) {
-  SegmentUsage usage(4);
+  SegmentUsage usage(4, 128);
   usage.Activate(0);
-  usage.AddLive(0, 10, 0);  // old
+  Fill(&usage, 0, 10, 0);  // old
   usage.Retire(0);
   usage.Activate(1);
-  usage.AddLive(1, 10, 100 * kSecond);  // young
+  Fill(&usage, 1, 10, 100 * kSecond);  // young
   usage.Retire(1);
-  EXPECT_EQ(usage.PickVictim(CleanPolicy::kCostBenefit, 200 * kSecond, 128)
+  EXPECT_EQ(usage.PickVictim(CleanPolicy::kCostBenefit, 200 * kSecond)
                 .value(),
             0u);
 }
 
 TEST(SegmentUsageTest, PickCleanRoundRobinAndExhaustion) {
-  SegmentUsage usage(3);
+  SegmentUsage usage(3, 128);
   EXPECT_EQ(usage.PickClean(0).value(), 1u);
   usage.Activate(0);
   usage.Activate(1);
@@ -208,20 +261,23 @@ TEST(SegmentUsageTest, PickCleanRoundRobinAndExhaustion) {
 }
 
 TEST(SegmentUsageTest, SerializationRoundTrip) {
-  SegmentUsage usage(8);
+  SegmentUsage usage(8, 128);
   usage.Activate(2);
-  usage.AddLive(2, 99, 5 * kSecond);
+  Fill(&usage, 2, 99, 5 * kSecond);
   usage.Retire(2);
   usage.Activate(5);
   std::vector<char> buf(usage.SerializedBytes());
   usage.Serialize(buf.data());
 
-  SegmentUsage fresh(8);
+  SegmentUsage fresh(8, 128);
   fresh.Deserialize(buf.data());
-  EXPECT_EQ(fresh.live(2), 99u);
+  EXPECT_EQ(fresh.written(2), 99u);
   EXPECT_EQ(fresh.state(2), SegState::kDirty);
   EXPECT_EQ(fresh.generation(2), 1u);
   EXPECT_EQ(fresh.write_time(2), 5 * kSecond);
+  // Live counts and owners are not persisted: the mount rebuilds them.
+  EXPECT_EQ(fresh.live(2), 0u);
+  EXPECT_EQ(fresh.owner(2, 1).kind, 0u);
   // The active segment deserializes as dirty (crash semantics).
   EXPECT_EQ(fresh.state(5), SegState::kDirty);
   EXPECT_EQ(fresh.state(0), SegState::kClean);
@@ -236,9 +292,10 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   cp.cur_segment = 3;
   cp.cur_offset = 55;
   cp.cur_generation = 2;
+  cp.next_segment = 11;
   cp.next_write_seq = 1234;
   cp.imap_addrs = {0, 100, 200};
-  SegmentUsage usage(16);
+  SegmentUsage usage(16, 128);
   usage.Activate(3);
   cp.usage_bytes.resize(usage.SerializedBytes());
   usage.Serialize(cp.usage_bytes.data());
@@ -251,6 +308,7 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(r.value().seq, 9u);
   EXPECT_EQ(r.value().cur_segment, 3u);
   EXPECT_EQ(r.value().cur_offset, 55u);
+  EXPECT_EQ(r.value().next_segment, 11u);
   EXPECT_EQ(r.value().next_write_seq, 1234u);
   EXPECT_EQ(r.value().imap_addrs, (std::vector<BlockAddr>{0, 100, 200}));
   EXPECT_EQ(r.value().usage_bytes, cp.usage_bytes);

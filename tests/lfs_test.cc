@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <set>
 
 #include "lfs/cleaner.h"
 #include "lfs/fsck.h"
@@ -281,6 +284,7 @@ TEST(LfsTest, KernelCleanerLocksOutFileAccess) {
     // Run one cleaning pass from a separate process while a reader hammers
     // the file; the reader must stall while the cleaner holds the file.
     SimTime max_read_gap = 0;
+    uint64_t reader_stall_us = 0;
     bool done = false;
     bool reader_exited = false;
     f.env.Spawn("reader", [&] {
@@ -293,6 +297,7 @@ TEST(LfsTest, KernelCleanerLocksOutFileAccess) {
         last = now;
         f.env.SleepFor(10 * kMillisecond);
       }
+      reader_stall_us = f.env.profiler()->PhaseTotal(Phase::kCleanerStall);
       reader_exited = true;
     });
     f.env.Spawn("clean", [&] {
@@ -307,6 +312,60 @@ TEST(LfsTest, KernelCleanerLocksOutFileAccess) {
     // gap comparable to a whole-segment read + rewrite (hundreds of ms).
     EXPECT_GT(max_read_gap, 100 * kMillisecond);
     EXPECT_EQ(cleaner.stats().segments_cleaned, 1u);
+    // The lockout is charged to the reader's cleaner_stall phase, not to
+    // an unlabelled share of `run`.
+    EXPECT_GT(reader_stall_us, 0u);
+  });
+}
+
+TEST(LfsTest, KernelCleanerLetsLockedOutAccessesRunDuringItsReads) {
+  // Every pass locks /f, but only after reading its victim's live blocks:
+  // the reader the last pass woke runs during the next pass's reads. A
+  // pass that locked before its first I/O would re-lock /f at once, and
+  // the reader would wait out the whole engagement.
+  LfsFixture f(4096);
+  RunIn(&f.env, [&] {
+    ASSERT_TRUE(f.fs.Format().ok());
+    InodeNum ino = f.fs.Create("/f").value();
+    ASSERT_TRUE(f.fs.Write(ino, 0, std::string(600 * kBlockSize, 'f')).ok());
+    ASSERT_TRUE(f.fs.SyncAll().ok());
+    // Leave every tenth of the first 400 blocks live: several victims,
+    // each holding a few blocks of /f.
+    for (uint64_t lb = 0; lb < 400; lb++) {
+      if (lb % 10 == 0) continue;
+      ASSERT_TRUE(f.fs.Write(ino, lb * kBlockSize,
+                             std::string(kBlockSize, 'g'))
+                      .ok());
+    }
+    ASSERT_TRUE(f.fs.SyncAll().ok());
+    f.cache.Clear();  // every pass reads its victim's live blocks
+
+    Cleaner::Options copt;
+    copt.mode = Cleaner::Mode::kKernel;
+    copt.low_water = f.fs.nsegments();  // engage now, run to stagnation
+    copt.high_water = f.fs.nsegments();
+    copt.poll_interval = 10 * kMillisecond;
+    Cleaner cleaner(&f.env, &f.fs, copt);
+    std::set<uint64_t> seen;  // segments cleaned when each read finished
+    bool done = false;
+    bool reader_exited = false;
+    f.env.Spawn("reader", [&] {
+      char out[kBlockSize];
+      while (!done) {
+        ASSERT_TRUE(f.fs.Read(ino, 500 * kBlockSize, kBlockSize, out).ok());
+        seen.insert(cleaner.stats().segments_cleaned);
+        f.env.SleepFor(kMillisecond);
+      }
+      reader_exited = true;
+    });
+    while (cleaner.stats().segments_cleaned < 4) {
+      f.env.SleepFor(50 * kMillisecond);
+    }
+    done = true;
+    while (!reader_exited) f.env.SleepFor(10 * kMillisecond);
+    // The reader got in between passes, not just before and after.
+    EXPECT_GE(seen.size(), 4u) << "reads finished at only "
+                               << seen.size() << " pass counts";
   });
 }
 
@@ -524,6 +583,47 @@ TEST(LfsTest, CheckpointLogsTheDirtyImapBeforeItsCapture) {
   }
 }
 
+TEST(LfsTest, DrainedFlushLeavesTheGateOnlyWhileTheReserveIsWhole) {
+  // A cleaning pass drains every dirty block, so a writer stalled at the
+  // reserve gate often wakes with nothing left to write. At exactly the
+  // reserve such a flush returns; below it, it waits for the cleaner.
+  SimDisk::Options small;
+  small.geometry.cylinders = 40;
+  SimEnv env;
+  SimDisk disk(&env, small);
+  RunIn(&env, [&] {
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Format().ok());
+    InodeNum f = fs.Create("/f").value();
+    std::string data(32 * kBlockSize, 'd');
+    // Rewrite one region until only `target` segments are clean. Each
+    // rewrite kills the copy before it, so the cleaner finds dead victims.
+    auto fill_to = [&](uint32_t target) {
+      while (fs.clean_segments() > target) {
+        ASSERT_TRUE(fs.Write(f, 0, data).ok());
+        ASSERT_TRUE(fs.SyncAll().ok());
+      }
+    };
+    Cleaner::Options copt;
+    copt.poll_interval = 1000 * kSecond;
+    fill_to(Lfs::kCleanerReserveSegments);
+    {
+      Cleaner cleaner(&env, &fs, copt);
+      ASSERT_TRUE(fs.SyncAll().ok());
+      EXPECT_EQ(fs.lfs_stats().writer_stalls, 0u);
+      EXPECT_EQ(fs.clean_segments(), Lfs::kCleanerReserveSegments);
+    }
+    fill_to(Lfs::kCleanerReserveSegments - 1);
+    Cleaner cleaner(&env, &fs, copt);
+    ASSERT_TRUE(fs.SyncAll().ok());
+    EXPECT_GT(fs.lfs_stats().writer_stalls, 0u);
+    EXPECT_GT(fs.clean_segments(), Lfs::kCleanerReserveSegments);
+    ASSERT_TRUE(fs.Close(f).ok());
+  });
+}
+
 TEST(LfsTest, CleanerSalvageCheckpointsWhenTheLogIsFull) {
   // A cleaning pass that runs out of log after relocating its victim's
   // live blocks reclaims the victim and checkpoints. The checkpoint first
@@ -612,6 +712,339 @@ TEST(LfsTest, CleanerSalvageCheckpointsWhenTheLogIsFull) {
     env.Run();
   }
   EXPECT_TRUE(salvaged) << "no filler size made a cleaning pass salvage";
+}
+
+// ---- the cleaner's live-block read path ----
+
+// A victim segment holding only data blocks of /f, all but `keep` of them
+// dead. `keep` and `cached` are offsets from the victim's first block of
+// /f; the cache holds exactly the `cached` ones when the pass starts.
+struct LiveVictim {
+  static constexpr uint64_t kFileBlocks = 400;
+  std::vector<uint64_t> keep = {5, 6, 7, 8, 20, 21, 22, 40, 60, 61};
+  std::vector<uint64_t> cached = {6, 21, 60};
+  std::string expect;
+  InodeNum ino = kInvalidInode;    ///< /f
+  uint64_t first_lb = 0;           ///< /f's first block in the victim
+  std::vector<BlockAddr> live;     ///< addresses of the kept blocks
+  uint64_t victim = 0;
+
+  // Writes /f, kills every victim block outside `keep`, and syncs.
+  void Build(Lfs* fs) {
+    expect.assign(kFileBlocks * kBlockSize, 'a');
+    for (uint64_t lb = 0; lb < kFileBlocks; lb++) {
+      expect[lb * kBlockSize] = static_cast<char>('A' + lb % 26);
+    }
+    ino = fs->Create("/f").value();
+    ASSERT_TRUE(fs->Write(ino, 0, expect).ok());
+    ASSERT_TRUE(fs->SyncAll().ok());
+    Inode* fi = fs->GetInode(ino).value();
+    auto seg_of = [&](BlockAddr a) {
+      return (a - fs->seg_start()) / fs->segment_blocks();
+    };
+    victim = seg_of(fs->MapBlock(fi, 200).value());
+    first_lb = 200;
+    while (seg_of(fs->MapBlock(fi, first_lb - 1).value()) == victim) {
+      first_lb--;
+    }
+    for (uint64_t lb = first_lb;
+         lb < kFileBlocks && seg_of(fs->MapBlock(fi, lb).value()) == victim;
+         lb++) {
+      uint64_t off = lb - first_lb;
+      if (std::count(keep.begin(), keep.end(), off) != 0) {
+        live.push_back(fs->MapBlock(fi, lb).value());
+        continue;
+      }
+      memset(expect.data() + lb * kBlockSize, 'z', kBlockSize);
+      ASSERT_TRUE(fs->Write(ino, lb * kBlockSize,
+                            Slice(expect.data() + lb * kBlockSize,
+                                  kBlockSize))
+                      .ok());
+    }
+    ASSERT_EQ(live.size(), keep.size());
+    ASSERT_TRUE(fs->Close(ino).ok());
+    ASSERT_TRUE(fs->SyncAll().ok());
+    ASSERT_EQ(fs->usage().live(static_cast<uint32_t>(victim)), keep.size());
+  }
+
+  // Empties the cache, then reads back exactly the `cached` blocks.
+  void CacheOnly(Lfs* fs, BufferCache* cache) {
+    ASSERT_TRUE(fs->SyncAll().ok());
+    cache->Clear();
+    fs->set_readahead_window(1);  // one block per read, nothing more
+    InodeNum ino = fs->Open("/f").value();
+    char out[kBlockSize];
+    for (uint64_t off : cached) {
+      ASSERT_TRUE(
+          fs->Read(ino, (first_lb + off) * kBlockSize, kBlockSize, out).ok());
+    }
+    ASSERT_TRUE(fs->Close(ino).ok());
+  }
+
+  // Runs of address-contiguous kept blocks the cache lacks.
+  uint64_t UncachedRuns() const {
+    uint64_t runs = 0;
+    BlockAddr prev = 0;
+    for (size_t i = 0; i < keep.size(); i++) {
+      if (std::count(cached.begin(), cached.end(), keep[i]) != 0) continue;
+      if (runs == 0 || live[i] != prev + 1) runs++;
+      prev = live[i];
+    }
+    return runs;
+  }
+
+  // The whole file, the survivors included, reads back as written.
+  void Verify(Lfs* fs) {
+    auto report = CheckLfs(fs);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
+    InodeNum ino = fs->Open("/f").value();
+    std::string got(expect.size(), '\0');
+    ASSERT_EQ(fs->Read(ino, 0, got.size(), got.data()).value(), got.size());
+    EXPECT_TRUE(got == expect);
+    ASSERT_TRUE(fs->Close(ino).ok());
+  }
+};
+
+// Cleans the victim once and checks the pass read exactly the live blocks
+// the cache lacked, one request per address-contiguous run.
+void CleanAndCheckReads(SimEnv* env, Lfs* fs, LiveVictim* v) {
+  Cleaner::Options copt;
+  copt.poll_interval = 1000 * kSecond;  // passes run only on demand
+  Cleaner cleaner(env, fs, copt);
+  ASSERT_TRUE(cleaner.CleanOne().ok());
+  const auto& st = cleaner.stats();
+  EXPECT_EQ(st.segments_cleaned, 1u);
+  EXPECT_EQ(st.blocks_read, v->keep.size() - v->cached.size());
+  EXPECT_EQ(st.read_requests, v->UncachedRuns());
+  EXPECT_EQ(st.live_blocks_copied, v->keep.size());
+  EXPECT_GT(st.dead_blocks_dropped, 100u);
+  EXPECT_EQ(fs->usage().state(static_cast<uint32_t>(v->victim)),
+            SegState::kClean);
+}
+
+TEST(LfsTest, CleanerReadsOnlyTheLiveBlocksTheCacheLacks) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  LiveVictim v;
+  env.Spawn("test", [&] {
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      v.Build(&fs);
+      v.CacheOnly(&fs, &cache);
+      ASSERT_EQ(v.UncachedRuns(), 6u);
+      CleanAndCheckReads(&env, &fs, &v);
+      ASSERT_TRUE(fs.Unmount().ok());
+    }
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Mount().ok());
+    v.Verify(&fs);
+  });
+  env.Run();
+}
+
+TEST(LfsTest, CleanerReadsOnlyLiveBlocksOfAVictimWrittenBeforeAMount) {
+  // The owners now come from RebuildUsage's walk, not from the writer.
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  LiveVictim v;
+  env.Spawn("test", [&] {
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      v.Build(&fs);
+      // Crash: no unmount, so the mount also rolls the log forward.
+    }
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Mount().ok());
+      v.CacheOnly(&fs, &cache);
+      CleanAndCheckReads(&env, &fs, &v);
+      ASSERT_TRUE(fs.Unmount().ok());
+    }
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Mount().ok());
+    v.Verify(&fs);
+  });
+  env.Run();
+}
+
+TEST(LfsTest, CleanerLeavesAFileBeingFreedAlone) {
+  // A truncate or remove releases blocks between yields; a pass must not
+  // dirty (and its flush pin) buffers that free is about to drop.
+  LfsFixture f(1024);
+  LiveVictim v;
+  RunIn(&f.env, [&] {
+    ASSERT_TRUE(f.fs.Format().ok());
+    v.Build(&f.fs);
+    Cleaner::Options copt;
+    copt.poll_interval = 1000 * kSecond;
+    Cleaner cleaner(&f.env, &f.fs, copt);
+    Inode* fi = f.fs.GetInode(v.ino).value();
+    uint32_t written = f.fs.usage().written(static_cast<uint32_t>(v.victim));
+    fi->freeing = true;
+    ASSERT_TRUE(cleaner.CleanOne().ok());
+    EXPECT_EQ(cleaner.stats().live_blocks_copied, 0u);
+    // The victim stays dirty, so none of its dead blocks is dropped yet.
+    EXPECT_EQ(cleaner.stats().dead_blocks_dropped, 0u);
+    EXPECT_EQ(f.fs.usage().live(static_cast<uint32_t>(v.victim)),
+              v.keep.size());
+    EXPECT_EQ(f.fs.usage().state(static_cast<uint32_t>(v.victim)),
+              SegState::kDirty);
+    fi->freeing = false;
+    ASSERT_TRUE(cleaner.CleanOne().ok());
+    EXPECT_EQ(cleaner.stats().live_blocks_copied, v.keep.size());
+    EXPECT_EQ(cleaner.stats().dead_blocks_dropped, written - v.keep.size());
+    EXPECT_EQ(f.fs.usage().state(static_cast<uint32_t>(v.victim)),
+              SegState::kClean);
+    v.Verify(&f.fs);
+  });
+}
+
+// Runs one user-space pass with `meddle` spawned beside it; `meddle` acts
+// while the pass reads its victim with no locks held.
+void UserSpacePassWith(LiveVictim* v,
+                       const std::function<void(Lfs*, BufferCache*)>& meddle,
+                       Cleaner::CleanerStats* stats) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("test", [&] {
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      v->Build(&fs);
+      v->CacheOnly(&fs, &cache);
+      Cleaner::Options copt;
+      copt.mode = Cleaner::Mode::kUserSpace;
+      copt.poll_interval = 1000 * kSecond;
+      Cleaner cleaner(&env, &fs, copt);
+      bool meddled = false, cleaned = false;
+      env.Spawn("meddle", [&] {
+        // The pass's first read seeks and rotates for milliseconds.
+        env.SleepFor(kMillisecond);
+        meddle(&fs, &cache);
+        meddled = true;
+      });
+      env.Spawn("clean", [&] {
+        Status s = cleaner.CleanOne();
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        cleaned = true;
+      });
+      while (!meddled || !cleaned) env.SleepFor(10 * kMillisecond);
+      *stats = cleaner.stats();
+      ASSERT_TRUE(fs.Unmount().ok());
+    }
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Mount().ok());
+    v->Verify(&fs);
+  });
+  env.Run();
+}
+
+TEST(LfsTest, UserSpaceCleanerDropsABlockThatDiesDuringItsRead) {
+  LiveVictim v;
+  Cleaner::CleanerStats st;
+  UserSpacePassWith(
+      &v,
+      [&](Lfs* fs, BufferCache*) {
+        // Overwrite and sync a live block the pass is reading.
+        uint64_t lb = v.first_lb + v.keep.front();
+        memset(v.expect.data() + lb * kBlockSize, 'n', kBlockSize);
+        InodeNum ino = fs->Open("/f").value();
+        ASSERT_TRUE(fs->Write(ino, lb * kBlockSize,
+                              Slice(v.expect.data() + lb * kBlockSize,
+                                    kBlockSize))
+                        .ok());
+        ASSERT_TRUE(fs->SyncFile(ino).ok());
+        ASSERT_TRUE(fs->Close(ino).ok());
+      },
+      &st);
+  EXPECT_EQ(st.blocks_read, v.keep.size() - v.cached.size());
+  EXPECT_EQ(st.live_blocks_copied, v.keep.size() - 1);
+  EXPECT_EQ(st.segments_cleaned, 1u);
+}
+
+TEST(LfsTest, UserSpaceCleanerCopiesABlockEvictedDuringItsRead) {
+  LiveVictim v;
+  Cleaner::CleanerStats st;
+  UserSpacePassWith(
+      &v,
+      [&](Lfs*, BufferCache* cache) {
+        // Drop the clean frames of the cached live block at offset 60 and
+        // of every block after it: the pass saw them cached, so only a
+        // read after the log lock can copy them.
+        cache->DropFile(Inode::DataFileId(v.ino), v.first_lb + 60);
+      },
+      &st);
+  // One request more than the snapshot's runs: offset 60 was cached when
+  // the pass looked, so it is read on its own, after the lock.
+  EXPECT_EQ(st.blocks_read, v.keep.size() - v.cached.size() + 1);
+  EXPECT_EQ(st.read_requests, v.UncachedRuns() + 1);
+  EXPECT_EQ(st.live_blocks_copied, v.keep.size());
+  EXPECT_EQ(st.segments_cleaned, 1u);
+}
+
+// ---- a checkpoint at a segment's end ----
+
+TEST(LfsTest, CheckpointAtASegmentsEndKeepsLaterSyncs) {
+  // The write point of a checkpoint taken right after a chunk filled its
+  // segment leaves no room for another chunk; the log continues in the
+  // successor that chunk's summary named. Try file sizes until the head
+  // lands there, then sync a second file and crash.
+  bool hit = false;
+  for (uint64_t n = 1; n < 400 && !hit; n++) {
+    SimEnv env;
+    SimDisk disk(&env, SimDisk::Options{});
+    env.Spawn("test", [&] {
+      {
+        BufferCache cache(&env, 1024);
+        Lfs fs(&env, &disk, &cache);
+        cache.set_writeback(&fs);
+        ASSERT_TRUE(fs.Format().ok());
+        InodeNum a = fs.Create("/a").value();
+        ASSERT_TRUE(fs.Write(a, 0, std::string(n * kBlockSize, 'a')).ok());
+        ASSERT_TRUE(fs.SyncFile(a).ok());
+        ASSERT_TRUE(fs.Checkpoint().ok());
+        if (fs.current_offset() + 2 <= fs.segment_blocks()) return;
+        hit = true;
+        InodeNum b = fs.Create("/b").value();
+        ASSERT_TRUE(fs.Write(b, 0, Slice("synced after")).ok());
+        ASSERT_TRUE(fs.SyncFile(b).ok());
+        // Crash: the checkpoint above is the newest one on disk.
+      }
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Mount().ok());
+      EXPECT_GT(fs.recovery_stats().chunks, 0u) << "n = " << n;
+      auto b = fs.Open("/b");
+      ASSERT_TRUE(b.ok()) << "n = " << n << ": " << b.status().ToString();
+      char buf[16] = {0};
+      EXPECT_EQ(fs.Read(b.value(), 0, 16, buf).value(), 12u);
+      EXPECT_EQ(std::string(buf, 12), "synced after");
+      ASSERT_TRUE(fs.Close(b.value()).ok());
+      auto report = CheckLfs(&fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report.value().clean) << report.value().ToString();
+    });
+    env.Run();
+  }
+  EXPECT_TRUE(hit) << "no file size left a checkpoint at a segment's end";
 }
 
 TEST(LfsTest, SparseFileReadsZeroes) {
