@@ -39,9 +39,12 @@
 //                    and all measured virtual times are byte-identical
 //                    across backends; see SIMULATOR.md. Defaults honour
 //                    the LFSTX_SIM_BACKEND environment variable.
-//   --summary=F      (fig4_tps, fig_tail) write a machine-readable JSON
-//                    summary — TPS + profile breakdown per architecture —
-//                    to F; consumed by tools/bench_summary.py
+// The flags below belong to the benches named in parentheses; any other
+// bench rejects them as unknown:
+//   --summary=F      (fig4_tps, fig_tail, fig_cleaning, fig_recovery) write
+//                    a machine-readable JSON summary of the run to F; the
+//                    committed BENCH_*.json baselines are these summaries
+//                    (`tools/report.py baseline`)
 //   --arrival=KIND   (fig_tail) open-loop arrival process: "poisson"
 //                    (default), "bursty", or "diurnal" (see
 //                    src/harness/arrivals.h)
@@ -51,7 +54,7 @@
 //                    are shed and counted (default 64)
 //   --exemplars=K    (fig_tail) keep the K slowest committed transactions
 //                    per load point, with full phase breakdowns, for
-//                    tools/tail_report.py p99 attribution (default 8)
+//                    `tools/report.py tail` p99 attribution (default 8)
 //   --fullness=L     (fig_cleaning) comma-separated disk-fullness sweep in
 //                    percent of log capacity filled with live data before
 //                    the churn phase (default "55,70,85")
@@ -61,8 +64,9 @@
 //   --arch=A         (fig_cleaning) restrict the architecture axis to
 //                    "embedded" or "user_lfs"; default sweeps both
 //   --help           print the flag list and exit 2
-// Any other argument prints the flag list and exits 2, and so does a
-// numeric flag whose value is not a whole number.
+// Any other argument, a bench-specific flag included, prints the flag list
+// and exits 2, and so does a numeric flag whose value is not a whole
+// number.
 // Measured quantities are *virtual* (simulated) times; wall-clock run time
 // of the binary is irrelevant.
 #ifndef LFSTX_BENCH_BENCH_COMMON_H_
@@ -127,8 +131,18 @@ struct BenchConfig {
     return n;
   }
 
-  static BenchConfig FromArgs(int argc, char** argv) {
+  /// Bench-specific flag groups; a bench passes the ones it reads to
+  /// FromArgs, and every other group stays an unknown flag.
+  enum FlagGroup : unsigned {
+    kSummaryFlag = 1,    ///< --summary
+    kTailFlags = 2,      ///< --arrival, --offered-tps, --queue-cap, --exemplars
+    kCleaningFlags = 4,  ///< --fullness, --watermark, --arch
+  };
+
+  static BenchConfig FromArgs(int argc, char** argv, unsigned groups = 0) {
     BenchConfig c;
+    const bool tail = groups & kTailFlags;
+    const bool cleaning = groups & kCleaningFlags;
     for (int i = 1; i < argc; i++) {
       if (strncmp(argv[i], "--scale=", 8) == 0) {
         c.scale = std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 8));
@@ -160,9 +174,10 @@ struct BenchConfig {
         c.trace = argv[i] + 8;
       } else if (strncmp(argv[i], "--trace-file=", 13) == 0) {
         c.trace_file = argv[i] + 13;
-      } else if (strncmp(argv[i], "--summary=", 10) == 0) {
+      } else if ((groups & kSummaryFlag) &&
+                 strncmp(argv[i], "--summary=", 10) == 0) {
         c.summary = argv[i] + 10;
-      } else if (strncmp(argv[i], "--arrival=", 10) == 0) {
+      } else if (tail && strncmp(argv[i], "--arrival=", 10) == 0) {
         c.arrival = argv[i] + 10;
         if (c.arrival != "poisson" && c.arrival != "bursty" &&
             c.arrival != "diurnal") {
@@ -170,23 +185,23 @@ struct BenchConfig {
                   c.arrival.c_str());
           exit(2);
         }
-      } else if (strncmp(argv[i], "--offered-tps=", 14) == 0) {
+      } else if (tail && strncmp(argv[i], "--offered-tps=", 14) == 0) {
         c.offered_tps = argv[i] + 14;
-      } else if (strncmp(argv[i], "--queue-cap=", 12) == 0) {
+      } else if (tail && strncmp(argv[i], "--queue-cap=", 12) == 0) {
         c.queue_cap =
             std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 12));
-      } else if (strncmp(argv[i], "--exemplars=", 12) == 0) {
+      } else if (tail && strncmp(argv[i], "--exemplars=", 12) == 0) {
         c.exemplars = NumericFlag<uint64_t>(argv[i], 12);
-      } else if (strncmp(argv[i], "--fullness=", 11) == 0) {
+      } else if (cleaning && strncmp(argv[i], "--fullness=", 11) == 0) {
         c.fullness = argv[i] + 11;
-      } else if (strncmp(argv[i], "--watermark=", 12) == 0) {
+      } else if (cleaning && strncmp(argv[i], "--watermark=", 12) == 0) {
         c.watermark = argv[i] + 12;
         if (c.watermark != "lazy" && c.watermark != "eager") {
           fprintf(stderr, "bad --watermark=%s (lazy|eager)\n",
                   c.watermark.c_str());
           exit(2);
         }
-      } else if (strncmp(argv[i], "--arch=", 7) == 0) {
+      } else if (cleaning && strncmp(argv[i], "--arch=", 7) == 0) {
         c.arch = argv[i] + 7;
         if (c.arch == "embedded") c.arch = "embedded_lfs";
         if (c.arch != "embedded_lfs" && c.arch != "user_lfs") {
@@ -220,12 +235,12 @@ struct BenchConfig {
             "    [--metrics-dir=D] [--trace=SPEC] [--trace-file=F] [--fsck]\n"
             "    [--profile] [--blame] [--sample-interval=MS]\n"
             "    [--cleaner=kernel|user] [--sim-backend=fibers|threads]\n"
-            "    [--summary=F] [--arrival=poisson|bursty|diurnal]\n"
-            "    [--offered-tps=L] [--queue-cap=N] [--exemplars=K]\n"
-            "    [--fullness=L] [--watermark=lazy|eager]\n"
+            "  fig4_tps, fig_tail, fig_cleaning, fig_recovery: [--summary=F]\n"
+            "  fig_tail: [--arrival=poisson|bursty|diurnal] [--offered-tps=L]\n"
+            "    [--queue-cap=N] [--exemplars=K]\n"
+            "  fig_cleaning: [--fullness=L] [--watermark=lazy|eager]\n"
             "    [--arch=embedded|user_lfs]\n"
-            "Each bench reads the flags that apply to it; see the flag list\n"
-            "at the top of bench/bench_common.h.\n",
+            "See the flag list at the top of bench/bench_common.h.\n",
             prog);
   }
 

@@ -18,7 +18,8 @@
 using namespace lfstx;
 
 int main(int argc, char** argv) {
-  BenchConfig cfg = BenchConfig::FromArgs(argc, argv);
+  BenchConfig cfg = BenchConfig::FromArgs(
+      argc, argv, BenchConfig::kSummaryFlag);
   uint64_t warmup = cfg.TxnsOr(4000) / 4;
   uint64_t txns = cfg.TxnsOr(12000);
 

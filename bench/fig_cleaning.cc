@@ -23,8 +23,8 @@
 // motivation for measuring transaction throughput *with the cleaner on*.
 //
 // --summary=F writes machine-readable JSON consumed by
-// tools/bench_summary.py --mode cleaning (which regenerates
-// BENCH_cleaning.json) and by tools/cleaning_report.py.
+// `tools/report.py baseline cleaning` (which regenerates
+// BENCH_cleaning.json) and by `tools/report.py cleaning`.
 #include "bench_common.h"
 
 #include "sim/log_econ.h"
@@ -348,7 +348,8 @@ std::vector<int> FullnessAxis(const BenchConfig& cfg) {
 }
 
 int Main(int argc, char** argv) {
-  BenchConfig cfg = BenchConfig::FromArgs(argc, argv);
+  BenchConfig cfg = BenchConfig::FromArgs(
+      argc, argv, BenchConfig::kSummaryFlag | BenchConfig::kCleaningFlags);
   std::vector<int> fullness = FullnessAxis(cfg);
   std::vector<Watermark> wms;
   for (const Watermark& wm : kWatermarks) {

@@ -16,7 +16,7 @@
 //      bounded-recovery guarantee's cost in foreground throughput.
 //
 // --summary=F writes the machine-readable JSON that
-// tools/bench_summary.py --mode recovery validates (axes, nocp growth,
+// `tools/report.py baseline recovery` validates (axes, nocp growth,
 // fuzzy sublinearity, bounded daemon overhead) into BENCH_recovery.json.
 // Every invariant checker runs after each recovery; a dirty sweep fails
 // the bench.
@@ -186,7 +186,8 @@ std::string OverheadJson(const OverheadPoint& p) {
 }
 
 int Main(int argc, char** argv) {
-  BenchConfig cfg = BenchConfig::FromArgs(argc, argv);
+  BenchConfig cfg = BenchConfig::FromArgs(
+      argc, argv, BenchConfig::kSummaryFlag);
 
   // --- 1. recovery time vs log since checkpoint ---
   std::vector<CurvePoint> curve;

@@ -16,9 +16,9 @@
 // percentile curves (p50/p90/p95/p99/p99.9/max) for sojourn, queue wait
 // and service time, queue-depth extremes, and the K slowest committed
 // transactions with their exact profiler phase breakdowns. Feed it — plus
-// a `--trace=prof,blame --trace-file=F` trace — to tools/tail_report.py
-// for per-exemplar "why is p99 slow" attribution, and to
-// tools/bench_summary.py --mode tail for the committed BENCH_tail.json
+// a `--trace=prof,blame --trace-file=F` trace — to `tools/report.py
+// tail` for per-exemplar "why is p99 slow" attribution, and to
+// `tools/report.py baseline tail` for the committed BENCH_tail.json
 // baseline.
 #include "bench_common.h"
 #include "harness/open_loop.h"
@@ -82,7 +82,8 @@ std::string ExemplarJson(const TailExemplar& ex) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig cfg = BenchConfig::FromArgs(argc, argv);
+  BenchConfig cfg = BenchConfig::FromArgs(
+      argc, argv, BenchConfig::kSummaryFlag | BenchConfig::kTailFlags);
   // Open-loop load wants a real server pool; default to 100 concurrent
   // servers unless the caller sized it explicitly.
   bool users_given = false;

@@ -80,7 +80,8 @@ Status GroupCommit::CommitFlush(TxnId txn, bool others_active) {
   pending_--;
   // A commit that never led rode someone else's segment write: blame the
   // leader for the whole commit-flush wait (exactly the log_wait phase
-  // this call charged, so blame_report can subtract it from the span).
+  // this call charged, so `report.py blame` can subtract it from the
+  // span).
   if (!led && result.ok() && last_leader_ != kNoTxn && last_leader_ != txn) {
     uint64_t edge_us = env_->profiler()->PhaseTotal(Phase::kLogWait) - log_us0;
     if (edge_us > 0) {

@@ -180,6 +180,7 @@ Status Cleaner::CleanOne() {
     if (locked_log) {
       lfs_->cache()->PopNoDirtyEviction();
       lfs_->cleaning_in_progress_ = false;
+      lfs_->cleaner_copying_ = false;
       lfs_->flush_owner_ = nullptr;
       lfs_->flush_lock_.Unlock();  // lint-allow: taken by lock_log()
       lfs_->clean_wait_.WakeAll();
@@ -308,10 +309,14 @@ Status Cleaner::CleanOne() {
   // writer's pending batch would otherwise ride along with the pass and
   // push its log consumption past the reserve mid-copy. Flushing it first
   // charges that space while there is still room, leaving the pass itself
-  // bounded by the victim's live blocks plus metadata.
+  // bounded by the victim's live blocks plus metadata. The drain writes
+  // the writers' blocks, so log economics charges them to their kinds;
+  // only what the pass's later flushes write counts as the cleaner's,
+  // including any block a writer dirties after the drain.
   if (lfs_->cache()->dirty_count() > 0) {
     if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return salvage(s);
   }
+  lfs_->cleaner_copying_ = true;
   // Read what is still missing: every live block in kernel mode, and in
   // user-space mode whatever the cache evicted since the unlocked reads.
   if (Status s = fetch(uncached()); !s.ok()) return finish(s);

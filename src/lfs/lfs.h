@@ -303,6 +303,10 @@ class Lfs : public FsCore {
   WaitQueue clean_wait_;   // writer waits here for the cleaner
   Cleaner* cleaner_ = nullptr;
   bool cleaning_in_progress_ = false;
+  /// Set while a cleaning pass copies forward, after its drain of the
+  /// writers' backlog: flushes then charge their payload to
+  /// LogByteCat::kCleaner. The drain is charged like a regular flush.
+  bool cleaner_copying_ = false;
   LfsStats lfs_stats_;
   RecoveryStats recovery_stats_;
   MetricHistogram* stall_blame_hist_ = nullptr;  // blame.lfs.cleaner_us

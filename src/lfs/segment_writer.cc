@@ -248,24 +248,28 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     return out;
   };
 
+  // Provenance: a cleaning pass's flushes after its drain charge their
+  // whole payload to the cleaner (copy-forward and the metadata churn it
+  // causes); every other flush, the drain included, charges each block by
+  // its kind, and data splits into WAL-file appends vs. true user data.
+  auto charge = [this](LogByteCat own) {
+    return cleaner_copying_ ? LogByteCat::kCleaner : own;
+  };
+
   // ---- 1. data blocks, in (file, logical block) order ----
   std::vector<Buffer*> data = collect([](BufferKey k) {
     return !IsFileMeta(k.file) && k.file != kMetaFileId &&
            k.file != kInodeMapFileId;
   });
-  // Provenance: a cleaning-context flush charges its whole payload to the
-  // cleaner (copy-forward and the metadata churn it causes); otherwise
-  // data splits into WAL-file appends vs. true user data.
   for (Buffer* b : data) {
     LFSTX_ASSIGN_OR_RETURN(Inode * ino,
                            GetInode(static_cast<InodeNum>(b->key.file)));
-    LogByteCat cat = cleaning_in_progress_
-                         ? LogByteCat::kCleaner
-                         : (IsWalFile(b->key.file) ? LogByteCat::kWal
-                                                   : LogByteCat::kUserData);
     LFSTX_ASSIGN_OR_RETURN(
-        BlockAddr addr, place(BlockKind::kData, cat, ino->num(),
-                              b->key.lblock, b->data));
+        BlockAddr addr,
+        place(BlockKind::kData,
+              charge(IsWalFile(b->key.file) ? LogByteCat::kWal
+                                            : LogByteCat::kUserData),
+              ino->num(), b->key.lblock, b->data));
     LFSTX_ASSIGN_OR_RETURN(BlockAddr prev,
                            SetBlockMapping(ino, b->key.lblock, addr));
     if (prev != kInvalidBlock) ReleaseBlockAddr(prev);
@@ -284,8 +288,7 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
       LFSTX_ASSIGN_OR_RETURN(
           BlockAddr addr,
           place(BlockKind::kIndirect,
-                cleaning_in_progress_ ? LogByteCat::kCleaner
-                                      : LogByteCat::kInode,
+                charge(LogByteCat::kInode),
                 inum, b->key.lblock, b->data));
       LFSTX_ASSIGN_OR_RETURN(
           BlockAddr prev, SetMetaBlockMapping(ino, b->key.lblock, addr));
@@ -320,8 +323,7 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     LFSTX_ASSIGN_OR_RETURN(
         BlockAddr addr,
         place(BlockKind::kInode,
-              cleaning_in_progress_ ? LogByteCat::kCleaner
-                                    : LogByteCat::kInode,
+              charge(LogByteCat::kInode),
               dirty_inodes[i]->num(), 0, iblock));
     inode_block_refs_[addr] = static_cast<uint32_t>(n);
     for (size_t j = 0; j < n; j++) {
@@ -352,8 +354,7 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
       LFSTX_ASSIGN_OR_RETURN(
           BlockAddr addr,
           place(BlockKind::kImap,
-                cleaning_in_progress_ ? LogByteCat::kCleaner
-                                      : LogByteCat::kImap,
+                charge(LogByteCat::kImap),
                 kInvalidInode, idx, mblock));
       BlockAddr prev = imap_.block_addrs()[idx];
       if (prev != 0) usage_.DecLive(SegOf(prev), SlotOf(prev));

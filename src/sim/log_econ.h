@@ -42,7 +42,7 @@ enum class LogByteCat : uint8_t {
   kSummary = 4,   ///< partial-segment summary blocks
   kCheckpoint = 5,  ///< checkpoint-region images
   kCleaner = 6,   ///< cleaner copy-forward rewrites (payload of a
-                  ///< cleaning-context flush)
+                  ///< cleaning pass's flushes after its drain)
   kFfs = 7,       ///< FFS/syncer write-back (itable, bitmap, non-WAL data)
 };
 constexpr int kNumLogByteCats = 8;

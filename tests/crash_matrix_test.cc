@@ -16,7 +16,7 @@
 //
 // By default the matrix runs a stride that still hits every commit
 // boundary (the interesting edges) plus evenly spaced interior points;
-// LFSTX_CRASH_MATRIX_FULL=1 sweeps every boundary (CI's recovery-smoke
+// LFSTX_CRASH_MATRIX_FULL=1 sweeps every boundary (a step of CI's tier1
 // job). A second, file-level sweep crashes at every block boundary after a
 // checkpoint whose write point is a segment's end, where roll-forward must
 // continue in the successor segment the checkpoint recorded.

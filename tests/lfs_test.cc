@@ -912,6 +912,62 @@ TEST(LfsTest, CleanerLeavesAFileBeingFreedAlone) {
   });
 }
 
+// The log-economics charges of one kernel-mode pass over LiveVictim's
+// victim. /g's kBacklog data blocks lie outside the victim; with
+// `dirty_backlog` the pass starts with all of them rewritten but not yet
+// flushed, so its drain writes them.
+constexpr uint64_t kBacklog = 8;
+
+std::vector<uint64_t> PassCharges(bool dirty_backlog) {
+  LfsFixture f(1024);
+  LiveVictim v;
+  std::vector<uint64_t> charged(kNumLogByteCats);
+  RunIn(&f.env, [&] {
+    ASSERT_TRUE(f.fs.Format().ok());
+    InodeNum g = f.fs.Create("/g").value();
+    std::string data(kBacklog * kBlockSize, 'g');
+    ASSERT_TRUE(f.fs.Write(g, 0, data).ok());
+    v.Build(&f.fs);  // syncs /g too
+    if (dirty_backlog) {
+      ASSERT_TRUE(f.fs.Write(g, 0, data).ok());
+    }
+    ASSERT_EQ(f.cache.dirty_count(), dirty_backlog ? kBacklog : 0);
+    LogEcon* le = f.env.log_econ();
+    for (int c = 0; c < kNumLogByteCats; c++) {
+      charged[c] = le->blocks(static_cast<LogByteCat>(c));
+    }
+    Cleaner::Options copt;
+    copt.poll_interval = 1000 * kSecond;
+    Cleaner cleaner(&f.env, &f.fs, copt);
+    ASSERT_TRUE(cleaner.CleanOne().ok());
+    EXPECT_EQ(cleaner.stats().live_blocks_copied, v.keep.size());
+    for (int c = 0; c < kNumLogByteCats; c++) {
+      charged[c] = le->blocks(static_cast<LogByteCat>(c)) - charged[c];
+    }
+  });
+  return charged;
+}
+
+TEST(LfsTest, CleaningPassChargesItsDrainToTheWriters) {
+  std::vector<uint64_t> quiet = PassCharges(false);
+  std::vector<uint64_t> drained = PassCharges(true);
+  auto cat = [](const std::vector<uint64_t>& charged, LogByteCat c) {
+    return charged[static_cast<int>(c)];
+  };
+  // With nothing to drain, the pass's payload is all copy-forward.
+  EXPECT_EQ(cat(quiet, LogByteCat::kUserData), 0u);
+  EXPECT_EQ(cat(quiet, LogByteCat::kInode), 0u);
+  EXPECT_GT(cat(quiet, LogByteCat::kCleaner), kBacklog);
+  // The drain writes the writer's blocks, charged as its own flush would
+  // be: /g's data and the block holding its inode...
+  EXPECT_EQ(cat(drained, LogByteCat::kUserData), kBacklog);
+  EXPECT_EQ(cat(drained, LogByteCat::kInode), 1u);
+  // ...and the cleaner pays for exactly the copy flush it would have
+  // written with no backlog at all.
+  EXPECT_EQ(cat(drained, LogByteCat::kCleaner),
+            cat(quiet, LogByteCat::kCleaner));
+}
+
 // Runs one user-space pass with `meddle` spawned beside it; `meddle` acts
 // while the pass reads its victim with no locks held.
 void UserSpacePassWith(LiveVictim* v,

@@ -396,7 +396,7 @@ TEST_P(SimBackendTest, DeepStacksAreIsolated) {
 
 // The two backends must execute the *same* schedule: identical wake order,
 // identical virtual end time, identical scheduler statistics. This is the
-// unit-level version of the CI sim-backend-equivalence job, which asserts
+// unit-level version of CI's threads-vs-fibers fig4 step, which asserts
 // byte-identical traces and metrics on a full fig4 run.
 TEST(SimBackendEquivalenceTest, IdenticalScheduleAndStats) {
   auto workload = [](SimBackend backend, std::vector<std::string>* log,

@@ -2,8 +2,8 @@
 // JSON object, timestamps must be monotone per machine, wait_edge blame
 // must point at transactions whose spans overlap the wait interval, and
 // identical seeded runs must produce byte-identical traces. The offline
-// tools (tools/tracelib.py and friends) parse these files with a strict
-// JSON reader, so format drift here breaks them.
+// report tool (tools/report.py, over tools/tracelib.py) parses these
+// files with a strict JSON reader, so format drift here breaks it.
 #include <gtest/gtest.h>
 
 #include <cmath>

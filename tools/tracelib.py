@@ -6,11 +6,12 @@ several simulated machines in sequence shares one file; each machine's
 events carry a distinct "m" tag. Traces written by a single machine have
 no "m" field; those group under machine 0.
 
-Used by profile_report.py, blame_report.py, and bench_summary.py so the
-phase list and the exact-sum validation live in exactly one place.
+tools/report.py reads every trace through this module, so the phase list,
+the wait-edge kinds and the exact-sum validation live in exactly one place.
 """
 import json
 import sys
+from collections import defaultdict
 
 # Must match kPhaseNames in src/sim/profiler.cc.
 PHASES = [
@@ -22,6 +23,24 @@ PHASES = [
     "log_wait",
     "cleaner_stall",
 ]
+
+# Byte-provenance categories; must match LogByteCatName in
+# src/sim/log_econ.h (and the logecon.bytes.* metric names).
+LOGECON_CATS = [
+    "user_data",
+    "wal",
+    "inode",
+    "imap",
+    "summary",
+    "checkpoint",
+    "cleaner",
+    "ffs",
+]
+
+# wait_edge kinds that name a lock holder, and those that name the
+# group-commit or log-flush leader a commit waited on.
+LOCK_KINDS = ("lock.kernel", "lock.libtp")
+COMMIT_KINDS = ("group_commit", "log")
 
 
 def machine_of(ev):
@@ -59,97 +78,24 @@ def validate_span(ev, where):
         )
 
 
-def load_spans(path):
-    """Returns {(machine, mgr): [event, ...]} for txn_profile events.
+def load_trace(path):
+    """Returns ({(machine, mgr): [txn_profile, ...]}, {machine: [wait_edge, ...]}).
 
     Every span is validated with validate_span before it is returned.
     """
-    groups = {}
+    spans, edges = defaultdict(list), defaultdict(list)
     for lineno, ev in read_events(path):
-        if ev.get("ev") != "txn_profile":
-            continue
-        validate_span(ev, f"{path}:{lineno}")
-        key = (machine_of(ev), ev["mgr"])
-        groups.setdefault(key, []).append(ev)
-    return groups
+        if ev.get("ev") == "txn_profile":
+            validate_span(ev, f"{path}:{lineno}")
+            spans[(machine_of(ev), ev["mgr"])].append(ev)
+        elif ev.get("ev") == "wait_edge":
+            edges[machine_of(ev)].append(ev)
+    return spans, edges
 
 
-# Byte-provenance categories; must match LogByteCatName in
-# src/sim/log_econ.h (and the logecon.bytes.* metric names).
-LOGECON_CATS = [
-    "user_data",
-    "wal",
-    "inode",
-    "imap",
-    "summary",
-    "checkpoint",
-    "cleaner",
-    "ffs",
-]
-
-
-def provenance_totals(events):
-    """{machine: {category: blocks}} summed over logecon `bytes` events.
-
-    `events` is an iterable of (lineno, event) pairs as produced by
-    read_events. Every machine present gets all categories (zero-filled).
-    """
-    totals = {}
-    for _, ev in events:
-        if ev.get("cat") != "logecon" or ev.get("ev") != "bytes":
-            continue
-        per = totals.setdefault(machine_of(ev), dict.fromkeys(LOGECON_CATS, 0))
-        per[ev["category"]] += ev["blocks"]
-    return totals
-
-
-def disk_write_blocks(events):
-    """{machine: blocks} summed over disk io_submit write events.
-
-    io_submit (not io_begin) is the submit-time twin of the disk's
-    blocks_written counter, which LogEcon charges against: a write still
-    queued when the simulation stops is counted and charged but never
-    reaches service, so io_begin would under-count it.
-    """
-    totals = {}
-    for _, ev in events:
-        if ev.get("cat") != "disk" or ev.get("ev") != "io_submit":
-            continue
-        if ev.get("op") != "write":
-            continue
-        m = machine_of(ev)
-        totals[m] = totals.get(m, 0) + ev["nblocks"]
-    return totals
-
-
-def validate_logecon(events, where="trace"):
-    """Dies unless logecon charges partition disk write blocks exactly.
-
-    The byte-provenance invariant (OBSERVABILITY.md, "Log economics"):
-    per machine, the sum of all logecon `bytes` events equals the sum of
-    all disk `io_submit` write events, block for block. Both sides skip
-    RawWrite (untimed mkfs I/O), so the identity is exact, not
-    approximate. Returns (provenance_totals, disk_totals).
-    """
-    events = list(events)
-    prov = provenance_totals(iter(events))
-    disk = disk_write_blocks(iter(events))
-    machines = sorted(set(prov) | set(disk))
-    for m in machines:
-        charged = sum(prov.get(m, {}).values())
-        written = disk.get(m, 0)
-        if charged != written:
-            sys.exit(
-                f"{where}: machine {m}: logecon charges {charged} blocks "
-                f"but the disk wrote {written} — provenance partition broken"
-            )
-    return prov, disk
-
-
-def print_table(rows, indent="  ", out=sys.stdout):
+def print_table(rows):
     """Left-justified column table; first row is the header."""
     rows = [[str(c) for c in r] for r in rows]
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     for r in rows:
-        out.write(indent + " ".join(c.ljust(w) for c, w in zip(r, widths))
-                  .rstrip() + "\n")
+        print("  " + " ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
