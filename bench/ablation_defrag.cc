@@ -16,79 +16,45 @@
 using namespace lfstx;
 
 int main(int argc, char** argv) {
-  BenchConfig cfg = BenchConfig::FromArgs(argc, argv);
+  BenchConfig cfg = BenchConfig::FromArgs(argc, argv, BenchConfig::kTpcbFlags);
   uint64_t updates = cfg.TxnsOr(40000);
 
   printf("Ablation: coalescing cleaner (section 5.4) — scan before/after "
          "defragmentation, %llu update txns\n\n",
          (unsigned long long)updates);
 
-  auto rig = ArchRig::Create(Arch::kUserLfs, cfg.MachineOptions(),
-                             cfg.LibTpOptions());
-  TpcbConfig tpcb = cfg.Tpcb();
-  SimTime scan_before = 0, scan_after = 0, defrag_time = 0;
-  std::string error, metrics_json;
-  Status run = rig->Run([&] {
-    auto db = LoadTpcb(rig->backend.get(), rig->machine->kernel.get(), tpcb);
-    if (!db.ok()) {
-      error = db.status().ToString();
-      return;
-    }
-    TpcbDriver driver(rig->backend.get(), &db.value(), tpcb, 59);
-    auto r = driver.Run(updates);
-    if (!r.ok()) {
-      error = r.status().ToString();
-      return;
-    }
-    Status s = rig->machine->fs->SyncAll();
-    if (!s.ok()) {
-      error = s.ToString();
-      return;
-    }
-    auto scan1 = RunScan(rig->backend.get(), db.value().accounts.get(),
-                         tpcb.account_record_len);
-    if (!scan1.ok()) {
-      error = scan1.status().ToString();
-      return;
-    }
-    scan_before = scan1.value().elapsed;
-
-    // Idle period: coalesce the fragmented account relation.
-    InodeNum acct =
-        rig->machine->fs->LookupPath(tpcb.AccountPath()).value();
-    SimTime t0 = rig->env()->Now();
-    s = rig->machine->cleaner->CoalesceFile(acct);
-    if (!s.ok()) {
-      error = s.ToString();
-      return;
-    }
-    defrag_time = rig->env()->Now() - t0;
-
-    auto scan2 = RunScan(rig->backend.get(), db.value().accounts.get(),
-                         tpcb.account_record_len);
-    if (!scan2.ok()) {
-      error = scan2.status().ToString();
-      return;
-    }
-    scan_after = scan2.value().elapsed;
-    metrics_json = rig->MetricsJson();
-  });
-  if (!run.ok() && error.empty()) error = run.ToString();
-  if (!error.empty()) {
-    fprintf(stderr, "failed: %s\n", error.c_str());
+  TpcbRun run = cfg.RunOf(Arch::kUserLfs, /*seed=*/59, 0, updates);
+  run.label = "ablation_defrag";
+  SimTime scan_after = 0, defrag_time = 0;
+  ScanMeasurement m =
+      MeasureScan(run, cfg, [&](ArchRig* rig, TpcbDatabase* db) -> Status {
+        // Idle period: coalesce the fragmented account relation.
+        LFSTX_ASSIGN_OR_RETURN(
+            InodeNum acct,
+            rig->machine->fs->LookupPath(cfg.Tpcb().AccountPath()));
+        SimTime t0 = rig->env()->Now();
+        LFSTX_RETURN_IF_ERROR(rig->machine->cleaner->CoalesceFile(acct));
+        defrag_time = rig->env()->Now() - t0;
+        LFSTX_ASSIGN_OR_RETURN(
+            ScanResult scan, RunScan(rig->backend.get(), db->accounts.get(),
+                                     cfg.Tpcb().account_record_len));
+        scan_after = scan.elapsed;
+        return Status::OK();
+      });
+  if (!m.updates.ok) {
+    fprintf(stderr, "failed: %s\n", m.updates.error.c_str());
     return 1;
   }
-  cfg.DumpMetrics("ablation_defrag", metrics_json);
+  cfg.DumpMetrics(run.label, m.updates.metrics_json);
 
   ResultTable table({"phase", "key-order scan time"});
   table.AddRow({"after random updates (Figure 6 state)",
-                FormatDuration(scan_before)});
+                FormatDuration(m.scan)});
   table.AddRow({"after idle-time coalescing", FormatDuration(scan_after)});
   table.Print();
   printf("\ncoalescing pass itself took %s of idle time\n",
          FormatDuration(defrag_time).c_str());
-  printf("expected shape: the post-coalesce scan approaches sequential "
-         "speed, closing the Figure 6 gap the paper's section 5.4 "
-         "predicted.\n");
+  printf("paper's claim (section 5.4): a cleaner that coalesces fragmented "
+         "files during idle periods would close the Figure 6 gap.\n");
   return 0;
 }

@@ -1,4 +1,5 @@
-// Shared configuration for the figure-reproduction benches.
+// Shared configuration and the one TPC-B measurement path for the
+// figure-reproduction benches.
 //
 // Every bench accepts:
 //   --scale=N        divide the paper's database, cache, and disk by N
@@ -15,32 +16,35 @@
 //   --fsck           run the full invariant-checker sweep (src/check/)
 //                    after each measured configuration; a dirty sweep
 //                    fails the bench with a nonzero exit
-//   --profile        print a per-configuration "where did the time go"
-//                    table: per-transaction phase attribution from the
-//                    virtual-clock profiler (sim/profiler.h), plus disk
-//                    time by cause (txn/cleaner/checkpoint/syncer)
-//   --users=N        concurrent TPC-B terminals during the measured
-//                    window (default 1; load and warmup stay single-user)
-//   --blame          print causal wait-blame attribution — blame.*
-//                    histogram deltas over the measured window (who held
-//                    the locks, whose I/O was ahead in the disk queue,
-//                    which commit led the group flush) — and include a
-//                    "blame" object per configuration in --summary output
 //   --sample-interval=MS  start the virtual-time metrics sampler: emit a
 //                    metric_sample trace event for every metric that
 //                    changed, every MS simulated milliseconds
-//   --cleaner=MODE   cleaner placement: "kernel" (default; locks files
-//                    while cleaning) or "user" (section 5.4: interferes
-//                    only through the disk arm, so contention shows up as
-//                    disk-queue blame instead of lock blame)
 //   --sim-backend=B  simulator execution backend: "fibers" (default) or
 //                    "threads" (one OS thread per simulated process — the
 //                    slow differential-testing oracle). Traces, metrics
 //                    and all measured virtual times are byte-identical
 //                    across backends; see SIMULATOR.md. Defaults honour
 //                    the LFSTX_SIM_BACKEND environment variable.
-// The flags below belong to the benches named in parentheses; any other
-// bench rejects them as unknown:
+// Every bench that runs TPC-B (all but fig_cleaning) also accepts these,
+// except that ablation_group_commit's MPL axis sets the terminal count
+// (no --users) and ablation_cleaner's rows set the placement (no
+// --cleaner); fig_cleaning accepts only --cleaner:
+//   --users=N        concurrent TPC-B terminals during the measured
+//                    window (default 1; load and warmup stay single-user)
+//   --profile        print the measured window's "where did the time go"
+//                    table: per-transaction phase attribution from the
+//                    virtual-clock profiler (sim/profiler.h), plus disk
+//                    time by cause (txn/cleaner/checkpoint/syncer)
+//   --blame          print causal wait-blame attribution — blame.*
+//                    histogram deltas over the measured window (who held
+//                    the locks, whose I/O was ahead in the disk queue,
+//                    which commit led the group flush) — and include a
+//                    "blame" object per configuration in --summary output
+//   --cleaner=MODE   cleaner placement: "kernel" (default; locks files
+//                    while cleaning) or "user" (section 5.4: interferes
+//                    only through the disk arm, so contention shows up as
+//                    disk-queue blame instead of lock blame)
+// The flags below belong to the benches named in parentheses:
 //   --summary=F      (fig4_tps, fig_tail, fig_cleaning, fig_recovery) write
 //                    a machine-readable JSON summary of the run to F; the
 //                    committed BENCH_*.json baselines are these summaries
@@ -64,11 +68,15 @@
 //   --arch=A         (fig_cleaning) restrict the architecture axis to
 //                    "embedded" or "user_lfs"; default sweeps both
 //   --help           print the flag list and exit 2
-// Any other argument, a bench-specific flag included, prints the flag list
-// and exits 2, and so does a numeric flag whose value is not a whole
-// number.
+// Any other argument, including a flag this bench does not take, prints
+// the flag list and exits 2, and so does a numeric flag whose value is not
+// a whole number.
 // Measured quantities are *virtual* (simulated) times; wall-clock run time
 // of the binary is irrelevant.
+//
+// MeasureTpcb is the one closed-loop TPC-B path: load, SyncAll, warm-up,
+// then the measured window. Every windowed number a bench prints is a
+// MetricsRegistry Mark()/Delta() pair around that window.
 #ifndef LFSTX_BENCH_BENCH_COMMON_H_
 #define LFSTX_BENCH_BENCH_COMMON_H_
 
@@ -78,7 +86,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <functional>
 #include <string>
 #include <system_error>
 
@@ -91,11 +99,30 @@
 
 namespace lfstx {
 
+/// \brief One closed-loop TPC-B measurement: the ArchRig inputs, the
+/// driver seed, and the warm-up, measured and terminal counts.
+struct TpcbRun {
+  Arch arch = Arch::kEmbedded;
+  Machine::Options machine;
+  LibTp::Options libtp;
+  EmbeddedTxnManager::Options embedded;
+  uint64_t seed = 17;
+  uint64_t warmup = 0;
+  uint64_t txns = 0;
+  uint64_t users = 1;
+  std::string label;  ///< names the run under --profile/--blame
+  /// Runs in the simulation before the load (fig5: Andrew, Bigfile).
+  std::function<Status(ArchRig*)> before_load;
+  /// Runs after the measured window, before the metrics snapshot and the
+  /// --fsck sweep (MeasureScan: sync, then scan).
+  std::function<Status(ArchRig*, TpcbDatabase*)> after_window;
+};
+
 struct BenchConfig {
   uint64_t scale = 4;
   uint64_t txns = 0;  // 0 = bench default
   int64_t readahead = -1;  // -1 = machine default window
-  uint64_t users = 1;
+  uint64_t users = 0;  // 0 = bench default
   uint64_t sample_interval_ms = 0;
   bool fsck = false;
   bool profile = false;
@@ -131,18 +158,23 @@ struct BenchConfig {
     return n;
   }
 
-  /// Bench-specific flag groups; a bench passes the ones it reads to
-  /// FromArgs, and every other group stays an unknown flag.
+  /// Flag groups not every bench takes; a bench passes the ones it reads
+  /// to FromArgs, and every other group stays an unknown flag.
   enum FlagGroup : unsigned {
     kSummaryFlag = 1,    ///< --summary
     kTailFlags = 2,      ///< --arrival, --offered-tps, --queue-cap, --exemplars
     kCleaningFlags = 4,  ///< --fullness, --watermark, --arch
+    kUsersFlag = 8,      ///< --users
+    kWindowFlags = 16,   ///< --profile, --blame
+    kCleanerFlag = 32,   ///< --cleaner
+    kTpcbFlags = kUsersFlag | kWindowFlags | kCleanerFlag,
   };
 
-  static BenchConfig FromArgs(int argc, char** argv, unsigned groups = 0) {
+  static BenchConfig FromArgs(int argc, char** argv, unsigned groups) {
     BenchConfig c;
     const bool tail = groups & kTailFlags;
     const bool cleaning = groups & kCleaningFlags;
+    const bool window = groups & kWindowFlags;
     for (int i = 1; i < argc; i++) {
       if (strncmp(argv[i], "--scale=", 8) == 0) {
         c.scale = std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 8));
@@ -150,11 +182,13 @@ struct BenchConfig {
         c.txns = NumericFlag<uint64_t>(argv[i], 7);
       } else if (strncmp(argv[i], "--readahead=", 12) == 0) {
         c.readahead = NumericFlag<int64_t>(argv[i], 12);
-      } else if (strncmp(argv[i], "--users=", 8) == 0) {
+      } else if ((groups & kUsersFlag) &&
+                 strncmp(argv[i], "--users=", 8) == 0) {
         c.users = std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 8));
       } else if (strncmp(argv[i], "--sample-interval=", 18) == 0) {
         c.sample_interval_ms = NumericFlag<uint64_t>(argv[i], 18);
-      } else if (strncmp(argv[i], "--cleaner=", 10) == 0) {
+      } else if ((groups & kCleanerFlag) &&
+                 strncmp(argv[i], "--cleaner=", 10) == 0) {
         c.cleaner_mode = argv[i] + 10;
         if (c.cleaner_mode != "kernel" && c.cleaner_mode != "user") {
           fprintf(stderr, "bad --cleaner=%s (kernel|user)\n",
@@ -211,9 +245,9 @@ struct BenchConfig {
         }
       } else if (strcmp(argv[i], "--fsck") == 0) {
         c.fsck = true;
-      } else if (strcmp(argv[i], "--profile") == 0) {
+      } else if (window && strcmp(argv[i], "--profile") == 0) {
         c.profile = true;
-      } else if (strcmp(argv[i], "--blame") == 0) {
+      } else if (window && strcmp(argv[i], "--blame") == 0) {
         c.blame = true;
       } else if (strcmp(argv[i], "--help") == 0 ||
                  strcmp(argv[i], "-h") == 0) {
@@ -231,15 +265,17 @@ struct BenchConfig {
 
   static void PrintUsage(FILE* out, const char* prog) {
     fprintf(out,
-            "usage: %s [--scale=N] [--txns=N] [--readahead=N] [--users=N]\n"
+            "usage: %s [--scale=N] [--txns=N] [--readahead=N]\n"
             "    [--metrics-dir=D] [--trace=SPEC] [--trace-file=F] [--fsck]\n"
-            "    [--profile] [--blame] [--sample-interval=MS]\n"
-            "    [--cleaner=kernel|user] [--sim-backend=fibers|threads]\n"
+            "    [--sample-interval=MS] [--sim-backend=fibers|threads]\n"
+            "  TPC-B benches: [--users=N] [--profile] [--blame]\n"
+            "    [--cleaner=kernel|user] (no --users in\n"
+            "    ablation_group_commit, no --cleaner in ablation_cleaner)\n"
             "  fig4_tps, fig_tail, fig_cleaning, fig_recovery: [--summary=F]\n"
             "  fig_tail: [--arrival=poisson|bursty|diurnal] [--offered-tps=L]\n"
             "    [--queue-cap=N] [--exemplars=K]\n"
-            "  fig_cleaning: [--fullness=L] [--watermark=lazy|eager]\n"
-            "    [--arch=embedded|user_lfs]\n"
+            "  fig_cleaning: [--cleaner=kernel|user] [--fullness=L]\n"
+            "    [--watermark=lazy|eager] [--arch=embedded|user_lfs]\n"
             "See the flag list at the top of bench/bench_common.h.\n",
             prog);
   }
@@ -299,6 +335,22 @@ struct BenchConfig {
   uint64_t TxnsOr(uint64_t dflt) const {
     return txns != 0 ? txns : dflt / scale;
   }
+
+  uint64_t UsersOr(uint64_t dflt) const { return users != 0 ? users : dflt; }
+
+  /// A TPC-B run of `arch` on this configuration's machine and terminals.
+  TpcbRun RunOf(Arch arch, uint64_t seed, uint64_t warmup,
+                uint64_t measured) const {
+    TpcbRun r;
+    r.arch = arch;
+    r.machine = MachineOptions();
+    r.libtp = LibTpOptions();
+    r.seed = seed;
+    r.warmup = warmup;
+    r.txns = measured;
+    r.users = UsersOr(1);
+    return r;
+  }
 };
 
 /// Filesystem-safe slug for a configuration name, e.g. metrics file names.
@@ -311,112 +363,86 @@ inline const char* ArchSlug(Arch a) {
   return "unknown";
 }
 
+/// Profiler tag of `a`'s transaction spans: the embedded manager tags its
+/// spans "embedded"; both user-level architectures go through LIBTP.
+inline const char* MgrOf(Arch a) {
+  return a == Arch::kEmbedded ? "embedded" : "libtp";
+}
+
+/// One metric of a window; 0 if it was never registered.
+inline double At(const MetricValues& w, const std::string& name) {
+  auto it = w.find(name);
+  return it != w.end() ? it->second : 0;
+}
+
+inline uint64_t AtU(const MetricValues& w, const std::string& name) {
+  return static_cast<uint64_t>(At(w, name));
+}
+
 /// \brief One architecture's TPC-B measurement.
 struct TpcbMeasurement {
   double tps = 0;
   SimTime elapsed = 0;
   uint64_t txns = 0;
-  /// Cleaner work over the measured window only (warm-up excluded).
-  uint64_t cleaner_cleaned = 0;
-  SimTime cleaner_busy = 0;
-  uint64_t syscalls = 0;
+  std::string mgr;      ///< profiler tag of the measured spans
+  MetricValues window;  ///< every metric's change over the measured window
+  /// Metrics snapshot taken at the end of the run, while the simulated
+  /// machine was still alive. See OBSERVABILITY.md.
+  std::string metrics_json;
   bool ok = false;
   std::string error;
-  /// Metrics snapshot taken at the end of the measured run, while the
-  /// simulated machine was still alive. See OBSERVABILITY.md.
-  std::string metrics_json;
-  /// Profiler attribution over the *measured* window only (warmup
-  /// excluded): which manager tag the spans carried, the span aggregate,
-  /// disk time by cause, and the fraction of the measured window covered
-  /// by transaction spans (Σ span elapsed / window; ≤ 1 at MPL 1).
-  std::string prof_mgr;
-  Profiler::SpanAgg prof;
-  Profiler::DiskAgg disk_cause[kNumIoCauses];
-  double coverage = 0;
-  /// Concurrent terminals during the measured window.
-  uint64_t users = 1;
-  /// blame.* histogram deltas over the measured window as a JSON object
-  /// ({"blame.lock.kernel.txn_us.count": N, ...}); empty without --blame.
-  std::string blame_json;
+
+  double Get(const std::string& metric) const { return At(window, metric); }
 };
 
-/// `after - before` for windowed span aggregates.
-inline Profiler::SpanAgg SpanAggDelta(const Profiler::SpanAgg& after,
-                                      const Profiler::SpanAgg& before) {
-  Profiler::SpanAgg d;
-  d.spans = after.spans - before.spans;
-  d.committed = after.committed - before.committed;
-  d.elapsed_us = after.elapsed_us - before.elapsed_us;
+/// `mgr`'s transaction spans over a window: the profiler's prof.<mgr>.*
+/// histograms and the manager's commit count.
+inline Profiler::SpanAgg SpanAggOf(const MetricValues& w,
+                                   const std::string& mgr) {
+  const std::string p = "prof." + mgr + ".";
+  Profiler::SpanAgg agg;
+  agg.spans = AtU(w, p + "elapsed_us.count");
+  agg.committed = AtU(w, "txn." + mgr + ".committed");
+  agg.elapsed_us = AtU(w, p + "elapsed_us.sum");
   for (int i = 0; i < kNumPhases; i++) {
-    d.phase_us[i] = after.phase_us[i] - before.phase_us[i];
+    agg.phase_us[i] =
+        AtU(w, p + PhaseName(static_cast<Phase>(i)) + "_us.sum");
   }
-  return d;
+  return agg;
 }
 
-/// `after - before` for windowed per-cause disk aggregates.
-inline Profiler::DiskAgg DiskAggDelta(const Profiler::DiskAgg& after,
-                                      const Profiler::DiskAgg& before) {
-  Profiler::DiskAgg d;
-  d.requests = after.requests - before.requests;
-  d.wait_us = after.wait_us - before.wait_us;
-  d.service_us = after.service_us - before.service_us;
-  return d;
+/// Disk time of one request cause over a window (prof.disk.<cause>.*).
+inline Profiler::DiskAgg DiskCauseOf(const MetricValues& w, int cause) {
+  const std::string p = std::string("prof.disk.") +
+                        IoCauseName(static_cast<IoCause>(cause)) + ".";
+  return {AtU(w, p + "requests"), AtU(w, p + "wait_us"),
+          AtU(w, p + "service_us")};
 }
 
-/// All blame.* metrics (histogram `.count`/`.sum` pairs, in microseconds)
-/// currently in the registry. The registered set is fixed per architecture
-/// at machine build time, so windowed deltas are schema-stable.
-inline std::map<std::string, double> BlameSnapshot(MetricsRegistry* m) {
-  std::map<std::string, double> out;
-  for (const auto& kv : m->SampleNumeric()) {
-    if (kv.first.rfind("blame.", 0) == 0) out[kv.first] = kv.second;
-  }
-  return out;
-}
-
-/// `now - before` per blame metric; metrics absent from `before` count
-/// from zero (whole-run blame = delta against an empty baseline).
-inline std::map<std::string, double> BlameDelta(
-    MetricsRegistry* m, const std::map<std::string, double>& before) {
-  std::map<std::string, double> d;
-  for (const auto& kv : BlameSnapshot(m)) {
-    auto it = before.find(kv.first);
-    d[kv.first] = kv.second - (it != before.end() ? it->second : 0);
-  }
-  return d;
-}
-
-/// JSON object for a blame delta, keys sorted (std::map order).
-inline std::string BlameJson(const std::map<std::string, double>& delta) {
+/// JSON object of a window's blame.* histogram deltas, keys sorted.
+inline std::string BlameJson(const MetricValues& w) {
   std::string out = "{";
-  bool first = true;
-  for (const auto& kv : delta) {
-    out += Fmt("%s\"%s\": %.0f", first ? "" : ", ", kv.first.c_str(),
-               kv.second);
-    first = false;
+  for (const auto& [name, v] : w) {
+    if (name.rfind("blame.", 0) != 0) continue;
+    out += Fmt("%s\"%s\": %.0f", out.size() > 1 ? ", " : "", name.c_str(), v);
   }
-  out += "}";
-  return out;
+  return out + "}";
 }
 
 /// One row per blame source: how many wait edges were attributed to it and
 /// how much blocked time they carry. Registered-but-idle sources print as
 /// zero rows on purpose — "the cleaner caused no blame" is a result.
-inline void PrintBlameTable(const std::string& config,
-                            const std::map<std::string, double>& delta) {
+inline void PrintBlameTable(const std::string& config, const MetricValues& w) {
   printf("\n[blame] %s wait-edge attribution:\n", config.c_str());
   ResultTable t({"source", "edges", "total (us)"});
   bool any = false;
-  for (const auto& kv : delta) {
-    const std::string& name = kv.first;
-    if (name.size() < 4 || name.compare(name.size() - 4, 4, ".sum") != 0) {
+  for (const auto& [name, v] : w) {
+    if (name.rfind("blame.", 0) != 0 || name.size() < 4 ||
+        name.compare(name.size() - 4, 4, ".sum") != 0) {
       continue;
     }
     std::string base = name.substr(0, name.size() - 4);
-    auto cnt = delta.find(base + ".count");
-    t.AddRow({base,
-              Fmt("%.0f", cnt != delta.end() ? cnt->second : 0),
-              Fmt("%.0f", kv.second)});
+    t.AddRow({base, Fmt("%.0f", At(w, base + ".count")), Fmt("%.0f", v)});
     any = true;
   }
   if (any) {
@@ -470,49 +496,26 @@ inline void PrintProfileTable(const std::string& config,
   }
 }
 
-/// One line of disk time by request cause (txn / cleaner / checkpoint /
-/// syncer); pairs with the attribution table under --profile.
-inline void PrintDiskCauseLine(const std::string& config,
-                               const Profiler::DiskAgg cause[kNumIoCauses]) {
-  printf("[profile] %s disk by cause:", config.c_str());
-  for (int i = 0; i < kNumIoCauses; i++) {
-    printf(" %s=%llu reqs (wait %llu us, service %llu us)",
-           IoCauseName(static_cast<IoCause>(i)),
-           static_cast<unsigned long long>(cause[i].requests),
-           static_cast<unsigned long long>(cause[i].wait_us),
-           static_cast<unsigned long long>(cause[i].service_us));
-  }
-  printf("\n");
-}
-
-/// Cumulative (whole-run) profile dump for benches that drive a rig
-/// directly instead of through MeasureTpcb. Call while the rig is alive
-/// (inside or right after its Run block); no-op without --profile.
-inline void PrintRigProfile(const BenchConfig& cfg, ArchRig* rig,
-                            const std::string& config) {
-  if (!cfg.profile && !cfg.blame) return;
-  Profiler* prof = rig->env()->profiler();
+/// --profile and --blame over one measured window of `window_us`: the
+/// phase table of `mgr`'s spans, disk time by request cause (txn /
+/// cleaner / checkpoint / syncer), and the blame table.
+inline void PrintWindow(const BenchConfig& cfg, const std::string& config,
+                        const std::string& mgr, const MetricValues& w,
+                        SimTime window_us) {
   if (cfg.profile) {
-    std::vector<std::string> tags = prof->SpanTags();
-    if (tags.empty()) {
-      printf("\n[profile] %s: no transaction spans recorded\n",
-             config.c_str());
-    }
-    for (const std::string& tag : tags) {
-      // Whole-run window (includes load/warmup), so coverage here reads as
-      // "fraction of the run spent inside transactions".
-      PrintProfileTable(config, tag, prof->AggFor(tag), rig->env()->Now());
-    }
-    Profiler::DiskAgg cause[kNumIoCauses];
+    PrintProfileTable(config, mgr, SpanAggOf(w, mgr), window_us);
+    printf("[profile] %s disk by cause:", config.c_str());
     for (int i = 0; i < kNumIoCauses; i++) {
-      cause[i] = prof->DiskCauseAgg(static_cast<IoCause>(i));
+      Profiler::DiskAgg d = DiskCauseOf(w, i);
+      printf(" %s=%llu reqs (wait %llu us, service %llu us)",
+             IoCauseName(static_cast<IoCause>(i)),
+             static_cast<unsigned long long>(d.requests),
+             static_cast<unsigned long long>(d.wait_us),
+             static_cast<unsigned long long>(d.service_us));
     }
-    PrintDiskCauseLine(config, cause);
+    printf("\n");
   }
-  if (cfg.blame) {
-    // Whole-run blame: delta against an empty baseline.
-    PrintBlameTable(config, BlameDelta(rig->env()->metrics(), {}));
-  }
+  if (cfg.blame) PrintBlameTable(config, w);
 }
 
 /// JSON object for a span aggregate: {"spans":N,...,"phases":{...}}.
@@ -533,161 +536,154 @@ inline std::string SpanAggJson(const Profiler::SpanAgg& agg) {
   return out;
 }
 
-/// JSON object mapping cause name -> {"requests","wait_us","service_us"}.
-inline std::string DiskCauseJson(const Profiler::DiskAgg cause[kNumIoCauses]) {
+/// JSON object mapping cause name -> {"requests","wait_us","service_us"}
+/// over a window.
+inline std::string DiskCauseJson(const MetricValues& w) {
   std::string out = "{";
   for (int i = 0; i < kNumIoCauses; i++) {
+    Profiler::DiskAgg d = DiskCauseOf(w, i);
     out += Fmt(
         "%s\"%s\": {\"requests\": %llu, \"wait_us\": %llu, "
         "\"service_us\": %llu}",
         i > 0 ? ", " : "", IoCauseName(static_cast<IoCause>(i)),
-        static_cast<unsigned long long>(cause[i].requests),
-        static_cast<unsigned long long>(cause[i].wait_us),
-        static_cast<unsigned long long>(cause[i].service_us));
+        static_cast<unsigned long long>(d.requests),
+        static_cast<unsigned long long>(d.wait_us),
+        static_cast<unsigned long long>(d.service_us));
   }
   out += "}";
   return out;
 }
 
-/// --fsck: sync, then run every invariant checker (src/check/). Returns
-/// why the sweep failed; empty when it is clean or was not asked for.
-inline std::string InvariantSweep(const BenchConfig& cfg, ArchRig* rig,
-                                  Arch arch) {
-  if (!cfg.fsck) return "";
-  fprintf(stderr, "[bench] %s: invariant sweep...\n", ArchName(arch));
-  Status synced = rig->machine->fs->SyncAll();
-  if (!synced.ok()) return synced.ToString();
+/// --fsck: sync, then run every invariant checker (src/check/). OK when
+/// the sweep is clean or was not asked for.
+inline Status InvariantSweep(const BenchConfig& cfg, ArchRig* rig) {
+  if (!cfg.fsck) return Status::OK();
+  const char* name = ArchName(rig->arch);
+  fprintf(stderr, "[bench] %s: invariant sweep...\n", name);
+  LFSTX_RETURN_IF_ERROR(rig->machine->fs->SyncAll());
   CheckSummary summary = RunAllChecks(*rig);
-  if (!summary.clean()) return "invariant sweep failed:\n" + summary.ToString();
-  fprintf(stderr, "[bench] %s: sweep clean (%zu checkers)\n", ArchName(arch),
+  if (!summary.clean()) {
+    return Status::Internal("invariant sweep failed:\n" + summary.ToString());
+  }
+  fprintf(stderr, "[bench] %s: sweep clean (%zu checkers)\n", name,
           summary.reports.size());
-  return "";
+  return Status::OK();
 }
 
-/// Build a rig, load TPC-B, warm up, and run `measure_txns` transactions.
-inline TpcbMeasurement MeasureTpcb(Arch arch, const BenchConfig& cfg,
-                                   uint64_t warmup_txns,
-                                   uint64_t measure_txns) {
+/// Boot `rig` and run `fn` in its main process: `fn`'s error, else the
+/// boot's.
+inline Status RunIn(ArchRig* rig, const std::function<Status()>& fn) {
+  Status inner;
+  Status boot = rig->Run([&] { inner = fn(); });
+  return inner.ok() ? boot : inner;
+}
+
+/// The prefix every TPC-B measurement shares, inside `rig`: load the
+/// database, SyncAll so the load's dirty backlog is on disk before
+/// anything is measured, run `warmup` transactions on a driver seeded
+/// `seed`, then hand the database and that driver to `measure`.
+inline Status LoadAndWarm(
+    ArchRig* rig, const TpcbConfig& tpcb, uint64_t seed, uint64_t warmup,
+    const std::function<Status(TpcbDatabase*, TpcbDriver*)>& measure) {
+  LFSTX_ASSIGN_OR_RETURN(
+      TpcbDatabase db,
+      LoadTpcb(rig->backend.get(), rig->machine->kernel.get(), tpcb));
+  fprintf(stderr, "[bench] %s: warming up...\n", ArchName(rig->arch));
+  LFSTX_RETURN_IF_ERROR(rig->machine->fs->SyncAll());
+  TpcbDriver driver(rig->backend.get(), &db, tpcb, seed);
+  if (warmup > 0) LFSTX_RETURN_IF_ERROR(driver.Run(warmup).status());
+  return measure(&db, &driver);
+}
+
+/// Build `run`'s rig, load TPC-B, sync, warm up, and measure `run.txns`
+/// transactions: on the warm-up driver at one terminal, else on
+/// `run.users` terminals seeded `run.seed + p` that split the count (the
+/// remainder to terminal 0).
+inline TpcbMeasurement MeasureTpcb(const TpcbRun& run,
+                                   const BenchConfig& cfg) {
   TpcbMeasurement out;
-  fprintf(stderr, "[bench] %s: loading...\n", ArchName(arch));
-  auto rig = ArchRig::Create(arch, cfg.MachineOptions(), cfg.LibTpOptions());
+  out.mgr = MgrOf(run.arch);
+  const char* name = ArchName(run.arch);
+  fprintf(stderr, "[bench] %s: loading...\n", name);
+  auto rig = ArchRig::Create(run.arch, run.machine, run.libtp, run.embedded);
+  SimEnv* env = rig->env();
   TpcbConfig tpcb = cfg.Tpcb();
-  Status run_status = rig->Run([&] {
-    auto db = LoadTpcb(rig->backend.get(), rig->machine->kernel.get(), tpcb);
-    if (!db.ok()) {
-      out.error = db.status().ToString();
-      return;
-    }
-    fprintf(stderr, "[bench] %s: warming up...\n", ArchName(arch));
-    Status s = rig->machine->fs->SyncAll();
-    if (!s.ok()) {
-      out.error = s.ToString();
-      return;
-    }
-    TpcbDriver driver(rig->backend.get(), &db.value(), tpcb, /*seed=*/17);
-    if (warmup_txns > 0) {
-      auto w = driver.Run(warmup_txns);
-      if (!w.ok()) {
-        out.error = w.status().ToString();
-        return;
-      }
-    }
-    uint64_t syscalls0 = rig->env()->stats().syscalls;
-    Cleaner::CleanerStats cleaner0;
-    if (rig->machine->cleaner != nullptr) {
-      cleaner0 = rig->machine->cleaner->stats();
-    }
-    // Snapshot the profiler so the reported attribution covers exactly the
-    // measured window (warmup excluded). The embedded manager tags its
-    // spans "embedded"; both user-level architectures go through LIBTP.
-    Profiler* prof = rig->env()->profiler();
-    out.prof_mgr = arch == Arch::kEmbedded ? "embedded" : "libtp";
-    Profiler::SpanAgg prof0 = prof->AggFor(out.prof_mgr);
-    Profiler::DiskAgg disk0[kNumIoCauses];
-    for (int i = 0; i < kNumIoCauses; i++) {
-      disk0[i] = prof->DiskCauseAgg(static_cast<IoCause>(i));
-    }
-    std::map<std::string, double> blame0;
-    if (cfg.blame) blame0 = BlameSnapshot(rig->env()->metrics());
-    fprintf(stderr, "[bench] %s: measuring...\n", ArchName(arch));
-    out.users = cfg.users;
-    if (cfg.users <= 1) {
-      auto r = driver.Run(measure_txns);
-      if (!r.ok()) {
-        out.error = r.status().ToString();
-        return;
-      }
-      out.tps = r.value().tps();
-      out.elapsed = r.value().elapsed;
-      out.txns = r.value().transactions;
+  auto measure = [&](TpcbDatabase* db, TpcbDriver* driver) -> Status {
+    MetricValues mark = env->metrics()->Mark();
+    fprintf(stderr, "[bench] %s: measuring...\n", name);
+    SimTime t0 = env->Now();
+    if (run.users <= 1) {
+      LFSTX_ASSIGN_OR_RETURN(TpcbDriver::RunStats r, driver->Run(run.txns));
+      out.txns = r.transactions;
     } else {
-      // Multi-user measured window: `users` concurrent terminals splitting
-      // the transaction count (remainder to terminal 0), distinct seeds.
-      uint64_t per = measure_txns / cfg.users;
-      uint64_t rem = measure_txns % cfg.users;
-      SimTime t0 = rig->env()->Now();
       uint64_t finished = 0;
-      uint64_t done_txns = 0;
-      std::string term_error;
-      for (uint64_t p = 0; p < cfg.users; p++) {
-        uint64_t quota = per + (p == 0 ? rem : 0);
-        rig->env()->Spawn(
-            Fmt("terminal%llu", static_cast<unsigned long long>(p)),
-            [&, quota, p] {
-              TpcbDriver term(rig->backend.get(), &db.value(), tpcb,
-                              /*seed=*/17 + p);
-              auto r = term.Run(quota);
-              if (r.ok()) {
-                done_txns += r.value().transactions;
-              } else if (term_error.empty()) {
-                term_error = r.status().ToString();
-              }
-              finished++;
-            });
+      Status term_error;
+      for (uint64_t p = 0; p < run.users; p++) {
+        uint64_t quota =
+            run.txns / run.users + (p == 0 ? run.txns % run.users : 0);
+        env->Spawn(Fmt("terminal%llu", static_cast<unsigned long long>(p)),
+                   [&, quota, p] {
+                     TpcbDriver term(rig->backend.get(), db, tpcb,
+                                     run.seed + p);
+                     auto r = term.Run(quota);
+                     if (r.ok()) {
+                       out.txns += r.value().transactions;
+                     } else if (term_error.ok()) {
+                       term_error = r.status();
+                     }
+                     finished++;
+                   });
       }
-      while (finished < cfg.users) rig->env()->SleepFor(kMillisecond);
-      if (!term_error.empty()) {
-        out.error = term_error;
-        return;
-      }
-      out.elapsed = rig->env()->Now() - t0;
-      out.txns = done_txns;
-      out.tps = out.elapsed > 0 ? 1e6 * static_cast<double>(out.txns) /
-                                      static_cast<double>(out.elapsed)
-                                : 0;
+      while (finished < run.users) env->SleepFor(kMillisecond);
+      LFSTX_RETURN_IF_ERROR(term_error);
     }
-    out.syscalls = rig->env()->stats().syscalls - syscalls0;
-    out.prof = SpanAggDelta(prof->AggFor(out.prof_mgr), prof0);
-    for (int i = 0; i < kNumIoCauses; i++) {
-      out.disk_cause[i] =
-          DiskAggDelta(prof->DiskCauseAgg(static_cast<IoCause>(i)), disk0[i]);
-    }
-    out.coverage = out.elapsed > 0
-                       ? static_cast<double>(out.prof.elapsed_us) /
-                             static_cast<double>(out.elapsed)
-                       : 0;
-    if (cfg.profile) {
-      PrintProfileTable(ArchSlug(arch), out.prof_mgr, out.prof, out.elapsed);
-      PrintDiskCauseLine(ArchSlug(arch), out.disk_cause);
-    }
-    if (cfg.blame) {
-      std::map<std::string, double> delta =
-          BlameDelta(rig->env()->metrics(), blame0);
-      out.blame_json = BlameJson(delta);
-      PrintBlameTable(ArchSlug(arch), delta);
-    }
-    if (rig->machine->cleaner != nullptr) {
-      const Cleaner::CleanerStats& c = rig->machine->cleaner->stats();
-      out.cleaner_cleaned = c.segments_cleaned - cleaner0.segments_cleaned;
-      out.cleaner_busy = c.busy_us - cleaner0.busy_us;
+    out.elapsed = env->Now() - t0;
+    out.tps = out.elapsed > 0
+                  ? static_cast<double>(out.txns) / ToSeconds(out.elapsed)
+                  : 0;
+    out.window = env->metrics()->Delta(mark);
+    PrintWindow(cfg, run.label.empty() ? ArchSlug(run.arch) : run.label,
+                out.mgr, out.window, out.elapsed);
+    if (run.after_window) {
+      LFSTX_RETURN_IF_ERROR(run.after_window(rig.get(), db));
     }
     out.metrics_json = rig->MetricsJson();
-    out.error = InvariantSweep(cfg, rig.get(), arch);
-    out.ok = out.error.empty();
+    return InvariantSweep(cfg, rig.get());
+  };
+  Status s = RunIn(rig.get(), [&]() -> Status {
+    if (run.before_load) LFSTX_RETURN_IF_ERROR(run.before_load(rig.get()));
+    return LoadAndWarm(rig.get(), tpcb, run.seed, run.warmup, measure);
   });
-  if (!run_status.ok() && out.error.empty()) {
-    out.error = run_status.ToString();
-  }
+  out.ok = s.ok();
+  if (!s.ok()) out.error = s.ToString();
+  return out;
+}
+
+/// \brief Fig 6's measurement: an update window, then a key-order scan.
+struct ScanMeasurement {
+  TpcbMeasurement updates;
+  SimTime scan = 0;
+  double scan_mbps = 0;
+};
+
+/// Load → SyncAll → `run.txns` random TPC-B updates (MeasureTpcb's window)
+/// → SyncAll → a key-order scan of the account relation. `then` runs after
+/// the scan, before the metrics snapshot and the --fsck sweep.
+inline ScanMeasurement MeasureScan(
+    TpcbRun run, const BenchConfig& cfg,
+    const std::function<Status(ArchRig*, TpcbDatabase*)>& then = nullptr) {
+  ScanMeasurement out;
+  run.after_window = [&](ArchRig* rig, TpcbDatabase* db) -> Status {
+    // Settle dirty state so the scan measures read behaviour only.
+    LFSTX_RETURN_IF_ERROR(rig->machine->fs->SyncAll());
+    LFSTX_ASSIGN_OR_RETURN(
+        ScanResult scan, RunScan(rig->backend.get(), db->accounts.get(),
+                                 cfg.Tpcb().account_record_len));
+    out.scan = scan.elapsed;
+    out.scan_mbps = scan.mb_per_sec;
+    return then ? then(rig, db) : Status::OK();
+  };
+  out.updates = MeasureTpcb(run, cfg);
   return out;
 }
 

@@ -19,7 +19,7 @@ using namespace lfstx;
 
 int main(int argc, char** argv) {
   BenchConfig cfg = BenchConfig::FromArgs(
-      argc, argv, BenchConfig::kSummaryFlag);
+      argc, argv, BenchConfig::kSummaryFlag | BenchConfig::kTpcbFlags);
   uint64_t warmup = cfg.TxnsOr(4000) / 4;
   uint64_t txns = cfg.TxnsOr(12000);
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   printf("measuring %llu txns after %llu warm-up txns per configuration "
          "(%llu user%s)...\n\n",
          (unsigned long long)txns, (unsigned long long)warmup,
-         (unsigned long long)cfg.users, cfg.users == 1 ? "" : "s");
+         (unsigned long long)cfg.UsersOr(1), cfg.UsersOr(1) == 1 ? "" : "s");
 
   struct Row {
     Arch arch;
@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
   std::string summary_configs;
   int i = 0;
   for (const Row& row : rows) {
-    TpcbMeasurement m = MeasureTpcb(row.arch, cfg, warmup, txns);
+    TpcbMeasurement m =
+        MeasureTpcb(cfg.RunOf(row.arch, /*seed=*/17, warmup, txns), cfg);
     if (!m.ok) {
       fprintf(stderr, "%s failed: %s\n", ArchName(row.arch), m.error.c_str());
       return 1;
@@ -57,29 +58,34 @@ int main(int argc, char** argv) {
     cfg.DumpMetrics(std::string("fig4_") + ArchSlug(row.arch),
                     m.metrics_json);
     if (!cfg.summary.empty()) {
+      // Coverage: the share of the window inside transaction spans
+      // (≤ 1 at MPL 1).
+      Profiler::SpanAgg prof = SpanAggOf(m.window, m.mgr);
       if (i > 0) summary_configs += ",\n";
       summary_configs += Fmt(
           "    {\"arch\": \"%s\", \"mgr\": \"%s\", \"tps\": %.4f, "
           "\"elapsed_us\": %llu, \"txns\": %llu, \"coverage\": %.4f,\n"
           "     \"prof\": ",
-          ArchSlug(row.arch), m.prof_mgr.c_str(), m.tps,
+          ArchSlug(row.arch), m.mgr.c_str(), m.tps,
           (unsigned long long)m.elapsed, (unsigned long long)m.txns,
-          m.coverage);
-      summary_configs += SpanAggJson(m.prof);
+          m.elapsed > 0 ? static_cast<double>(prof.elapsed_us) /
+                              static_cast<double>(m.elapsed)
+                        : 0);
+      summary_configs += SpanAggJson(prof);
       summary_configs += ",\n     \"disk_cause\": ";
-      summary_configs += DiskCauseJson(m.disk_cause);
-      if (!m.blame_json.empty()) {
+      summary_configs += DiskCauseJson(m.window);
+      if (cfg.blame) {
         summary_configs += ",\n     \"blame\": ";
-        summary_configs += m.blame_json;
+        summary_configs += BlameJson(m.window);
       }
       summary_configs += "}";
     }
     tps[i++] = m.tps;
     table.AddRow({ArchName(row.arch), Fmt("%.2f", m.tps),
                   FormatDuration(m.elapsed),
-                  Fmt("%.1f", static_cast<double>(m.syscalls) /
+                  Fmt("%.1f", m.Get("sim.syscalls") /
                                   static_cast<double>(m.txns)),
-                  Fmt("%llu", (unsigned long long)m.cleaner_cleaned),
+                  Fmt("%.0f", m.Get("cleaner.segments_cleaned")),
                   Fmt("%.1f", row.paper_tps)});
   }
   table.Print();
@@ -91,7 +97,7 @@ int main(int argc, char** argv) {
         "  \"users\": %llu,\n"
         "  \"configs\": [\n",
         (unsigned long long)cfg.scale, (unsigned long long)warmup,
-        (unsigned long long)txns, (unsigned long long)cfg.users);
+        (unsigned long long)txns, (unsigned long long)cfg.UsersOr(1));
     json += summary_configs;
     json += "\n  ]\n}\n";
     FILE* f = fopen(cfg.summary.c_str(), "w");

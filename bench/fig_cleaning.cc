@@ -150,15 +150,10 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
     }
     LFSTX_CHECK(k->Sync().ok(), "post-fill sync failed");
 
-    // Snapshot the accountant: everything after this line is the churn
-    // window, the marginal cost of writing at this fullness.
-    LogEcon* le = env->log_econ();
-    uint64_t base_cat[kNumLogByteCats];
-    for (int c = 0; c < kNumLogByteCats; c++) {
-      base_cat[c] = le->blocks(static_cast<LogByteCat>(c));
-    }
-    uint64_t base_disk = rig->machine->disk->stats().blocks_written;
-    uint64_t base_logical = le->logical_user_bytes();
+    // Mark the registry: everything after this line is the churn window,
+    // the marginal cost of writing at this fullness.
+    MetricsRegistry* metrics = env->metrics();
+    MetricValues mark = metrics->Mark();
     SimTime t0 = env->Now();
 
     // Uniform random single-block overwrites: every overwrite kills the
@@ -195,16 +190,13 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
     env->SleepFor(500 * kMillisecond);
 
     p.churn_elapsed = env->Now() - t0;
-    p.churn_disk_blocks =
-        rig->machine->disk->stats().blocks_written - base_disk;
-    p.churn_logical_bytes = le->logical_user_bytes() - base_logical;
-    uint64_t d_user =
-        le->blocks(LogByteCat::kUserData) - base_cat[0];
-    uint64_t d_wal = le->blocks(LogByteCat::kWal) - base_cat[1];
-    p.churn_payload_blocks = d_user + d_wal;
-    p.churn_cleaner_blocks =
-        le->blocks(LogByteCat::kCleaner) -
-        base_cat[static_cast<int>(LogByteCat::kCleaner)];
+    MetricValues churn = metrics->Delta(mark);
+    p.churn_disk_blocks = AtU(churn, "disk.blocks_written");
+    p.churn_logical_bytes = AtU(churn, "logecon.logical_user_bytes");
+    p.churn_payload_blocks = (AtU(churn, "logecon.bytes.user_data") +
+                              AtU(churn, "logecon.bytes.wal")) /
+                             kBlockSize;
+    p.churn_cleaner_blocks = AtU(churn, "logecon.bytes.cleaner") / kBlockSize;
     p.churn_wa_physical =
         p.churn_payload_blocks == 0
             ? 0.0
@@ -349,7 +341,9 @@ std::vector<int> FullnessAxis(const BenchConfig& cfg) {
 
 int Main(int argc, char** argv) {
   BenchConfig cfg = BenchConfig::FromArgs(
-      argc, argv, BenchConfig::kSummaryFlag | BenchConfig::kCleaningFlags);
+      argc, argv,
+      BenchConfig::kSummaryFlag | BenchConfig::kCleaningFlags |
+          BenchConfig::kCleanerFlag);
   std::vector<int> fullness = FullnessAxis(cfg);
   std::vector<Watermark> wms;
   for (const Watermark& wm : kWatermarks) {

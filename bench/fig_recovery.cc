@@ -115,13 +115,9 @@ std::string CurveJson(const CurvePoint& p) {
 
 struct OverheadPoint {
   bool daemon = false;
-  double tps = 0;
-  uint64_t txns = 0;
-  SimTime elapsed = 0;
-  uint64_t checkpoints = 0;
+  TpcbMeasurement m;
+  uint64_t checkpoints = 0;  ///< whole run, load included
   uint64_t fuzzy_checkpoints = 0;
-  bool ok = false;
-  std::string error;
 };
 
 /// Closed-loop TPC-B on the embedded architecture, with or without the
@@ -130,46 +126,16 @@ OverheadPoint MeasureOverhead(const BenchConfig& cfg, bool daemon,
                               uint64_t txns) {
   OverheadPoint out;
   out.daemon = daemon;
-  Machine::Options mo = cfg.MachineOptions();
-  mo.start_checkpointer = daemon;
-  mo.checkpointer.interval = 250 * kMillisecond;
-  auto rig = ArchRig::Create(Arch::kEmbedded, mo, cfg.LibTpOptions());
-  TpcbConfig tpcb = cfg.Tpcb();
-  Status run_status = rig->Run([&] {
-    auto db = LoadTpcb(rig->backend.get(), rig->machine->kernel.get(), tpcb);
-    if (!db.ok()) {
-      out.error = db.status().ToString();
-      return;
-    }
-    Status synced = rig->machine->fs->SyncAll();
-    if (!synced.ok()) {
-      out.error = synced.ToString();
-      return;
-    }
-    TpcbDriver driver(rig->backend.get(), &db.value(), tpcb, /*seed=*/17);
-    auto r = driver.Run(txns);
-    if (!r.ok()) {
-      out.error = r.status().ToString();
-      return;
-    }
-    out.tps = r.value().tps();
-    out.elapsed = r.value().elapsed;
-    out.txns = r.value().transactions;
-    Lfs* lfs = rig->machine->lfs();
-    if (lfs != nullptr) {
-      out.checkpoints = lfs->lfs_stats().checkpoints;
-      out.fuzzy_checkpoints = lfs->lfs_stats().fuzzy_checkpoints;
-    }
-    if (cfg.fsck) {
-      CheckSummary summary = RunAllChecks(*rig);
-      if (!summary.clean()) {
-        out.error = "invariant sweep failed:\n" + summary.ToString();
-        return;
-      }
-    }
-    out.ok = true;
-  });
-  if (!run_status.ok() && out.error.empty()) out.error = run_status.ToString();
+  TpcbRun run = cfg.RunOf(Arch::kEmbedded, /*seed=*/17, 0, txns);
+  run.machine.start_checkpointer = daemon;
+  run.machine.checkpointer.interval = 250 * kMillisecond;
+  run.label = daemon ? "checkpointer_on" : "checkpointer_off";
+  run.after_window = [&](ArchRig* rig, TpcbDatabase*) {
+    out.checkpoints = rig->machine->lfs()->lfs_stats().checkpoints;
+    out.fuzzy_checkpoints = rig->machine->lfs()->lfs_stats().fuzzy_checkpoints;
+    return Status::OK();
+  };
+  out.m = MeasureTpcb(run, cfg);
   return out;
 }
 
@@ -178,16 +144,16 @@ std::string OverheadJson(const OverheadPoint& p) {
       "{\"checkpointer\": %s, \"tps\": %.4f, \"txns\": %llu, "
       "\"elapsed_us\": %llu, \"checkpoints\": %llu, "
       "\"fuzzy_checkpoints\": %llu}",
-      p.daemon ? "true" : "false", p.tps,
-      static_cast<unsigned long long>(p.txns),
-      static_cast<unsigned long long>(p.elapsed),
+      p.daemon ? "true" : "false", p.m.tps,
+      static_cast<unsigned long long>(p.m.txns),
+      static_cast<unsigned long long>(p.m.elapsed),
       static_cast<unsigned long long>(p.checkpoints),
       static_cast<unsigned long long>(p.fuzzy_checkpoints));
 }
 
 int Main(int argc, char** argv) {
   BenchConfig cfg = BenchConfig::FromArgs(
-      argc, argv, BenchConfig::kSummaryFlag);
+      argc, argv, BenchConfig::kSummaryFlag | BenchConfig::kTpcbFlags);
 
   // --- 1. recovery time vs log since checkpoint ---
   std::vector<CurvePoint> curve;
@@ -221,9 +187,9 @@ int Main(int argc, char** argv) {
   OverheadPoint off = MeasureOverhead(cfg, false, txns);
   OverheadPoint on = MeasureOverhead(cfg, true, txns);
   for (const OverheadPoint* p : {&off, &on}) {
-    if (!p->ok) {
+    if (!p->m.ok) {
       fprintf(stderr, "overhead measurement (daemon=%d) failed: %s\n",
-              p->daemon, p->error.c_str());
+              p->daemon, p->m.error.c_str());
       return 1;
     }
   }
@@ -231,7 +197,7 @@ int Main(int argc, char** argv) {
          static_cast<unsigned long long>(txns));
   ResultTable ot({"checkpointer", "TPS", "checkpoints", "fuzzy"});
   for (const OverheadPoint* p : {&off, &on}) {
-    ot.AddRow({p->daemon ? "on (250 ms)" : "off", Fmt("%.2f", p->tps),
+    ot.AddRow({p->daemon ? "on (250 ms)" : "off", Fmt("%.2f", p->m.tps),
                Fmt("%llu", static_cast<unsigned long long>(p->checkpoints)),
                Fmt("%llu",
                    static_cast<unsigned long long>(p->fuzzy_checkpoints))});

@@ -83,14 +83,12 @@ std::string ExemplarJson(const TailExemplar& ex) {
 
 int main(int argc, char** argv) {
   BenchConfig cfg = BenchConfig::FromArgs(
-      argc, argv, BenchConfig::kSummaryFlag | BenchConfig::kTailFlags);
-  // Open-loop load wants a real server pool; default to 100 concurrent
-  // servers unless the caller sized it explicitly.
-  bool users_given = false;
-  for (int i = 1; i < argc; i++) {
-    if (strncmp(argv[i], "--users=", 8) == 0) users_given = true;
-  }
-  if (!users_given) cfg.users = 100;
+      argc, argv,
+      BenchConfig::kSummaryFlag | BenchConfig::kTailFlags |
+          BenchConfig::kTpcbFlags);
+  // Open-loop load wants a real server pool: 100 concurrent servers
+  // unless the caller sized it.
+  cfg.users = cfg.UsersOr(100);
 
   std::vector<double> offered = ParseOfferedList(
       cfg.offered_tps.empty() ? "4,8,16,32" : cfg.offered_tps);
@@ -118,28 +116,7 @@ int main(int argc, char** argv) {
       auto rig =
           ArchRig::Create(arch, cfg.MachineOptions(), cfg.LibTpOptions());
       OpenLoopResult res;
-      std::string error;
-      Status run_status = rig->Run([&] {
-        auto db =
-            LoadTpcb(rig->backend.get(), rig->machine->kernel.get(), tpcb);
-        if (!db.ok()) {
-          error = db.status().ToString();
-          return;
-        }
-        Status synced = rig->machine->fs->SyncAll();
-        if (!synced.ok()) {
-          error = synced.ToString();
-          return;
-        }
-        if (warmup > 0) {
-          TpcbDriver wdriver(rig->backend.get(), &db.value(), tpcb,
-                             /*seed=*/17);
-          auto w = wdriver.Run(warmup);
-          if (!w.ok()) {
-            error = w.status().ToString();
-            return;
-          }
-        }
+      auto measure = [&](TpcbDatabase* db, TpcbDriver*) -> Status {
         fprintf(stderr, "[bench] %s @ %g tps: measuring...\n",
                 ArchName(arch), tps);
         OpenLoopOptions opts;
@@ -149,21 +126,23 @@ int main(int argc, char** argv) {
         opts.queue_cap = cfg.queue_cap;
         opts.target_arrivals = target;
         opts.exemplars = cfg.exemplars;
-        OpenLoopDriver ol(rig->backend.get(), &db.value(), tpcb, opts);
-        auto r = ol.Run();
-        if (!r.ok()) {
-          error = r.status().ToString();
-          return;
-        }
-        res = r.value();
+        MetricValues mark = rig->env()->metrics()->Mark();
+        SimTime t0 = rig->env()->Now();
+        OpenLoopDriver ol(rig->backend.get(), db, tpcb, opts);
+        LFSTX_ASSIGN_OR_RETURN(res, ol.Run());
+        PrintWindow(cfg, Fmt("%s@%g", ArchSlug(arch), tps), MgrOf(arch),
+                    rig->env()->metrics()->Delta(mark),
+                    rig->env()->Now() - t0);
         cfg.DumpMetrics(Fmt("tail_%s_%g", ArchSlug(arch), tps),
                         rig->MetricsJson());
-        PrintRigProfile(cfg, rig.get(), Fmt("%s@%g", ArchSlug(arch), tps));
+        return InvariantSweep(cfg, rig.get());
+      };
+      Status st = RunIn(rig.get(), [&] {
+        return LoadAndWarm(rig.get(), tpcb, /*seed=*/17, warmup, measure);
       });
-      if (!run_status.ok() && error.empty()) error = run_status.ToString();
-      if (!error.empty()) {
+      if (!st.ok()) {
         fprintf(stderr, "%s @ %g tps failed: %s\n", ArchName(arch), tps,
-                error.c_str());
+                st.ToString().c_str());
         return 1;
       }
 

@@ -211,6 +211,20 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::SampleNumeric()
   return out;
 }
 
+MetricValues MetricsRegistry::Mark() const {
+  std::vector<std::pair<std::string, double>> now = SampleNumeric();
+  return MetricValues(now.begin(), now.end());
+}
+
+MetricValues MetricsRegistry::Delta(const MetricValues& mark) const {
+  MetricValues d = Mark();
+  for (auto& [name, v] : d) {
+    auto it = mark.find(name);
+    if (it != mark.end()) v -= it->second;
+  }
+  return d;
+}
+
 std::string MetricsRegistry::PrettyPrint(
     const std::vector<std::string>& prefixes) const {
   std::string out;

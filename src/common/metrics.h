@@ -111,6 +111,9 @@ class MetricHistogram {
   HdrHistogram h_;
 };
 
+/// Numeric metric values by name, as SampleNumeric flattens them.
+using MetricValues = std::map<std::string, double>;
+
 /// \brief Registry of named metrics, snapshotable to JSON.
 class MetricsRegistry {
  public:
@@ -155,6 +158,14 @@ class MetricsRegistry {
   /// `<name>.count` and `<name>.sum` (the two fields whose deltas are
   /// meaningful over a sampling window). Sorted by name.
   std::vector<std::pair<std::string, double>> SampleNumeric() const;
+
+  /// Every numeric metric now, to open a measured window.
+  MetricValues Mark() const;
+
+  /// `now - mark` for every numeric metric: the window since `mark`. A
+  /// metric registered after the mark counts from zero. Level gauges
+  /// (queue depth, utilization) difference as levels.
+  MetricValues Delta(const MetricValues& mark) const;
 
   /// Human-readable table of every metric whose name starts with one of
   /// `prefixes` (all metrics when empty): counters/gauges one per line,

@@ -201,6 +201,64 @@ TEST(MetricsRegistryTest, JsonSnapshotRoundTrip) {
   reg.DropOwner(&util);
 }
 
+// ------------------------------------------------------ measured window --
+
+TEST(MetricsRegistryTest, DeltaCoversOnlyTheWindowSinceMark) {
+  MetricsRegistry reg;
+  MetricCounter* c = reg.GetCounter("disk.seeks", "count", "head movements");
+  MetricHistogram* h = reg.GetHistogram("disk.request_latency_us", "us", "");
+  double depth = 3;
+  reg.AddGauge(&depth, "disk.queue_depth", "requests", "queued now",
+               [&depth] { return depth; });
+  c->Inc(10);
+  h->Add(100);
+  h->Add(200);
+
+  MetricValues mark = reg.Mark();
+  EXPECT_EQ(mark.at("disk.seeks"), 10);
+  EXPECT_EQ(mark.at("disk.request_latency_us.count"), 2);
+  EXPECT_EQ(mark.at("disk.request_latency_us.sum"), 300);
+
+  c->Inc(7);
+  h->Add(40);
+  depth = 5;
+  MetricValues d = reg.Delta(mark);
+  EXPECT_EQ(d.at("disk.seeks"), 7);
+  EXPECT_EQ(d.at("disk.queue_depth"), 2);
+  EXPECT_EQ(d.at("disk.request_latency_us.count"), 1);
+  EXPECT_EQ(d.at("disk.request_latency_us.sum"), 40);
+  EXPECT_EQ(d.size(), mark.size());
+  reg.DropOwner(&depth);
+}
+
+TEST(MetricsRegistryTest, MetricRegisteredAfterMarkCountsFromZero) {
+  MetricsRegistry reg;
+  reg.GetCounter("disk.seeks", "count", "head movements")->Inc(4);
+  MetricValues mark = reg.Mark();
+
+  reg.GetCounter("cleaner.rounds", "count", "passes")->Inc(3);
+  reg.GetHistogram("blame.disk.cleaner_us", "us", "")->Add(250);
+  MetricValues d = reg.Delta(mark);
+  EXPECT_EQ(mark.count("cleaner.rounds"), 0u);
+  EXPECT_EQ(d.at("cleaner.rounds"), 3);
+  EXPECT_EQ(d.at("blame.disk.cleaner_us.count"), 1);
+  EXPECT_EQ(d.at("blame.disk.cleaner_us.sum"), 250);
+}
+
+TEST(MetricsRegistryTest, UnchangedMetricReadsZero) {
+  MetricsRegistry reg;
+  reg.GetCounter("disk.seeks", "count", "head movements")->Inc(9);
+  reg.GetHistogram("disk.request_latency_us", "us", "")->Add(70);
+  double level = 0.5;
+  reg.AddGauge(&level, "lfs.utilization", "ratio", "",
+               [&level] { return level; });
+  MetricValues mark = reg.Mark();
+  for (const auto& [name, v] : reg.Delta(mark)) {
+    EXPECT_EQ(v, 0) << name;
+  }
+  reg.DropOwner(&level);
+}
+
 // -------------------------------------------------------------- tracer --
 
 TEST(TracerTest, DisabledCategoriesEmitNothing) {
