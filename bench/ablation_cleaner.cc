@@ -1,4 +1,4 @@
-// Ablation — cleaner placement and policy (paper sections 5.1 and 5.4).
+// Ablation — cleaner placement (paper sections 5.1 and 5.4).
 //
 // The paper blames the kernel cleaner for much of the gap between the
 // simulation's predicted 27% LFS win and the measured 10%: while cleaning,
@@ -6,9 +6,8 @@
 // transaction throughput are interrupted by periods of no transaction
 // throughput". Section 5.4 moves the cleaner to user space.
 //
-// Rows: kernel cleaner (greedy) — the measured system;
-//       user-space cleaner (greedy) — the section 5.4 redesign;
-//       user-space cleaner (cost-benefit) — Rosenblum's policy;
+// Rows: kernel cleaner — the measured system;
+//       user-space cleaner — the section 5.4 redesign;
 //       no cleaner — upper bound. Without a cleaner the log must never
 //       fill, so this row alone runs on the full RZ55 (1280 cylinders,
 //       300 MB) instead of the scaled disk (320 cylinders at the default
@@ -24,7 +23,7 @@ int main(int argc, char** argv) {
   uint64_t warmup = cfg.TxnsOr(8000) / 2;  // push the log toward cleaning
   uint64_t txns = cfg.TxnsOr(8000);
 
-  printf("Ablation: cleaner placement & policy (embedded/LFS, %llu txns "
+  printf("Ablation: cleaner placement (embedded/LFS, %llu txns "
          "after %llu warm-up)\n\n",
          (unsigned long long)txns, (unsigned long long)warmup);
 
@@ -33,19 +32,15 @@ int main(int argc, char** argv) {
     const char* slug;
     bool enabled;
     Cleaner::Mode mode;
-    CleanPolicy policy;
     uint32_t cylinders;  // 0 = the scaled disk
   };
   const Row rows[] = {
-      {"kernel cleaner, greedy (paper's system)", "kernel_greedy", true,
-       Cleaner::Mode::kKernel, CleanPolicy::kGreedy, 0},
-      {"user-space cleaner, greedy (section 5.4)", "user_greedy", true,
-       Cleaner::Mode::kUserSpace, CleanPolicy::kGreedy, 0},
-      {"user-space cleaner, cost-benefit", "user_cost_benefit", true,
-       Cleaner::Mode::kUserSpace, CleanPolicy::kCostBenefit, 0},
+      {"kernel cleaner (paper's system)", "kernel", true,
+       Cleaner::Mode::kKernel, 0},
+      {"user-space cleaner (section 5.4)", "user", true,
+       Cleaner::Mode::kUserSpace, 0},
       {"no cleaner (upper bound; full 300 MB RZ55)", "no_cleaner", false,
-       Cleaner::Mode::kKernel, CleanPolicy::kGreedy,
-       DiskGeometry{}.cylinders},
+       Cleaner::Mode::kKernel, DiskGeometry{}.cylinders},
   };
 
   ResultTable table(
@@ -55,7 +50,6 @@ int main(int argc, char** argv) {
     if (row.cylinders != 0) run.machine.disk.geometry.cylinders = row.cylinders;
     run.machine.start_cleaner = row.enabled;
     run.machine.cleaner.mode = row.mode;
-    run.machine.cleaner.policy = row.policy;
     run.label = std::string("ablation_cleaner_") + row.slug;
     TpcbMeasurement m = MeasureTpcb(run, cfg);
     if (!m.ok) {

@@ -70,7 +70,8 @@
 //   --help           print the flag list and exit 2
 // Any other argument, including a flag this bench does not take, prints
 // the flag list and exits 2, and so does a numeric flag whose value is not
-// a whole number.
+// a whole number. So do a bad --trace spec and a --trace-file, --summary
+// or --metrics-dir that cannot be written, before anything runs.
 // Measured quantities are *virtual* (simulated) times; wall-clock run time
 // of the binary is irrelevant.
 //
@@ -81,6 +82,7 @@
 #define LFSTX_BENCH_BENCH_COMMON_H_
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <charconv>
 #include <cstdio>
@@ -260,7 +262,57 @@ struct BenchConfig {
         exit(2);
       }
     }
+    c.CheckOutputs();
     return c;
+  }
+
+  /// A run must not end by losing its output: exit 2 up front when the
+  /// --trace spec is bad or an output path cannot be written.
+  void CheckOutputs() const {
+    if (Status s = Tracer(nullptr).EnableSpec(trace); !s.ok()) {
+      fprintf(stderr, "bad --trace=%s: %s\n", trace.c_str(),
+              s.message().c_str());
+      exit(2);
+    }
+    for (const std::string* path : {&trace_file, &summary}) {
+      if (!path->empty() && !CanCreate(*path)) {
+        fprintf(stderr, "cannot write %s\n", path->c_str());
+        exit(2);
+      }
+    }
+    if (!metrics_dir.empty()) {
+      mkdir(metrics_dir.c_str(), 0755);  // an existing directory is fine
+      if (access(metrics_dir.c_str(), W_OK | X_OK) != 0) {
+        fprintf(stderr, "cannot write into --metrics-dir=%s\n",
+                metrics_dir.c_str());
+        exit(2);
+      }
+    }
+  }
+
+  /// Whether `path` is a writable file or could be created as one.
+  static bool CanCreate(const std::string& path) {
+    if (access(path.c_str(), F_OK) == 0) {
+      return access(path.c_str(), W_OK) == 0;
+    }
+    size_t slash = path.rfind('/');
+    std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
+    return access(dir.empty() ? "/" : dir.c_str(), W_OK | X_OK) == 0;
+  }
+
+  /// Write `json` to the --summary file, if one was given. False (after
+  /// saying why) when the write fails.
+  bool WriteSummary(const std::string& json) const {
+    if (summary.empty()) return true;
+    FILE* f = fopen(summary.c_str(), "w");
+    if (f == nullptr) {
+      fprintf(stderr, "cannot write summary file %s\n", summary.c_str());
+      return false;
+    }
+    fwrite(json.data(), 1, json.size(), f);
+    fclose(f);
+    fprintf(stderr, "[bench] summary: %s\n", summary.c_str());
+    return true;
   }
 
   static void PrintUsage(FILE* out, const char* prog) {
@@ -314,7 +366,6 @@ struct BenchConfig {
   /// configuration, e.g. "fig4_embedded_lfs".
   void DumpMetrics(const std::string& name, const std::string& json) const {
     if (metrics_dir.empty() || json.empty()) return;
-    mkdir(metrics_dir.c_str(), 0755);  // best effort; open reports failure
     std::string path = metrics_dir + "/" + name + ".json";
     FILE* f = fopen(path.c_str(), "w");
     if (f == nullptr) {

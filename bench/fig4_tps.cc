@@ -100,14 +100,7 @@ int main(int argc, char** argv) {
         (unsigned long long)txns, (unsigned long long)cfg.UsersOr(1));
     json += summary_configs;
     json += "\n  ]\n}\n";
-    FILE* f = fopen(cfg.summary.c_str(), "w");
-    if (f == nullptr) {
-      fprintf(stderr, "cannot write summary file %s\n", cfg.summary.c_str());
-      return 1;
-    }
-    fwrite(json.data(), 1, json.size(), f);
-    fclose(f);
-    fprintf(stderr, "[bench] summary: %s\n", cfg.summary.c_str());
+    if (!cfg.WriteSummary(json)) return 1;
   }
 
   printf("\nshape checks (paper -> measured):\n");

@@ -376,22 +376,13 @@ int Main(int argc, char** argv) {
     printf("%s", points.back().pretty.c_str());
   }
 
-  if (!cfg.summary.empty()) {
-    FILE* f = fopen(cfg.summary.c_str(), "w");
-    if (f == nullptr) {
-      fprintf(stderr, "cannot write %s\n", cfg.summary.c_str());
-      return 1;
-    }
-    fprintf(f, "{\n \"bench\": \"fig_cleaning\",\n \"points\": [\n");
-    for (size_t i = 0; i < points.size(); i++) {
-      fprintf(f, "  %s%s\n", PointJson(points[i]).c_str(),
-              i + 1 < points.size() ? "," : "");
-    }
-    fprintf(f, " ]\n}\n");
-    fclose(f);
-    fprintf(stderr, "[bench] summary: %s\n", cfg.summary.c_str());
+  std::string json = "{\n \"bench\": \"fig_cleaning\",\n \"points\": [\n";
+  for (size_t i = 0; i < points.size(); i++) {
+    json += "  " + PointJson(points[i]) +
+            (i + 1 < points.size() ? ",\n" : "\n");
   }
-  return 0;
+  json += " ]\n}\n";
+  return cfg.WriteSummary(json) ? 0 : 1;
 }
 
 }  // namespace

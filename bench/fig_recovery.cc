@@ -204,23 +204,14 @@ int Main(int argc, char** argv) {
   }
   ot.Print();
 
-  if (!cfg.summary.empty()) {
-    FILE* f = fopen(cfg.summary.c_str(), "w");
-    if (f == nullptr) {
-      fprintf(stderr, "cannot write %s\n", cfg.summary.c_str());
-      return 1;
-    }
-    fprintf(f, "{\n \"bench\": \"fig_recovery\",\n \"curve\": [\n");
-    for (size_t i = 0; i < curve.size(); i++) {
-      fprintf(f, "  %s%s\n", CurveJson(curve[i]).c_str(),
-              i + 1 < curve.size() ? "," : "");
-    }
-    fprintf(f, " ],\n \"overhead\": [\n  %s,\n  %s\n ]\n}\n",
-            OverheadJson(off).c_str(), OverheadJson(on).c_str());
-    fclose(f);
-    fprintf(stderr, "[bench] summary: %s\n", cfg.summary.c_str());
+  std::string json = "{\n \"bench\": \"fig_recovery\",\n \"curve\": [\n";
+  for (size_t i = 0; i < curve.size(); i++) {
+    json += "  " + CurveJson(curve[i]) +
+            (i + 1 < curve.size() ? ",\n" : "\n");
   }
-  return 0;
+  json += " ],\n \"overhead\": [\n  " + OverheadJson(off) + ",\n  " +
+          OverheadJson(on) + "\n ]\n}\n";
+  return cfg.WriteSummary(json) ? 0 : 1;
 }
 
 }  // namespace

@@ -203,14 +203,7 @@ int main(int argc, char** argv) {
         (unsigned long long)target, (unsigned long long)cfg.exemplars);
     json += summary_configs;
     json += "\n  ]\n}\n";
-    FILE* f = fopen(cfg.summary.c_str(), "w");
-    if (f == nullptr) {
-      fprintf(stderr, "cannot write summary file %s\n", cfg.summary.c_str());
-      return 1;
-    }
-    fwrite(json.data(), 1, json.size(), f);
-    fclose(f);
-    fprintf(stderr, "[bench] summary: %s\n", cfg.summary.c_str());
+    if (!cfg.WriteSummary(json)) return 1;
   }
   return 0;
 }

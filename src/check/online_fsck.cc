@@ -48,6 +48,7 @@ OnlineFsck::OnlineFsck(SimEnv* env, Lfs* lfs, SimDisk* disk, Options options)
 }
 
 OnlineFsck::~OnlineFsck() {
+  LFSTX_CHECK(slices_.idle(), "OnlineFsck destroyed mid-audit");
   env_->metrics()->DropOwner(this);
   shared_->alive = false;
 }
@@ -59,6 +60,7 @@ void OnlineFsck::Problem(const char* what, uint64_t a, uint64_t b) {
 }
 
 void OnlineFsck::AuditSlice() {
+  InFlight::Scope slice(&slices_);
   if (!lfs_->is_mounted()) return;
   AuditImapBlock(next_imap_block_);
   AuditSegment(next_segment_);

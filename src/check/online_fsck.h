@@ -46,6 +46,8 @@ class OnlineFsck {
   };
 
   OnlineFsck(SimEnv* env, Lfs* lfs, SimDisk* disk, Options options);
+  /// LFSTX_CHECK-fails while an audit slice is in flight: it would resume
+  /// into this object.
   ~OnlineFsck();
 
   /// Wake the daemon immediately (tests).
@@ -73,6 +75,7 @@ class OnlineFsck {
   Options options_;
   std::shared_ptr<Shared> shared_;
   FsckStats stats_;
+  InFlight slices_;  ///< AuditSlice calls running
   uint32_t next_imap_block_ = 0;
   uint32_t next_segment_ = 0;
 };

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "db/btree.h"
-#include "db/hash.h"
 #include "db/recno.h"
 
 namespace lfstx {
@@ -153,8 +152,6 @@ Result<std::unique_ptr<Db>> Db::Open(DbBackend* backend,
       return Btree::Open(backend, path, options);
     case DbType::kRecno:
       return Recno::Open(backend, path, options);
-    case DbType::kHash:
-      return HashDb::Open(backend, path, options);
   }
   return Status::InvalidArgument("unknown db type");
 }

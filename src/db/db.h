@@ -1,6 +1,8 @@
 // The 4.4BSD db(3)-style record interface (paper section 3: "the record-
 // oriented subroutine interface provided by the 4.4BSD database access
 // routines to read and write B-Tree, hashed, or fixed-length records").
+// The B-tree and fixed-length (recno) methods are here: they are the two
+// the paper's TPC-B opens.
 //
 // Access methods are written once against DbBackend and run on either
 // transaction architecture:
@@ -104,7 +106,7 @@ class EmbeddedBackend : public DbBackend {
   std::vector<FileEntry> files_;
 };
 
-enum class DbType { kBtree, kRecno, kHash };
+enum class DbType { kBtree, kRecno };
 
 /// \brief Record-oriented database handle.
 class Db {
@@ -113,7 +115,6 @@ class Db {
     DbType type = DbType::kBtree;
     bool create = true;
     uint32_t record_size = 64;  ///< recno only
-    uint32_t nbuckets = 64;     ///< hash only
   };
 
   static Result<std::unique_ptr<Db>> Open(DbBackend* backend,
@@ -121,12 +122,12 @@ class Db {
                                           const Options& options);
   virtual ~Db() = default;
 
-  // Keyed access (B-tree, hash).
+  // Keyed access (B-tree).
   virtual Status Get(TxnId txn, Slice key, std::string* val);
   virtual Status Put(TxnId txn, Slice key, Slice val);
   virtual Status Delete(TxnId txn, Slice key);
-  /// Full scan in key order (B-tree) or bucket order (hash). The callback
-  /// returns false to stop early.
+  /// Full scan in key order (B-tree). The callback returns false to stop
+  /// early.
   virtual Status Scan(TxnId txn,
                       const std::function<bool(Slice, Slice)>& fn);
 

@@ -21,7 +21,6 @@ enum class PageType : uint16_t {
   kBtreeInternal = 2,
   kBtreeLeaf = 3,
   kRecno = 4,
-  kHashBucket = 5,
 };
 
 /// \brief Common 32-byte page header.
@@ -32,7 +31,7 @@ struct PageHeader {
   uint16_t cell_start = kBlockSize;  ///< lowest cell offset
   uint16_t flags = 0;
   uint64_t next = 0;  ///< leaf right-sibling / overflow chain / record count
-  uint64_t aux = 0;   ///< meta: root page | record size | bucket count
+  uint64_t aux = 0;   ///< meta: root page | record size
 };
 static_assert(sizeof(PageHeader) == 32);
 
@@ -40,7 +39,7 @@ PageHeader* Header(char* page);
 const PageHeader* Header(const char* page);
 void InitPage(char* page, PageType type);
 
-/// Slotted-cell operations for B-tree (and hash bucket) pages.
+/// Slotted-cell operations for B-tree pages.
 namespace slotted {
 
 uint16_t SlotCount(const char* page);

@@ -1,8 +1,6 @@
-// Pending-request queue for the simulated disk, with the two scheduling
-// disciplines the paper's platform offered: FIFO and an elevator (C-LOOK)
-// that sorts by cylinder. The read-optimized file system's 30-second
-// write-back ("sorted in the disk queue with all other I/O") relies on the
-// elevator; the ablation bench compares the two.
+// Pending-request queue for the simulated disk, served in elevator
+// (C-LOOK) order by cylinder. The read-optimized file system's 30-second
+// write-back is "sorted in the disk queue with all other I/O".
 #ifndef LFSTX_DISK_DISK_QUEUE_H_
 #define LFSTX_DISK_DISK_QUEUE_H_
 
@@ -41,28 +39,22 @@ struct DiskRequest {
   uint64_t ahead_txn = 0;
 };
 
-/// \brief Request queue with pluggable scheduling policy.
+/// \brief Request queue in elevator order.
 class DiskQueue {
  public:
-  enum class Policy { kFifo, kElevator };
-
-  explicit DiskQueue(Policy policy) : policy_(policy) {}
-
   void Push(std::unique_ptr<DiskRequest> req);
 
   /// Select and remove the next request to service given the current head
-  /// position. Returns nullptr if empty. The elevator policy is C-LOOK:
-  /// the nearest request at or beyond the current cylinder, wrapping to the
-  /// lowest cylinder when none remain ahead.
+  /// position. Returns nullptr if empty. The order is C-LOOK: the nearest
+  /// request at or beyond the current cylinder, wrapping to the lowest
+  /// cylinder when none remain ahead; ties go to the earlier submission.
   std::unique_ptr<DiskRequest> PopNext(uint32_t current_cylinder,
                                        const DiskGeometry& geometry);
 
   size_t size() const { return pending_.size(); }
   bool empty() const { return pending_.empty(); }
-  Policy policy() const { return policy_; }
 
  private:
-  Policy policy_;
   std::deque<std::unique_ptr<DiskRequest>> pending_;
 };
 

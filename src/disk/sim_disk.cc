@@ -12,8 +12,7 @@ const char kZeroBlock[kBlockSize] = {0};
 
 SimDisk::SimDisk(SimEnv* env, Options options)
     : env_(env),
-      model_(options.geometry, options.timing),
-      queue_(options.scheduling) {
+      model_(options.geometry, options.timing) {
   MetricsRegistry* m = env_->metrics();
   latency_hist_ = m->GetHistogram("disk.request_latency_us", "us",
                                   "submit-to-completion latency per request");

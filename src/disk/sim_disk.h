@@ -29,7 +29,6 @@ class SimDisk {
   struct Options {
     DiskGeometry geometry;
     DiskTiming timing;
-    DiskQueue::Policy scheduling = DiskQueue::Policy::kElevator;
   };
 
   struct Stats {

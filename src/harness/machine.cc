@@ -106,22 +106,30 @@ std::unique_ptr<Machine> Machine::Build(const Options& options) {
   if (spec.empty()) {
     if (const char* e = getenv("LFSTX_TRACE")) spec = e;
   }
+  Tracer* tracer = m->env->tracer();
   if (!spec.empty()) {
-    Status s = m->env->tracer()->EnableSpec(spec);
+    Status s = tracer->EnableSpec(spec);
     if (!s.ok()) {
       fprintf(stderr, "lfstx: bad trace spec %s: %s\n", spec.c_str(),
               s.message().c_str());
     }
-    std::string path = options.trace_path;
-    if (path.empty()) {
-      if (const char* e = getenv("LFSTX_TRACE_FILE")) path = e;
-    }
-    if (!path.empty()) {
-      s = m->env->tracer()->OpenFile(path);
-      if (!s.ok()) {
-        fprintf(stderr, "lfstx: cannot open trace file %s: %s\n",
-                path.c_str(), s.message().c_str());
-      }
+  }
+  // The sampler's metrics category counts like a spec's: with either on,
+  // the events go to the trace file.
+  SimTime interval = options.sample_interval;
+  if (interval == 0) {
+    if (auto ms = EnvNumber("LFSTX_SAMPLE_MS")) interval = *ms * kMillisecond;
+  }
+  if (interval > 0) tracer->Enable(TraceCat::kMetrics);
+  std::string path = options.trace_path;
+  if (path.empty()) {
+    if (const char* e = getenv("LFSTX_TRACE_FILE")) path = e;
+  }
+  if (tracer->mask() != 0 && !path.empty()) {
+    Status s = tracer->OpenFile(path);
+    if (!s.ok()) {
+      fprintf(stderr, "lfstx: cannot open trace file %s: %s\n",
+              path.c_str(), s.message().c_str());
     }
   }
   // Flight recorder: when nobody is watching the trace stream, keep a
@@ -130,11 +138,8 @@ std::unique_ptr<Machine> Machine::Build(const Options& options) {
   // sink already has everything).
   int64_t flight = options.flight_events;
   if (flight < 0) {
-    if (const char* e = getenv("LFSTX_FLIGHT")) {
-      flight = strtoll(e, nullptr, 10);
-    } else {
-      flight = spec.empty() ? 64 : 0;
-    }
+    flight = spec.empty() ? 64 : 0;
+    if (auto n = EnvNumber("LFSTX_FLIGHT")) flight = static_cast<int64_t>(*n);
   }
   if (flight > 0) {
     m->env->tracer()->EnableFlightRecorder(static_cast<size_t>(flight));
@@ -177,14 +182,7 @@ std::unique_ptr<Machine> Machine::Build(const Options& options) {
   m->kernel = std::make_unique<Kernel>(m->env.get(), m->fs.get());
   // Metrics sampler: started last so the first tick sees every component's
   // gauges and histograms registered.
-  SimTime interval = options.sample_interval;
-  if (interval == 0) {
-    if (const char* e = getenv("LFSTX_SAMPLE_MS")) {
-      interval = strtoull(e, nullptr, 10) * kMillisecond;
-    }
-  }
   if (interval > 0) {
-    m->env->tracer()->Enable(TraceCat::kMetrics);
     m->sampler = std::make_unique<MetricsSampler>(m->env.get(), interval);
   }
   return m;

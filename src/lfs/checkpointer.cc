@@ -18,6 +18,7 @@ Checkpointer::Checkpointer(SimEnv* env, Lfs* lfs, Options options)
         while (!env->stop_requested() && shared->alive) {
           shared->wakeup.SleepFor(interval);
           if (env->stop_requested() || !shared->alive) break;
+          InFlight::Scope round(&rounds_);
           stats_.rounds++;
           Status s = lfs_->Checkpoint();
           if (!s.ok() && s.code() != Code::kBusy) stats_.errors++;
@@ -35,6 +36,7 @@ Checkpointer::Checkpointer(SimEnv* env, Lfs* lfs, Options options)
 }
 
 Checkpointer::~Checkpointer() {
+  LFSTX_CHECK(rounds_.idle(), "Checkpointer destroyed mid-checkpoint");
   env_->metrics()->DropOwner(this);
   shared_->alive = false;
 }

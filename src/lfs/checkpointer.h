@@ -28,6 +28,8 @@ class Checkpointer {
 
   /// Spawns the daemon. It exits on env shutdown or ~Checkpointer.
   Checkpointer(SimEnv* env, Lfs* lfs, Options options);
+  /// LFSTX_CHECK-fails while a checkpoint is in flight: it would resume
+  /// into this object.
   ~Checkpointer();
 
   /// Wake the daemon immediately (tests).
@@ -50,6 +52,7 @@ class Checkpointer {
   Options options_;
   std::shared_ptr<Shared> shared_;
   CheckpointerStats stats_;
+  InFlight rounds_;  ///< the daemon's checkpoint, while it runs
 };
 
 }  // namespace lfstx

@@ -11,6 +11,9 @@ Cleaner::Cleaner(SimEnv* env, Lfs* lfs, Options options)
       lfs_(lfs),
       options_(options),
       shared_(std::make_shared<Shared>(env)) {
+  LFSTX_CHECK(options_.low_water > Lfs::kCleanerReserveSegments,
+              "the cleaner's low watermark must exceed the writer's "
+              "reserve");
   lfs_->AttachCleaner(this);
   // The daemon thread is owned by SimEnv and may be drained after this
   // Cleaner is destroyed; it only touches `this` while shared->alive.
@@ -56,6 +59,7 @@ Cleaner::Cleaner(SimEnv* env, Lfs* lfs, Options options)
 }
 
 Cleaner::~Cleaner() {
+  LFSTX_CHECK(passes_.idle(), "Cleaner destroyed with a pass in flight");
   env_->metrics()->DropOwner(this);
   shared_->alive = false;
   if (lfs_ != nullptr) lfs_->AttachCleaner(nullptr);
@@ -67,11 +71,7 @@ void Cleaner::Loop() {
   // net segment takes at high utilization; low enough that an equilibrium
   // grind gives the log back to its writers every poll interval.
   constexpr uint32_t kMaxStagnantPasses = 32;
-  // Engage no later than the writer's reserve floor: the writer stalls at
-  // three clean segments, so a low watermark below four would leave it
-  // stalled while the cleaner still considers the log healthy.
-  uint32_t engage = std::max<uint32_t>(options_.low_water, 4);
-  if (lfs_->clean_segments() >= engage) return;
+  if (lfs_->clean_segments() >= options_.low_water) return;
   stats_.rounds++;
   // Forward progress is judged over a window of passes, not one pass: at
   // high victim utilization a pass frees its victim (+1) but also
@@ -157,6 +157,7 @@ BufferKey CacheKey(const SummaryEntry& o) {
 }  // namespace
 
 Status Cleaner::CleanOne() {
+  InFlight::Scope pass(&passes_);
   SimTime t0 = env_->Now();
   bool locked_log = false;
   std::vector<Inode*> locked;
@@ -200,12 +201,7 @@ Status Cleaner::CleanOne() {
     return Status::Busy("stopped");
   }
 
-  // At the reserve floor the pass must fit inside the last clean segments,
-  // so override the policy with greedy: the lowest-live victim is the one
-  // whose copy-forward is guaranteed smallest.
-  CleanPolicy policy = lfs_->clean_segments() <= 1 ? CleanPolicy::kGreedy
-                                                   : options_.policy;
-  auto victim_r = lfs_->usage_.PickVictim(policy, env_->Now());
+  auto victim_r = lfs_->usage_.PickVictim();
   if (!victim_r.ok()) return finish(victim_r.status());
   uint32_t victim = victim_r.value();
   // LFSTX_YIELD_OK(revalidated against usage_ after the log lock is reacquired below)
@@ -450,6 +446,7 @@ Status Cleaner::CleanOne() {
 }
 
 Status Cleaner::CoalesceFile(InodeNum inum) {
+  InFlight::Scope pass(&passes_);
   auto ir = lfs_->GetInode(inum);
   if (!ir.ok()) return ir.status();
   Inode* ino = ir.value();

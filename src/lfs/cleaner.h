@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "lfs/lfs.h"
-#include "lfs/segment_usage.h"
 
 namespace lfstx {
 
@@ -36,8 +35,9 @@ class Cleaner {
 
   struct Options {
     Mode mode = Mode::kKernel;
-    CleanPolicy policy = CleanPolicy::kGreedy;
-    /// Start cleaning when clean segments drop to this many...
+    /// Start cleaning when clean segments drop below this many (more than
+    /// Lfs::kCleanerReserveSegments, where the writer stalls, or the
+    /// writer could wait on a cleaner that thinks the log is healthy)...
     uint32_t low_water = 8;
     /// ...and stop once this many are clean again.
     uint32_t high_water = 16;
@@ -57,8 +57,11 @@ class Cleaner {
 
   /// Spawns the cleaner daemon and attaches it to the file system.
   Cleaner(SimEnv* env, Lfs* lfs, Options options);
-  /// Detaches the daemon: it exits on its next wakeup without touching
-  /// this object again (the daemon thread itself is owned by SimEnv).
+  /// Detaches the daemon: between passes it exits on its next wakeup
+  /// without touching this object again (the daemon thread itself is
+  /// owned by SimEnv). A pass resumes into this object, so destroying a
+  /// Cleaner while a pass is in flight fails an LFSTX_CHECK; keep it
+  /// alive until SimEnv::Run returns, or until its passes are done.
   ~Cleaner();
 
   /// Wake the daemon immediately (writer is out of segments).
@@ -98,6 +101,7 @@ class Cleaner {
   Options options_;
   std::shared_ptr<Shared> shared_;
   CleanerStats stats_;
+  InFlight passes_;  ///< CleanOne and CoalesceFile calls running
   MetricHistogram* busy_hist_ = nullptr;         ///< per-CleanOne duration
   MetricHistogram* victim_util_hist_ = nullptr;  ///< utilization at pick
 };

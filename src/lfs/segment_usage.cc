@@ -141,26 +141,14 @@ Result<uint32_t> SegmentUsage::PickClean(uint32_t after) const {
   return Status::NoSpace("no clean segments (cleaner has fallen behind)");
 }
 
-Result<uint32_t> SegmentUsage::PickVictim(CleanPolicy policy,
-                                          SimTime now) const {
+Result<uint32_t> SegmentUsage::PickVictim() const {
   bool found = false;
   uint32_t best = 0;
-  double best_score = 0;
   for (uint32_t seg = 0; seg < nsegments_; seg++) {
-    const Entry& e = entries_[seg];
-    if (e.state != SegState::kDirty) continue;
-    double u = static_cast<double>(e.live) / segment_blocks_;
-    double score;
-    if (policy == CleanPolicy::kGreedy) {
-      score = 1.0 - u;  // fewer live blocks = better
-    } else {
-      double age = ToSeconds(now - e.write_time) + 1.0;
-      score = (1.0 - u) * age / (1.0 + u);
-    }
-    if (!found || score > best_score) {
+    if (entries_[seg].state != SegState::kDirty) continue;
+    if (!found || entries_[seg].live < entries_[best].live) {
       found = true;
       best = seg;
-      best_score = score;
     }
   }
   if (!found) return Status::NoSpace("no dirty segment to clean");

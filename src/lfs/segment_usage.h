@@ -31,12 +31,6 @@ enum class SegState : uint8_t {
   kActive = 2,  ///< the segment currently being appended to
 };
 
-/// Cleaning policies (Rosenblum; the paper's experiments used greedy).
-enum class CleanPolicy {
-  kGreedy,       ///< lowest live count first
-  kCostBenefit,  ///< max (1-u)*age / (1+u)
-};
-
 /// \brief In-memory segment usage table with a per-slot owner table.
 class SegmentUsage {
  public:
@@ -103,9 +97,10 @@ class SegmentUsage {
 
   /// Next clean segment (round-robin from `after`), or error if none.
   Result<uint32_t> PickClean(uint32_t after) const;
-  /// Best dirty segment to clean under `policy`. Returns error if no dirty
-  /// segment exists.
-  Result<uint32_t> PickVictim(CleanPolicy policy, SimTime now) const;
+  /// The greedy victim (the paper's experiments cleaned greedily): the
+  /// dirty segment with the fewest live blocks, the lowest-numbered one on
+  /// a tie. Returns error if no dirty segment exists.
+  Result<uint32_t> PickVictim() const;
 
   /// Checkpoint representation: 16 bytes per segment (written count, state,
   /// generation, write time).

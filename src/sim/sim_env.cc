@@ -1,6 +1,7 @@
 #include "sim/sim_env.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,10 +27,10 @@ thread_local SimProc* tls_current = nullptr;
 thread_local SimProc* tls_fiber_entry = nullptr;
 
 size_t FiberStackBytes() {
-  if (const char* e = getenv("LFSTX_SIM_STACK_KB")) {
-    uint64_t kb = strtoull(e, nullptr, 10);
-    if (kb >= 16) return static_cast<size_t>(kb) * 1024;
-    fprintf(stderr, "lfstx: ignoring LFSTX_SIM_STACK_KB=%s (min 16)\n", e);
+  if (auto kb = EnvNumber("LFSTX_SIM_STACK_KB")) {
+    if (*kb >= 16) return static_cast<size_t>(*kb) * 1024;
+    fprintf(stderr, "lfstx: ignoring LFSTX_SIM_STACK_KB=%llu (min 16)\n",
+            static_cast<unsigned long long>(*kb));
   }
   // 1 MiB usable per process. Stacks are MAP_NORESERVE and lazily
   // committed, so a thousand mostly-idle processes stay cheap.
@@ -39,6 +40,17 @@ size_t FiberStackBytes() {
 
 const char* SimBackendName(SimBackend b) {
   return b == SimBackend::kThreads ? "threads" : "fibers";
+}
+
+std::optional<uint64_t> EnvNumber(const char* name) {
+  const char* e = getenv(name);
+  if (e == nullptr) return std::nullopt;
+  const char* end = e + strlen(e);
+  uint64_t n = 0;
+  auto [parsed_to, err] = std::from_chars(e, end, n);
+  if (err == std::errc() && parsed_to == end) return n;
+  fprintf(stderr, "lfstx: ignoring %s=%s (a whole decimal number)\n", name, e);
+  return std::nullopt;
 }
 
 SimBackend DefaultSimBackend() {

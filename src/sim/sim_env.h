@@ -26,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -54,6 +55,12 @@ enum class SimBackend {
 
 /// "threads" / "fibers".
 const char* SimBackendName(SimBackend b);
+
+/// Numeric environment variable `name`: nullopt when it is unset, and also
+/// when its whole value is not a decimal number ("1e3", "64k", "abc"),
+/// after printing "lfstx: ignoring NAME=VALUE (...)" so the caller keeps
+/// its default.
+std::optional<uint64_t> EnvNumber(const char* name);
 
 /// Backend selected by LFSTX_SIM_BACKEND ("threads" | "fibers"); fibers
 /// when unset. ThreadSanitizer builds force kThreads — TSan cannot follow

@@ -3,7 +3,8 @@
 // invariant, so their state needs no internal locking, and all inherit
 // WaitQueue's FIFO wake ordering — part of the determinism contract in
 // SIMULATOR.md, and why these primitives behave identically on every
-// execution backend.
+// execution backend. InFlight counts the blocked calls a daemon object
+// must not be destroyed under.
 #ifndef LFSTX_SIM_SYNC_H_
 #define LFSTX_SIM_SYNC_H_
 
@@ -58,6 +59,31 @@ class SimMutexGuard {
  private:
   SimMutex* m_;
   bool locked_;
+};
+
+/// \brief The calls running on an object whose calls can block.
+///
+/// A call blocked in a daemon object (a cleaning pass waiting on a read)
+/// resumes into that object, even at shutdown. The object's destructor
+/// checks idle() so that destroying it under such a call fails loudly
+/// instead of resuming the call in freed memory.
+class InFlight {
+ public:
+  /// Marks one call in flight for its lifetime.
+  class Scope {
+   public:
+    explicit Scope(InFlight* f) : f_(f) { f_->calls_++; }
+    ~Scope() { f_->calls_--; }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    InFlight* f_;
+  };
+  bool idle() const { return calls_ == 0; }
+
+ private:
+  uint32_t calls_ = 0;
 };
 
 /// \brief Counting semaphore for simulated processes.

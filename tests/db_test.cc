@@ -229,39 +229,6 @@ TEST_P(DbArchTest, RecnoAppendAndFetch) {
   });
 }
 
-TEST_P(DbArchTest, HashPutGetDeleteWithOverflow) {
-  auto rig = TestRig::Create(GetParam(), SmallOptions());
-  rig->Run([&] {
-    Db::Options ho;
-    ho.type = DbType::kHash;
-    ho.nbuckets = 4;  // small: forces overflow chains
-    auto db = Db::Open(rig->backend.get(), "/hash", ho);
-    ASSERT_TRUE(db.ok());
-    TxnId txn = rig->backend->Begin().value();
-    const int kN = 400;
-    for (int i = 0; i < kN; i++) {
-      ASSERT_TRUE(
-          db.value()->Put(txn, Fmt("hk-%d", i), std::string(24, 'a' + i % 26))
-              .ok())
-          << i;
-    }
-    ASSERT_TRUE(rig->backend->Commit(txn).ok());
-    txn = rig->backend->Begin().value();
-    std::string val;
-    for (int i = 0; i < kN; i += 37) {
-      ASSERT_TRUE(db.value()->Get(txn, Fmt("hk-%d", i), &val).ok()) << i;
-      EXPECT_EQ(val, std::string(24, 'a' + i % 26));
-    }
-    ASSERT_TRUE(db.value()->Delete(txn, "hk-7").ok());
-    EXPECT_TRUE(db.value()->Get(txn, "hk-7", &val).IsNotFound());
-    // Replace with a larger value.
-    ASSERT_TRUE(db.value()->Put(txn, "hk-8", std::string(400, 'Z')).ok());
-    ASSERT_TRUE(db.value()->Get(txn, "hk-8", &val).ok());
-    EXPECT_EQ(val, std::string(400, 'Z'));
-    ASSERT_TRUE(rig->backend->Commit(txn).ok());
-  });
-}
-
 TEST_P(DbArchTest, AbortRollsBackUpdates) {
   auto rig = TestRig::Create(GetParam(), SmallOptions());
   rig->Run([&] {

@@ -132,30 +132,29 @@ TEST(SimDiskTest, ConcurrentRequestsQueue) {
 }
 
 TEST(SimDiskTest, ElevatorReducesSeekTimeVsFifo) {
-  auto run = [](DiskQueue::Policy policy) {
-    SimEnv env;
-    SimDisk::Options opt;
-    opt.scheduling = policy;
-    SimDisk disk(&env, opt);
-    // One process issues many scattered async writes at once, then waits.
-    env.Spawn("p", [&] {
-      char b[kBlockSize] = {0};
-      IoEvent ev(&env);
-      size_t remaining = 64;
-      uint64_t addr = 13;
-      for (int i = 0; i < 64; i++) {
-        addr = (addr * 48271 + 11) % disk.num_blocks();
-        disk.SubmitWrite(addr, 1, b, [&] {
-          if (--remaining == 0) ev.Fire();
-        });
-      }
-      ASSERT_TRUE(ev.Wait());
-    });
-    return env.Run();
-  };
-  SimTime fifo = run(DiskQueue::Policy::kFifo);
-  SimTime elevator = run(DiskQueue::Policy::kElevator);
-  EXPECT_LT(elevator, fifo);
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  // FIFO order is submission order: a bare model serves the same
+  // requests one after another.
+  DiskModel fifo{DiskGeometry{}, DiskTiming{}};
+  SimTime fifo_time = 0;
+  // One process issues many scattered async writes at once, then waits.
+  env.Spawn("p", [&] {
+    char b[kBlockSize] = {0};
+    IoEvent ev(&env);
+    size_t remaining = 64;
+    uint64_t addr = 13;
+    for (int i = 0; i < 64; i++) {
+      addr = (addr * 48271 + 11) % disk.num_blocks();
+      fifo_time += fifo.Service(fifo_time, addr, 1);
+      disk.SubmitWrite(addr, 1, b, [&] {
+        if (--remaining == 0) ev.Fire();
+      });
+    }
+    ASSERT_TRUE(ev.Wait());
+  });
+  env.Run();
+  EXPECT_LT(disk.model_stats().seek_us, fifo.stats().seek_us);
 }
 
 TEST(SimDiskTest, CrashDropsTailOfWrite) {
@@ -177,22 +176,8 @@ TEST(SimDiskTest, CrashDropsTailOfWrite) {
   env.Run();
 }
 
-TEST(DiskQueueTest, FifoOrder) {
-  DiskQueue q(DiskQueue::Policy::kFifo);
-  DiskGeometry g;
-  for (uint64_t i = 0; i < 3; i++) {
-    auto r = std::make_unique<DiskRequest>();
-    r->block = (3 - i) * 1000;
-    r->seq = i;
-    q.Push(std::move(r));
-  }
-  EXPECT_EQ(q.PopNext(0, g)->seq, 0u);
-  EXPECT_EQ(q.PopNext(0, g)->seq, 1u);
-  EXPECT_EQ(q.PopNext(0, g)->seq, 2u);
-}
-
 TEST(DiskQueueTest, ElevatorPicksAheadThenWraps) {
-  DiskQueue q(DiskQueue::Policy::kElevator);
+  DiskQueue q;
   DiskGeometry g;
   // Requests at cylinders 5, 10, 2 (blocks_per_cylinder = 60).
   for (uint64_t cyl : {5, 10, 2}) {

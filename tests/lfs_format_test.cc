@@ -232,23 +232,11 @@ TEST(SegmentUsageTest, GreedyPicksEmptiest) {
   SegmentUsage usage(4, 128);
   for (uint32_t s : {0u, 1u, 2u}) {
     usage.Activate(s);
-    Fill(&usage, s, 10 * (s + 1), 0);
+    Fill(&usage, s, s == 0 ? 20 : 10, 0);
     usage.Retire(s);
   }
-  EXPECT_EQ(usage.PickVictim(CleanPolicy::kGreedy, kSecond).value(), 0u);
-}
-
-TEST(SegmentUsageTest, CostBenefitPrefersOldWhenEquallyLive) {
-  SegmentUsage usage(4, 128);
-  usage.Activate(0);
-  Fill(&usage, 0, 10, 0);  // old
-  usage.Retire(0);
-  usage.Activate(1);
-  Fill(&usage, 1, 10, 100 * kSecond);  // young
-  usage.Retire(1);
-  EXPECT_EQ(usage.PickVictim(CleanPolicy::kCostBenefit, 200 * kSecond)
-                .value(),
-            0u);
+  // Segments 1 and 2 tie as the emptiest; the lower number wins.
+  EXPECT_EQ(usage.PickVictim().value(), 1u);
 }
 
 TEST(SegmentUsageTest, PickCleanRoundRobinAndExhaustion) {

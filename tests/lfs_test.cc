@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <set>
 
 #include "lfs/cleaner.h"
@@ -267,6 +268,7 @@ TEST(LfsTest, CleanerReclaimsDeadSegments) {
 
 TEST(LfsTest, KernelCleanerLocksOutFileAccess) {
   LfsFixture f(4096);
+  std::unique_ptr<Cleaner> cleaner;  // outlives the simulation
   RunIn(&f.env, [&] {
     ASSERT_TRUE(f.fs.Format().ok());
     InodeNum ino = f.fs.Create("/locked").value();
@@ -280,7 +282,7 @@ TEST(LfsTest, KernelCleanerLocksOutFileAccess) {
 
     Cleaner::Options copt;
     copt.mode = Cleaner::Mode::kKernel;
-    Cleaner cleaner(&f.env, &f.fs, copt);
+    cleaner = std::make_unique<Cleaner>(&f.env, &f.fs, copt);
     // Run one cleaning pass from a separate process while a reader hammers
     // the file; the reader must stall while the cleaner holds the file.
     SimTime max_read_gap = 0;
@@ -301,7 +303,7 @@ TEST(LfsTest, KernelCleanerLocksOutFileAccess) {
       reader_exited = true;
     });
     f.env.Spawn("clean", [&] {
-      Status s = cleaner.CleanOne();
+      Status s = cleaner->CleanOne();
       done = true;
       ASSERT_TRUE(s.ok()) << s.ToString();
     });
@@ -311,7 +313,7 @@ TEST(LfsTest, KernelCleanerLocksOutFileAccess) {
     // Reading a cached block takes ~nothing; the cleaner lockout makes one
     // gap comparable to a whole-segment read + rewrite (hundreds of ms).
     EXPECT_GT(max_read_gap, 100 * kMillisecond);
-    EXPECT_EQ(cleaner.stats().segments_cleaned, 1u);
+    EXPECT_EQ(cleaner->stats().segments_cleaned, 1u);
     // The lockout is charged to the reader's cleaner_stall phase, not to
     // an unlabelled share of `run`.
     EXPECT_GT(reader_stall_us, 0u);
@@ -324,6 +326,9 @@ TEST(LfsTest, KernelCleanerLetsLockedOutAccessesRunDuringItsReads) {
   // pass that locked before its first I/O would re-lock /f at once, and
   // the reader would wait out the whole engagement.
   LfsFixture f(4096);
+  // Outlives the simulation: a pass may still be in flight when the
+  // test's process returns.
+  std::unique_ptr<Cleaner> cleaner;
   RunIn(&f.env, [&] {
     ASSERT_TRUE(f.fs.Format().ok());
     InodeNum ino = f.fs.Create("/f").value();
@@ -345,7 +350,7 @@ TEST(LfsTest, KernelCleanerLetsLockedOutAccessesRunDuringItsReads) {
     copt.low_water = f.fs.nsegments();  // engage now, run to stagnation
     copt.high_water = f.fs.nsegments();
     copt.poll_interval = 10 * kMillisecond;
-    Cleaner cleaner(&f.env, &f.fs, copt);
+    cleaner = std::make_unique<Cleaner>(&f.env, &f.fs, copt);
     std::set<uint64_t> seen;  // segments cleaned when each read finished
     bool done = false;
     bool reader_exited = false;
@@ -353,12 +358,12 @@ TEST(LfsTest, KernelCleanerLetsLockedOutAccessesRunDuringItsReads) {
       char out[kBlockSize];
       while (!done) {
         ASSERT_TRUE(f.fs.Read(ino, 500 * kBlockSize, kBlockSize, out).ok());
-        seen.insert(cleaner.stats().segments_cleaned);
+        seen.insert(cleaner->stats().segments_cleaned);
         f.env.SleepFor(kMillisecond);
       }
       reader_exited = true;
     });
-    while (cleaner.stats().segments_cleaned < 4) {
+    while (cleaner->stats().segments_cleaned < 4) {
       f.env.SleepFor(50 * kMillisecond);
     }
     done = true;
@@ -885,31 +890,60 @@ TEST(LfsTest, CleanerLeavesAFileBeingFreedAlone) {
   // dirty (and its flush pin) buffers that free is about to drop.
   LfsFixture f(1024);
   LiveVictim v;
+  std::unique_ptr<Cleaner> cleaner;  // outlives the simulation
   RunIn(&f.env, [&] {
     ASSERT_TRUE(f.fs.Format().ok());
     v.Build(&f.fs);
     Cleaner::Options copt;
     copt.poll_interval = 1000 * kSecond;
-    Cleaner cleaner(&f.env, &f.fs, copt);
+    cleaner = std::make_unique<Cleaner>(&f.env, &f.fs, copt);
     Inode* fi = f.fs.GetInode(v.ino).value();
     uint32_t written = f.fs.usage().written(static_cast<uint32_t>(v.victim));
     fi->freeing = true;
-    ASSERT_TRUE(cleaner.CleanOne().ok());
-    EXPECT_EQ(cleaner.stats().live_blocks_copied, 0u);
+    ASSERT_TRUE(cleaner->CleanOne().ok());
+    EXPECT_EQ(cleaner->stats().live_blocks_copied, 0u);
     // The victim stays dirty, so none of its dead blocks is dropped yet.
-    EXPECT_EQ(cleaner.stats().dead_blocks_dropped, 0u);
+    EXPECT_EQ(cleaner->stats().dead_blocks_dropped, 0u);
     EXPECT_EQ(f.fs.usage().live(static_cast<uint32_t>(v.victim)),
               v.keep.size());
     EXPECT_EQ(f.fs.usage().state(static_cast<uint32_t>(v.victim)),
               SegState::kDirty);
     fi->freeing = false;
-    ASSERT_TRUE(cleaner.CleanOne().ok());
-    EXPECT_EQ(cleaner.stats().live_blocks_copied, v.keep.size());
-    EXPECT_EQ(cleaner.stats().dead_blocks_dropped, written - v.keep.size());
+    ASSERT_TRUE(cleaner->CleanOne().ok());
+    EXPECT_EQ(cleaner->stats().live_blocks_copied, v.keep.size());
+    EXPECT_EQ(cleaner->stats().dead_blocks_dropped, written - v.keep.size());
     EXPECT_EQ(f.fs.usage().state(static_cast<uint32_t>(v.victim)),
               SegState::kClean);
     v.Verify(&f.fs);
   });
+}
+
+TEST(LfsDeathTest, DestroyingACleanerMidPassDies) {
+  // A pass blocked on its victim's reads resumes into its Cleaner.
+  EXPECT_DEATH(
+      {
+        LfsFixture f(1024);
+        LiveVictim v;
+        RunIn(&f.env, [&] {
+          ASSERT_TRUE(f.fs.Format().ok());
+          v.Build(&f.fs);
+          v.CacheOnly(&f.fs, &f.cache);
+          Cleaner::Options copt;
+          copt.poll_interval = 1000 * kSecond;
+          auto cleaner = std::make_unique<Cleaner>(&f.env, &f.fs, copt);
+          f.env.Spawn("clean", [&] { (void)cleaner->CleanOne(); });
+          f.env.SleepFor(kMillisecond);  // the pass is reading its victim
+          cleaner.reset();
+        });
+      },
+      "pass in flight");
+}
+
+TEST(LfsDeathTest, CleanerLowWaterAtTheReserveDies) {
+  LfsFixture f;
+  Cleaner::Options copt;
+  copt.low_water = Lfs::kCleanerReserveSegments;
+  EXPECT_DEATH(Cleaner(&f.env, &f.fs, copt), "low watermark");
 }
 
 // The log-economics charges of one kernel-mode pass over LiveVictim's
@@ -921,6 +955,7 @@ constexpr uint64_t kBacklog = 8;
 std::vector<uint64_t> PassCharges(bool dirty_backlog) {
   LfsFixture f(1024);
   LiveVictim v;
+  std::unique_ptr<Cleaner> cleaner;  // outlives the simulation
   std::vector<uint64_t> charged(kNumLogByteCats);
   RunIn(&f.env, [&] {
     ASSERT_TRUE(f.fs.Format().ok());
@@ -938,9 +973,9 @@ std::vector<uint64_t> PassCharges(bool dirty_backlog) {
     }
     Cleaner::Options copt;
     copt.poll_interval = 1000 * kSecond;
-    Cleaner cleaner(&f.env, &f.fs, copt);
-    ASSERT_TRUE(cleaner.CleanOne().ok());
-    EXPECT_EQ(cleaner.stats().live_blocks_copied, v.keep.size());
+    cleaner = std::make_unique<Cleaner>(&f.env, &f.fs, copt);
+    ASSERT_TRUE(cleaner->CleanOne().ok());
+    EXPECT_EQ(cleaner->stats().live_blocks_copied, v.keep.size());
     for (int c = 0; c < kNumLogByteCats; c++) {
       charged[c] = le->blocks(static_cast<LogByteCat>(c)) - charged[c];
     }

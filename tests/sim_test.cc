@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "sim/clock.h"
@@ -8,6 +10,18 @@
 
 namespace lfstx {
 namespace {
+
+TEST(SimEnvTest, MalformedStackSizeKeepsTheDefault) {
+  // strtoull would read "64k" as 64 and run every fiber on 64 KiB.
+  setenv("LFSTX_SIM_STACK_KB", "64k", 1);
+  testing::internal::CaptureStderr();
+  { SimEnv env; }
+  std::string err = testing::internal::GetCapturedStderr();
+  unsetenv("LFSTX_SIM_STACK_KB");
+  EXPECT_NE(err.find("lfstx: ignoring LFSTX_SIM_STACK_KB=64k"),
+            std::string::npos)
+      << err;
+}
 
 TEST(SimEnvTest, ConsumeAdvancesClock) {
   SimEnv env;

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <string>
@@ -156,6 +157,26 @@ std::string RunContendedWorkload(Arch arch) {
     rig->env()->tracer()->DisableAll();
   });
   return captured;
+}
+
+TEST(TraceFormatTest, MalformedEnvNumbersKeepTheirDefaults) {
+  // strtoll/strtoull would read "abc" as 0 (no flight recorder) and "1e3"
+  // as 1 (a 1 ms sampler).
+  setenv("LFSTX_FLIGHT", "abc", 1);
+  setenv("LFSTX_SAMPLE_MS", "1e3", 1);
+  testing::internal::CaptureStderr();
+  auto rig = TestRig::Create(Arch::kUserLfs);
+  std::string err = testing::internal::GetCapturedStderr();
+  unsetenv("LFSTX_FLIGHT");
+  unsetenv("LFSTX_SAMPLE_MS");
+  EXPECT_TRUE(rig->env()->tracer()->flight_enabled());
+  EXPECT_EQ(rig->machine->sampler, nullptr);
+  EXPECT_NE(err.find("lfstx: ignoring LFSTX_FLIGHT=abc"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("lfstx: ignoring LFSTX_SAMPLE_MS=1e3"),
+            std::string::npos)
+      << err;
+  rig->Run([] {});
 }
 
 TEST(TraceFormatTest, EveryEventIsAFlatJsonObject) {
