@@ -605,13 +605,42 @@ inline std::string DiskCauseJson(const MetricValues& w) {
   return out;
 }
 
-/// --fsck: sync, then run every invariant checker (src/check/). OK when
+/// Sync, then wait in virtual time until no cleaning pass is in flight and
+/// the cleaner would not engage at its next poll, syncing again after each
+/// wait: the checkers' own reads yield, and a cleaner that engaged then
+/// would rewrite the log mid-sweep. Fails after ten minutes of waiting.
+inline Status Quiesce(Machine* m) {
+  constexpr SimTime kBound = 600 * kSecond;
+  SimEnv* env = m->env.get();
+  Lfs* lfs = m->lfs();
+  Cleaner* cleaner = m->cleaner.get();
+  const SimTime deadline = env->Now() + kBound;
+  for (;;) {
+    LFSTX_RETURN_IF_ERROR(m->fs->SyncAll());
+    if (lfs == nullptr || cleaner == nullptr) return Status::OK();
+    const uint32_t low_water = cleaner->options().low_water;
+    if (!cleaner->busy() && lfs->clean_segments() >= low_water) {
+      return Status::OK();
+    }
+    if (env->Now() >= deadline) {
+      return Status::Internal(Fmt(
+          "invariant sweep: the cleaner did not settle within %llu s of "
+          "virtual time (%u clean segments, low water %u, pass in flight: "
+          "%s)",
+          static_cast<unsigned long long>(kBound / kSecond),
+          lfs->clean_segments(), low_water, cleaner->busy() ? "yes" : "no"));
+    }
+    env->SleepFor(cleaner->options().poll_interval);
+  }
+}
+
+/// --fsck: quiesce, then run every invariant checker (src/check/). OK when
 /// the sweep is clean or was not asked for.
 inline Status InvariantSweep(const BenchConfig& cfg, ArchRig* rig) {
   if (!cfg.fsck) return Status::OK();
   const char* name = ArchName(rig->arch);
   fprintf(stderr, "[bench] %s: invariant sweep...\n", name);
-  LFSTX_RETURN_IF_ERROR(rig->machine->fs->SyncAll());
+  LFSTX_RETURN_IF_ERROR(Quiesce(rig->machine.get()));
   CheckSummary summary = RunAllChecks(*rig);
   if (!summary.clean()) {
     return Status::Internal("invariant sweep failed:\n" + summary.ToString());

@@ -254,6 +254,7 @@ void BufferCache::MarkDirty(Buffer* buf) {
   if (!buf->dirty) buf->dirtied_at = env_->Now();
   SetDirty(buf, true);
   SetTxnOwner(buf, kNoTxn);
+  buf->mods++;
   mutation_gen_++;
 }
 
@@ -264,6 +265,7 @@ void BufferCache::MarkTxnDirty(Buffer* buf, TxnId txn) {
   SetDirty(buf, false);  // invisible to the syncer until commit
   SetTxnOwner(buf, txn);
   buf->dirtied_at = env_->Now();
+  buf->mods++;
   mutation_gen_++;
 }
 
@@ -351,6 +353,16 @@ size_t BufferCache::io_in_progress_count() const {
     if (buf->io_in_progress) n++;
   }
   return n;
+}
+
+std::vector<const Buffer*> BufferCache::Frames() const {
+  std::vector<const Buffer*> out;
+  out.reserve(buffers_.size());
+  for (const auto& [key, buf] : buffers_) out.push_back(buf.get());
+  std::sort(out.begin(), out.end(), [](const Buffer* a, const Buffer* b) {
+    return a->key < b->key;
+  });
+  return out;
 }
 
 std::vector<std::string> BufferCache::CheckInvariants() const {

@@ -56,6 +56,11 @@ struct Buffer {
   bool io_in_progress = false;  ///< being loaded or written back
   BlockAddr disk_addr = kInvalidBlock;  ///< where this version lives on disk
   SimTime dirtied_at = 0;
+  /// Bumped by MarkDirty and MarkTxnDirty. A writer records it when it
+  /// captures the contents and marks the buffer clean after its (yielding)
+  /// disk write only if it has not moved: a process that modified the
+  /// buffer meanwhile keeps it dirty.
+  uint64_t mods = 0;
 
   // Cache-internal bookkeeping.
   std::list<Buffer*>::iterator lru_pos;
@@ -136,7 +141,9 @@ class BufferCache {
   void MarkDirty(Buffer* buf);
   /// Move to `txn`'s transaction list: unevictable, not visible to Sync.
   void MarkTxnDirty(Buffer* buf, TxnId txn);
-  /// Called by the file system after it persisted the buffer.
+  /// Called by the file system after it persisted the buffer. A write that
+  /// yields must first check that `mods` still holds the value it recorded
+  /// when it captured the contents.
   void MarkClean(Buffer* buf);
 
   /// Return txn's buffers in key order (commit path: caller re-marks them
@@ -179,6 +186,8 @@ class BufferCache {
   size_t pinned_count() const;
   size_t txn_dirty_count() const { return txn_lists_.size(); }
   size_t io_in_progress_count() const;
+  /// Every resident frame, in key order (checkers read them; no pins).
+  std::vector<const Buffer*> Frames() const;
 
   /// Deep structural self-check: LRU list ↔ hash map coherence, pin-count
   /// sanity, and a full recount of the dirty frames, transaction-list

@@ -4,10 +4,17 @@
 // which sees the private state; this checker layers the context-dependent
 // expectations on top — after a sync nothing may be dirty, at a true
 // quiescent point nothing may be pinned or mid-I/O, and transaction-dirty
-// buffers cannot outlive their transactions.
+// buffers cannot outlive their transactions. With a file system in the
+// context it also proves every clean, idle frame that names a disk home
+// equal to the bytes there: a frame marked clean while the disk holds
+// older bytes is a lost update waiting for its eviction.
+#include <cstring>
+
 #include "cache/buffer_cache.h"
 #include "check/checkers.h"
+#include "ffs/ffs.h"
 #include "harness/table.h"
+#include "lfs/lfs.h"
 
 namespace lfstx {
 
@@ -42,7 +49,39 @@ Result<CheckReport> CheckBufferCache(const CheckContext& ctx) {
     report.Problem(Fmt("%zu buffers mid-I/O at a quiescent point", in_io));
   }
 
+  const FsCore* fs = ctx.lfs != nullptr ? static_cast<const FsCore*>(ctx.lfs)
+                                         : ctx.ffs;
+  uint64_t compared = 0;
+  if (fs != nullptr) {
+    const SimDisk* disk = fs->disk();
+    char on_disk[kBlockSize];
+    for (const Buffer* b : cache->Frames()) {
+      if (b->dirty || b->txn_dirty || b->pin_count > 0 || b->io_in_progress ||
+          b->disk_addr == kInvalidBlock) {
+        continue;
+      }
+      if (b->disk_addr >= disk->num_blocks()) {
+        report.Problem(Fmt("clean buffer (file %llu, block %llu) names block "
+                           "%llu, past the end of the disk",
+                           (unsigned long long)b->key.file,
+                           (unsigned long long)b->key.lblock,
+                           (unsigned long long)b->disk_addr));
+        continue;
+      }
+      disk->RawRead(b->disk_addr, 1, on_disk);
+      compared++;
+      if (memcmp(b->data, on_disk, kBlockSize) != 0) {
+        report.Problem(Fmt("clean buffer (file %llu, block %llu) differs "
+                           "from its disk copy at block %llu",
+                           (unsigned long long)b->key.file,
+                           (unsigned long long)b->key.lblock,
+                           (unsigned long long)b->disk_addr));
+      }
+    }
+  }
+
   report.Counter("resident") = cache->size();
+  report.Counter("clean_compared") = compared;
   report.Counter("dirty") = dirty;
   report.Counter("pinned") = pinned;
   report.Counter("txn_dirty") = txn_dirty;

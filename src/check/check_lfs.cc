@@ -1,7 +1,8 @@
 // CheckLfsStructure: adapter putting the long-standing LFS fsck walker
-// (lfs/fsck.h) behind the common checker signature. The walker itself
-// reads on-disk state, so run it after a sync or checkpoint; the wiring
-// in tests and bench binaries does exactly that.
+// (lfs/fsck.h) behind the common checker signature. The walker reads
+// on-disk state (a deferred file's map excepted), so run it after a sync
+// or checkpoint; the wiring in tests and bench binaries does exactly
+// that.
 #include "check/checkers.h"
 #include "lfs/fsck.h"
 

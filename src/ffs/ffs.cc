@@ -225,8 +225,10 @@ Status Ffs::WriteBack(Buffer* buf) {
   env_->log_econ()->ChargeBlocks(IsWalFile(buf->key.file) ? LogByteCat::kWal
                                                           : LogByteCat::kFfs,
                                  1);
+  uint64_t mods = buf->mods;
   LFSTX_RETURN_IF_ERROR(disk_->Write(buf->disk_addr, 1, buf->data));
-  cache_->MarkClean(buf);
+  // A process that modified the buffer during the write keeps it dirty.
+  if (buf->mods == mods) cache_->MarkClean(buf);
   return Status::OK();
 }
 

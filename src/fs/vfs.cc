@@ -85,6 +85,11 @@ std::vector<Inode*> FsCore::InCoreInodes() const {
   return out;
 }
 
+Inode* FsCore::FindInCore(InodeNum inum) const {
+  auto it = inodes_.find(inum);
+  return it == inodes_.end() ? nullptr : it->second.get();
+}
+
 void FsCore::ClearInodeTable() { inodes_.clear(); }
 
 bool FsCore::AnyOpenFiles() const {
@@ -178,7 +183,7 @@ Result<BlockAddr> FsCore::SetBlockMapping(Inode* ino, uint64_t lblock,
   if (p.kind == BlockPath::kDirect) {
     uint64_t prev = ino->d.direct[p.direct_idx];
     ino->d.direct[p.direct_idx] = stored;
-    LFSTX_RETURN_IF_ERROR(NoteInodeDirty(ino));
+    LFSTX_RETURN_IF_ERROR(NoteMapDirty(ino));
     return prev == 0 ? kInvalidBlock : prev;
   }
   uint64_t meta_lb;
@@ -211,11 +216,11 @@ Result<BlockAddr> FsCore::SetMetaBlockMapping(Inode* ino, uint64_t meta_lblock,
   if (meta_lblock == kMetaSingleIndirect) {
     prev = ino->d.indirect;
     ino->d.indirect = stored;
-    LFSTX_RETURN_IF_ERROR(NoteInodeDirty(ino));
+    LFSTX_RETURN_IF_ERROR(NoteMapDirty(ino));
   } else if (meta_lblock == kMetaDoubleRoot) {
     prev = ino->d.double_indirect;
     ino->d.double_indirect = stored;
-    LFSTX_RETURN_IF_ERROR(NoteInodeDirty(ino));
+    LFSTX_RETURN_IF_ERROR(NoteMapDirty(ino));
   } else {
     uint32_t child_idx = static_cast<uint32_t>(meta_lblock -
                                                kMetaDoubleChildBase);
@@ -514,7 +519,7 @@ Status FsCore::Write(InodeNum inum, uint64_t offset, Slice data) {
   }
   if (offset + data.size() > ino->d.size) {
     ino->d.size = offset + data.size();
-    LFSTX_RETURN_IF_ERROR(NoteInodeDirty(ino));
+    LFSTX_RETURN_IF_ERROR(NoteMapDirty(ino));
   }
   // mtime updates are asynchronous (in-core until the inode reaches disk
   // for some other reason), so overwrite-in-place writes don't drag an

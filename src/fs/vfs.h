@@ -176,6 +176,10 @@ class FsCore : public FileSystem {
   virtual Status ReleaseInodeNum(Inode* ino) = 0;
   /// The inode's fields changed; schedule it to reach disk.
   virtual Status NoteInodeDirty(Inode* ino) = 0;
+  /// The inode's block pointers changed, or Write grew its size: state a
+  /// summary can carry (LFS roll-forward redoes it). Same as
+  /// NoteInodeDirty unless the file system tells them apart.
+  virtual Status NoteMapDirty(Inode* ino) { return NoteInodeDirty(ino); }
   /// Allocate an on-disk address for a new block of `ino` (FFS), or return
   /// kInvalidBlock if addresses are assigned at write-back time (LFS).
   virtual Result<BlockAddr> AllocBlockAddr(Inode* ino) = 0;
@@ -205,6 +209,8 @@ class FsCore : public FileSystem {
   std::vector<Inode*> DirtyInodes();
   /// Every in-core inode, in inode-number order (LFS segment writer).
   std::vector<Inode*> InCoreInodes() const;
+  /// The in-core inode for `inum`, or null; never loads.
+  Inode* FindInCore(InodeNum inum) const;
   /// Resolve a path to an inode, charging directory scan CPU.
   Result<Inode*> Resolve(const std::string& path);
   Result<Inode*> ResolveParent(const std::string& path, std::string* name);

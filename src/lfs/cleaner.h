@@ -80,6 +80,8 @@ class Cleaner {
 
   const CleanerStats& stats() const { return stats_; }
   const Options& options() const { return options_; }
+  /// A CleanOne or CoalesceFile call is in flight.
+  bool busy() const { return !passes_.idle(); }
 
  private:
   /// State shared with the daemon lambda so the daemon can detect that the

@@ -56,7 +56,7 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
   // its summaries, per segment-area block.
   std::vector<SummaryEntry> recount(seg_end - seg_start);
 
-  auto claim = [&](BlockAddr a, BlockKind kind, InodeNum inum,
+  auto claim = [&](InodeNum inum, BlockKind kind, BlockAddr a,
                    uint64_t lblock) {
     SummaryEntry who{static_cast<uint32_t>(kind), inum, lblock};
     if (a < seg_start || a >= seg_end || a >= total_blocks) {
@@ -78,92 +78,42 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
 
   std::map<BlockAddr, uint32_t> inode_block_claims;
   std::set<InodeNum> live_inums;
-  char block[kBlockSize];
-  char leaf[kBlockSize];
-
-  for (InodeNum inum = 1; inum <= imap.max_inodes(); inum++) {
-    const ImapEntry& e = imap.Get(inum);
-    if (e.inode_addr == 0) continue;
-    live_inums.insert(inum);
-    // Inode blocks are shared; claim each once.
-    if (inode_block_claims[e.inode_addr]++ == 0) {
-      claim(e.inode_addr, BlockKind::kInode, inum, 0);
-    }
-    disk->RawRead(e.inode_addr, 1, block);
-    DiskInode d;
-    bool found = false;
-    for (uint32_t slot = 0; slot < kInodesPerBlock && !found; slot++) {
-      DecodeInode(block, slot, &d);
-      if (d.inum == inum && d.file_type() != FileType::kFree) found = true;
-    }
-    if (!found) {
-      report.Problem(Fmt("imap entry #%u points at a block without that "
-                         "inode", inum));
-      continue;
-    }
-    if (d.version != e.version) {
-      report.Problem(Fmt("inode #%u version %u != imap version %u", inum,
-                         d.version, e.version));
-    }
-    if (d.file_type() == FileType::kDirectory) {
-      directories++;
-    } else {
-      files++;
-    }
-
-    uint64_t nblocks = d.size_blocks();
-    for (uint32_t i = 0; i < kNumDirect; i++) {
-      if (d.direct[i] != 0) {
-        if (i >= nblocks) {
-          report.Problem(Fmt("inode #%u maps block %u beyond EOF", inum, i));
+  uint64_t nblocks = 0;  // EOF of the inode whose map is being walked
+  fs->WalkBlockMaps(
+      [&](InodeNum inum, BlockAddr addr, const DiskInode* d) {
+        live_inums.insert(inum);
+        // Inode blocks are shared; claim each once.
+        if (inode_block_claims[addr]++ == 0) {
+          claim(inum, BlockKind::kInode, addr, 0);
         }
-        claim(d.direct[i], BlockKind::kData, inum, i);
-      }
-    }
-    auto walk_leaf = [&](BlockAddr leaf_addr, uint64_t meta_lb,
-                         uint64_t first_lb) {
-      claim(leaf_addr, BlockKind::kIndirect, inum, meta_lb);
-      disk->RawRead(leaf_addr, 1, leaf);
-      for (uint32_t i = 0; i < kPtrsPerBlock; i++) {
-        uint64_t a;
-        memcpy(&a, leaf + i * 8, 8);
-        if (a != 0) {
-          uint64_t lb = first_lb + i;
-          if (lb >= nblocks) {
-            report.Problem(Fmt("inode #%u maps block %llu beyond EOF", inum,
-                               (unsigned long long)lb));
-          }
-          claim(a, BlockKind::kData, inum, lb);
+        if (d == nullptr) {
+          report.Problem(Fmt("imap entry #%u points at a block without that "
+                             "inode", inum));
+          return;
         }
-      }
-    };
-    if (d.indirect != 0) {
-      walk_leaf(d.indirect, kMetaSingleIndirect, kNumDirect);
-    }
-    if (d.double_indirect != 0) {
-      claim(d.double_indirect, BlockKind::kIndirect, inum, kMetaDoubleRoot);
-      char root[kBlockSize];
-      disk->RawRead(d.double_indirect, 1, root);
-      for (uint32_t c = 0; c < kPtrsPerBlock; c++) {
-        uint64_t a;
-        memcpy(&a, root + c * 8, 8);
-        if (a != 0) {
-          walk_leaf(a, kMetaDoubleChildBase + c,
-                    kNumDirect + kPtrsPerBlock +
-                        static_cast<uint64_t>(c) * kPtrsPerBlock);
+        const ImapEntry& e = imap.Get(inum);
+        if (d->version != e.version) {
+          report.Problem(Fmt("inode #%u version %u != imap version %u", inum,
+                             d->version, e.version));
         }
-      }
-    }
-  }
-
-  // Inode map blocks are live too.
-  for (uint32_t idx = 0; idx < imap.nblocks(); idx++) {
-    BlockAddr a = imap.block_addrs()[idx];
-    if (a != 0) claim(a, BlockKind::kImap, kInvalidInode, idx);
-  }
+        if (d->file_type() == FileType::kDirectory) {
+          directories++;
+        } else {
+          files++;
+        }
+        nblocks = d->size_blocks();
+      },
+      [&](InodeNum inum, BlockKind kind, BlockAddr a, uint64_t lblock) {
+        if (kind == BlockKind::kData && lblock >= nblocks) {
+          report.Problem(Fmt("inode #%u maps block %llu beyond EOF", inum,
+                             (unsigned long long)lblock));
+        }
+        claim(inum, kind, a, lblock);
+      });
 
   // Directory entries must reference live inodes (walk from the root),
   // and every live inode must be named by one of them.
+  char block[kBlockSize];
   std::vector<InodeNum> stack{kRootInode};
   std::set<InodeNum> visited;
   std::set<InodeNum> named{kRootInode};

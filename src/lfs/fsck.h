@@ -1,6 +1,7 @@
 // Deep consistency checker for the log-structured file system — the kind
 // of tool a real release ships. Walks the checkpoint, inode map, every
-// inode and its block map, and cross-checks:
+// inode and its block map (Lfs::WalkBlockMaps: on disk, or in core for a
+// file whose fsync deferred its metadata), and cross-checks:
 //   * every mapped block address lands inside the segment area;
 //   * no two mappings claim the same disk block;
 //   * the segment usage table's live counts match a full recount, and its
@@ -22,7 +23,9 @@
 namespace lfstx {
 
 /// Run the checker against a *mounted, quiescent* file system (all dirty
-/// state flushed; typically right after Mount or SyncAll + Checkpoint).
+/// state flushed but a deferred file's indirect blocks and inode, which
+/// it reads in core; typically right after Mount or SyncAll +
+/// Checkpoint).
 Result<CheckReport> CheckLfs(Lfs* fs);
 
 }  // namespace lfstx

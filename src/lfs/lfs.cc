@@ -263,6 +263,12 @@ Status Lfs::ReleaseInodeNum(Inode* ino) {
 
 Status Lfs::NoteInodeDirty(Inode* ino) {
   ino->dirty = true;
+  ino->attrs_dirty = true;
+  return Status::OK();
+}
+
+Status Lfs::NoteMapDirty(Inode* ino) {
+  ino->dirty = true;
   return Status::OK();
 }
 

@@ -61,7 +61,7 @@ class Lfs : public FsCore {
     uint64_t checkpoint_seq = 0;   ///< seq of the checkpoint restored from
     uint64_t chunks = 0;           ///< chunks replayed off the chain
     uint64_t payload_blocks = 0;   ///< payload blocks read during the scan
-    uint64_t apply_items = 0;      ///< imap updates applied
+    uint64_t apply_items = 0;      ///< imap updates and redone addresses
     uint64_t discarded_txns = 0;   ///< staged txns with no commit marker
     uint64_t torn_chunks = 0;
     uint64_t stale_chunks = 0;
@@ -79,8 +79,9 @@ class Lfs : public FsCore {
   Status Mount() override;  ///< includes crash recovery (roll-forward)
   Status Unmount() override;
   Status SyncAll() override;
-  /// fsync: writes `inum`'s dirty blocks and inode plus the namespace
-  /// closure (see FlushScope::kFile), not the whole cache.
+  /// fsync: writes `inum`'s dirty blocks plus the namespace closure (see
+  /// FlushScope::kFile), not the whole cache. Its inode and indirect
+  /// blocks go too, unless roll-forward can redo them (DESIGN.md §14).
   Status SyncFile(InodeNum inum) override;
 
   /// WritebackHandler: an eviction of any dirty buffer triggers a full
@@ -130,6 +131,20 @@ class Lfs : public FsCore {
   /// assumed exclusive ownership of the log (see check/gen_stamp.h).
   uint64_t mutation_gen() const { return log_head_gen_; }
 
+  /// Visit the current block map of every inode the inode map maps, in
+  /// inode order, then every inode-map block. A deferred inode's map is its
+  /// in-core copy and its cached indirect blocks (an uncached one is read
+  /// from disk); every other inode's is read from disk. `inode(inum, addr,
+  /// d)` sees each mapped inode and its block first, with `d` null when
+  /// that block lacks it (its map is then skipped); `block(inum, kind,
+  /// addr, lblock)` then sees each block the map names, numbered as the
+  /// segment writer's summaries number them, and each inode-map block as
+  /// (kInvalidInode, kImap, addr, index). Costs no virtual time.
+  void WalkBlockMaps(
+      const std::function<void(InodeNum, BlockAddr, const DiskInode*)>& inode,
+      const std::function<void(InodeNum, BlockKind, BlockAddr, uint64_t)>&
+          block);
+
   /// Drop the in-core inode table so subsequent reads hit the disk (test
   /// hook used by the consistency-checker tests).
   void ClearInodeCacheForTest() { ClearInodeTable(); }
@@ -145,6 +160,7 @@ class Lfs : public FsCore {
   Result<InodeNum> AllocInodeNum() override;
   Status ReleaseInodeNum(Inode* ino) override;
   Status NoteInodeDirty(Inode* ino) override;
+  Status NoteMapDirty(Inode* ino) override;
   Result<BlockAddr> AllocBlockAddr(Inode* ino) override;
   void ReleaseBlockAddr(BlockAddr addr) override;
   Status EnterDataPath(Inode* ino) override;
@@ -192,9 +208,13 @@ class Lfs : public FsCore {
     /// namespace closure: every dirty directory block and directory inode,
     /// and every dirty inode never yet written. Without the closure a
     /// recovered directory could name an inode the log never saw (fsync).
+    /// A regular file whose logged inode differs from its in-core one only
+    /// in block pointers and a size Write grew keeps its indirect blocks
+    /// and inode in core: the chunks' summaries carry the redo record
+    /// (DESIGN.md §14), and the file is marked deferred.
     kFile,
-    /// The namespace closure and every dirty inode-map block: the append
-    /// that precedes a checkpoint capture.
+    /// The namespace closure, every deferred file whole, and every dirty
+    /// inode-map block: the append that precedes a checkpoint capture.
     kCheckpoint,
   };
   /// Dirty inode-map blocks are written only when a checkpoint capture
@@ -210,9 +230,10 @@ class Lfs : public FsCore {
   /// in-core inode, an unlogged free, or (kCheckpoint) a dirty inode-map
   /// block. Conservative for kFile, which it treats as kAll.
   bool HasUnloggedChanges(FlushScope scope);
-  /// Append the dirty inode-map blocks, if any, with the namespace
-  /// closure (FlushScope::kCheckpoint), so the next capture never names a
-  /// stale map.
+  /// Append the dirty inode-map blocks and every deferred file, if any,
+  /// with the namespace closure (FlushScope::kCheckpoint), so the next
+  /// capture never names a stale map, nor data only a redo record before
+  /// it maps.
   Status LogImapLocked();
   /// The segment the log continues in once the current one is full: the
   /// successor the last summary (or checkpoint) named while it is still
@@ -257,7 +278,7 @@ class Lfs : public FsCore {
   }
   Status RecoverFromCheckpointAndRollForward();
   /// Recompute every segment's owner slots and live count by walking all
-  /// inodes' maps.
+  /// inodes' current maps (WalkBlockMaps).
   Status RebuildUsage();
 
   Options options_;

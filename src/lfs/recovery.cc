@@ -15,7 +15,11 @@
 // the summary chain (staging transaction-tagged chunks until their commit
 // marker), then rebuilds the usage table and its owner slots exactly and
 // writes a fresh checkpoint. The roll-forward is one sequential pass that
-// applies every inode and inode-map update inline, in log order. The whole
+// applies every inode and inode-map update inline, in log order, and
+// collects the redo records of deferred fsyncs (DESIGN.md §14): a record
+// counts once its fsync's final chunk is in the chain, an inode block
+// written after it supersedes it, and the rest are applied to their
+// inodes once the pass ends, before the usage rebuild. The whole
 // recovery holds the flush lock: the cleaner and syncer daemons start
 // before the file system is mounted, and only the lock keeps them from
 // appending to a log whose head the scan has not found yet.
@@ -190,14 +194,43 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   // ---- 3. roll forward along the summary chain ----
   SimTime scan_start = env_->Now();
 
-  // Applies one inode or inode-map block, charging its CPU per update.
+  // A deferred fsync's redo record, as its summaries recorded it: the data
+  // blocks its chunks logged for the file, each with its chunk's write_seq,
+  // and the file's size, which its final chunk dates.
+  struct RedoBlock {
+    uint64_t seq;
+    uint64_t lblock;
+    BlockAddr addr;
+  };
+  struct Redo {
+    uint64_t seq;
+    uint64_t size;
+    std::vector<RedoBlock> blocks;
+  };
+  // Per file: the complete records in log order, and the blocks of an
+  // fsync whose final chunk the scan has not reached yet (a torn fsync
+  // leaves them there, and they are dropped). An inode block for the file
+  // written at seq s supersedes everything logged before s: it was written
+  // with the map those blocks redo.
+  struct FileRedo {
+    std::vector<Redo> done;
+    std::vector<RedoBlock> open;
+  };
+  std::map<InodeNum, FileRedo> redo;
+
+  auto charge = [&](uint64_t cost) {
+    recovery_stats_.apply_items++;
+    recovery_stats_.apply_us += cost;
+    env_->Consume(cost);
+  };
+  // One inode slot's update, or one block a redo record maps.
+  const uint64_t entry_cost =
+      std::max<uint64_t>(1, env_->costs().segment_block_cpu_us /
+                                kInodesPerBlock);
+  // Applies one inode or inode-map block written by chunk `seq`, charging
+  // its CPU per update.
   auto apply = [&](BlockKind kind, BlockAddr addr, uint64_t lblock,
-                   const char* bytes) {
-    auto charge = [&](uint64_t cost) {
-      recovery_stats_.apply_items++;
-      recovery_stats_.apply_us += cost;
-      env_->Consume(cost);
-    };
+                   const char* bytes, uint64_t seq) {
     if (kind == BlockKind::kInode) {
       for (uint32_t slot = 0; slot < kInodesPerBlock; slot++) {
         DiskInode d;
@@ -206,8 +239,14 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
           continue;
         }
         imap_.Set(d.inum, addr, d.version);
-        charge(std::max<uint64_t>(
-            1, env_->costs().segment_block_cpu_us / kInodesPerBlock));
+        auto r = redo.find(d.inum);
+        if (r != redo.end()) {
+          auto before = [seq](const auto& x) { return x.seq <= seq; };
+          std::erase_if(r->second.done, before);
+          for (Redo& x : r->second.done) std::erase_if(x.blocks, before);
+          std::erase_if(r->second.open, before);
+        }
+        charge(entry_cost);
       }
     } else {
       imap_.DecodeBlock(static_cast<uint32_t>(lblock), bytes);
@@ -222,6 +261,7 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
     BlockKind kind;
     BlockAddr addr;
     uint64_t lblock;
+    uint64_t seq;
     std::vector<char> bytes;
   };
   std::map<TxnId, std::vector<Staged>> staged;
@@ -277,6 +317,20 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
     recovery_stats_.payload_blocks += n;
 
     usage_.ReplayChunk(seg, off, n, s.generation, s.timestamp);
+    if (s.txn == kNoTxn && s.redo_inum != kInvalidInode) {
+      FileRedo& f = redo[s.redo_inum];
+      for (uint32_t i = 0; i < s.nblocks(); i++) {
+        const SummaryEntry& e = s.entries[i];
+        if (e.kind == static_cast<uint32_t>(BlockKind::kData) &&
+            e.inum == s.redo_inum) {
+          f.open.push_back({s.write_seq, e.lblock, next + 1 + i});
+        }
+      }
+      if (s.redo_final) {
+        f.done.push_back({s.write_seq, s.redo_size, std::move(f.open)});
+        f.open.clear();
+      }
+    }
     for (uint32_t i = 0; i < s.nblocks(); i++) {
       const SummaryEntry& e = s.entries[i];
       BlockAddr addr = next + 1 + i;
@@ -287,16 +341,18 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
         u.kind = kind;
         u.addr = addr;
         u.lblock = e.lblock;
+        u.seq = s.write_seq;
         u.bytes.assign(seg_buf.data() + (1ull + i) * kBlockSize,
                        seg_buf.data() + (2ull + i) * kBlockSize);
         staged[s.txn].push_back(std::move(u));
       } else {
-        apply(kind, addr, e.lblock, seg_buf.data() + (1ull + i) * kBlockSize);
+        apply(kind, addr, e.lblock, seg_buf.data() + (1ull + i) * kBlockSize,
+              s.write_seq);
       }
     }
     if (s.txn != kNoTxn && s.txn_commit) {
       for (const Staged& u : staged[s.txn]) {
-        apply(u.kind, u.addr, u.lblock, u.bytes.data());
+        apply(u.kind, u.addr, u.lblock, u.bytes.data(), u.seq);
       }
       staged.erase(s.txn);
     }
@@ -321,6 +377,31 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
               {"seg", cur_seg_}, {"off", cur_off_});
   staged.clear();
 
+  // ---- 3b. redo the deferred fsyncs no later inode block superseded ----
+  // Each file's logged inode gets the records' block addresses and the
+  // largest size, and stays deferred: its indirect blocks are dirty in the
+  // cache, and the recovery checkpoint below logs them with the inode.
+  // Sizes only grow between logged inodes (a truncate logs its inode),
+  // but a record of an fsync that stalled for the cleaner may carry a
+  // size taken before the pass's drain logged a larger one.
+  for (const auto& [inum, f] : redo) {
+    if (f.done.empty()) continue;
+    auto ir = GetInode(inum);
+    // Freed since: a logged inode-map block says so.
+    if (ir.status().IsNotFound()) continue;
+    LFSTX_RETURN_IF_ERROR(ir.status());
+    Inode* ino = ir.value();
+    for (const Redo& r : f.done) {
+      for (const RedoBlock& b : r.blocks) {
+        LFSTX_RETURN_IF_ERROR(SetBlockMapping(ino, b.lblock, b.addr).status());
+        charge(entry_cost);
+      }
+      ino->d.size = std::max(ino->d.size, r.size);
+    }
+    ino->dirty = true;
+    ino->deferred = true;
+  }
+
   // ---- 4. exact usage + inode-block refcount rebuild ----
   LFSTX_RETURN_IF_ERROR(RebuildUsage());
 
@@ -341,7 +422,8 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
       recovery_stats_.chunks);
   set("recovery.payload_blocks", "blocks", "payload blocks scanned",
       recovery_stats_.payload_blocks);
-  set("recovery.apply_items", "count", "inode-map updates applied",
+  set("recovery.apply_items", "count",
+      "inode-map updates and redone block addresses applied",
       recovery_stats_.apply_items);
   set("recovery.discarded_txns", "count",
       "staged transactions with no commit marker",
@@ -353,65 +435,72 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
       recovery_stats_.stale_chunks);
   set("recovery.scan_us", "us", "virtual time walking the chain",
       recovery_stats_.scan_us);
-  set("recovery.apply_us", "us", "virtual CPU applying inode-map updates",
+  set("recovery.apply_us", "us", "virtual CPU applying those items",
       recovery_stats_.apply_us);
   set("recovery.total_us", "us", "virtual time for the whole recovery",
       recovery_stats_.total_us);
   return s;
 }
 
-Status Lfs::RebuildUsage() {
-  usage_.ClearLive();
-  inode_block_refs_.clear();
-  char block[kBlockSize];
-  char child[kBlockSize];
-
-  // Owners are numbered as CheckLfs numbers them: data blocks by file
-  // block, indirect blocks by meta-namespace block, inode blocks by the
-  // first inode found in them, imap blocks by index.
-  auto claim = [&](BlockAddr addr, BlockKind kind, InodeNum inum,
-                   uint64_t lblock) {
-    if (addr >= geo_.seg_start && addr < disk_->num_blocks()) {
-      usage_.RestoreLive(SegOf(addr), SlotOf(addr),
-                         SummaryEntry{static_cast<uint32_t>(kind), inum,
-                                      lblock});
-    }
-  };
-
+void Lfs::WalkBlockMaps(
+    const std::function<void(InodeNum, BlockAddr, const DiskInode*)>& inode,
+    const std::function<void(InodeNum, BlockKind, BlockAddr, uint64_t)>&
+        block) {
+  char iblock[kBlockSize];
+  char leaf[kBlockSize];
+  char root[kBlockSize];
   for (InodeNum inum = 1; inum <= options_.max_inodes; inum++) {
     const ImapEntry& e = imap_.Get(inum);
     if (e.inode_addr == 0) continue;
-    if (inode_block_refs_[e.inode_addr]++ == 0) {
-      claim(e.inode_addr, BlockKind::kInode, inum, 0);
-    }
-    disk_->RawRead(e.inode_addr, 1, block);
+    const Inode* in_core = FindInCore(inum);
+    const bool deferred = in_core != nullptr && in_core->deferred;
     DiskInode d;
     bool found = false;
-    for (uint32_t slot = 0; slot < kInodesPerBlock && !found; slot++) {
-      DecodeInode(block, slot, &d);
-      if (d.inum == inum && d.file_type() != FileType::kFree) found = true;
+    if (deferred) {
+      d = in_core->d;
+      found = true;
+    } else {
+      disk_->RawRead(e.inode_addr, 1, iblock);
+      for (uint32_t slot = 0; slot < kInodesPerBlock && !found; slot++) {
+        DecodeInode(iblock, slot, &d);
+        found = d.inum == inum && d.file_type() != FileType::kFree;
+      }
     }
+    inode(inum, e.inode_addr, found ? &d : nullptr);
     if (!found) continue;
+    // An indirect block's entries: a deferred file's cached copy, else
+    // the block at its home.
+    auto read = [&](uint64_t meta_lblock, BlockAddr home, char* out) {
+      if (deferred) {
+        Buffer* b =
+            cache_->Peek(BufferKey{Inode::MetaFileId(inum), meta_lblock});
+        if (b != nullptr) {
+          memcpy(out, b->data, kBlockSize);
+          cache_->Release(b);
+          return;
+        }
+      }
+      disk_->RawRead(home, 1, out);
+    };
     for (uint32_t i = 0; i < kNumDirect; i++) {
-      if (d.direct[i] != 0) claim(d.direct[i], BlockKind::kData, inum, i);
+      if (d.direct[i] != 0) block(inum, BlockKind::kData, d.direct[i], i);
     }
-    auto walk_leaf = [&](BlockAddr leaf_addr, uint64_t meta_lblock,
+    auto walk_leaf = [&](BlockAddr home, uint64_t meta_lblock,
                          uint64_t first_lb) {
-      claim(leaf_addr, BlockKind::kIndirect, inum, meta_lblock);
-      disk_->RawRead(leaf_addr, 1, child);
+      block(inum, BlockKind::kIndirect, home, meta_lblock);
+      read(meta_lblock, home, leaf);
       for (uint32_t i = 0; i < kPtrsPerBlock; i++) {
         uint64_t a;
-        memcpy(&a, child + i * 8, 8);
-        if (a != 0) claim(a, BlockKind::kData, inum, first_lb + i);
+        memcpy(&a, leaf + i * 8, 8);
+        if (a != 0) block(inum, BlockKind::kData, a, first_lb + i);
       }
     };
     if (d.indirect != 0) {
       walk_leaf(d.indirect, kMetaSingleIndirect, kNumDirect);
     }
     if (d.double_indirect != 0) {
-      claim(d.double_indirect, BlockKind::kIndirect, inum, kMetaDoubleRoot);
-      char root[kBlockSize];
-      disk_->RawRead(d.double_indirect, 1, root);
+      block(inum, BlockKind::kIndirect, d.double_indirect, kMetaDoubleRoot);
+      read(kMetaDoubleRoot, d.double_indirect, root);
       for (uint32_t c = 0; c < kPtrsPerBlock; c++) {
         uint64_t a;
         memcpy(&a, root + c * 8, 8);
@@ -425,8 +514,32 @@ Status Lfs::RebuildUsage() {
   }
   for (uint32_t idx = 0; idx < imap_.nblocks(); idx++) {
     BlockAddr a = imap_.block_addrs()[idx];
-    if (a != 0) claim(a, BlockKind::kImap, kInvalidInode, idx);
+    if (a != 0) block(kInvalidInode, BlockKind::kImap, a, idx);
   }
+}
+
+Status Lfs::RebuildUsage() {
+  usage_.ClearLive();
+  inode_block_refs_.clear();
+
+  // Owners are numbered as CheckLfs numbers them: data blocks by file
+  // block, indirect blocks by meta-namespace block, inode blocks by the
+  // first inode found in them, imap blocks by index.
+  auto claim = [&](InodeNum inum, BlockKind kind, BlockAddr addr,
+                   uint64_t lblock) {
+    if (addr >= geo_.seg_start && addr < disk_->num_blocks()) {
+      usage_.RestoreLive(SegOf(addr), SlotOf(addr),
+                         SummaryEntry{static_cast<uint32_t>(kind), inum,
+                                      lblock});
+    }
+  };
+  WalkBlockMaps(
+      [&](InodeNum inum, BlockAddr addr, const DiskInode*) {
+        if (inode_block_refs_[addr]++ == 0) {
+          claim(inum, BlockKind::kInode, addr, 0);
+        }
+      },
+      claim);
 
   for (uint32_t seg = 0; seg < geo_.nsegments; seg++) {
     usage_.SetState(seg, seg == cur_seg_        ? SegState::kActive

@@ -14,14 +14,16 @@ struct RawHeader {
   uint64_t write_seq;
   uint64_t timestamp;
   uint32_t generation;
-  uint32_t flags;  // bit 0: txn_commit
+  uint32_t flags;  // bit 0: txn_commit, bit 1: redo_final
   uint64_t next_addr;
   uint64_t txn;
   uint32_t crc;  // masked CRC32C of header (crc=0) + entries + payload
-  uint32_t pad;
+  uint32_t redo_inum;  // deferred fsync's file (0 = none)
+  uint64_t redo_size;  // and its size in bytes
 };
-static_assert(sizeof(RawHeader) == 56);
+static_assert(sizeof(RawHeader) == 64);
 constexpr uint32_t kFlagTxnCommit = 0x1;
+constexpr uint32_t kFlagRedoFinal = 0x2;
 }  // namespace
 
 uint32_t Summary::MaxEntries() {
@@ -37,10 +39,13 @@ void Summary::Encode(char* block, const char* payload) const {
   h.write_seq = write_seq;
   h.timestamp = timestamp;
   h.generation = generation;
-  h.flags = txn_commit ? kFlagTxnCommit : 0;
+  h.flags =
+      (txn_commit ? kFlagTxnCommit : 0) | (redo_final ? kFlagRedoFinal : 0);
   h.next_addr = next_addr;
   h.txn = txn;
   h.crc = 0;
+  h.redo_inum = redo_inum;
+  h.redo_size = redo_size;
   memcpy(block, &h, sizeof(h));
   memcpy(block + sizeof(h), entries.data(),
          entries.size() * sizeof(SummaryEntry));
@@ -92,6 +97,9 @@ Result<Summary> Summary::Decode(const char* block, const char* payload,
   s.next_addr = h.next_addr;
   s.txn = h.txn;
   s.txn_commit = (h.flags & kFlagTxnCommit) != 0;
+  s.redo_final = (h.flags & kFlagRedoFinal) != 0;
+  s.redo_inum = h.redo_inum;
+  s.redo_size = h.redo_size;
   s.entries.resize(h.nblocks);
   memcpy(s.entries.data(), block + sizeof(RawHeader),
          static_cast<size_t>(h.nblocks) * sizeof(SummaryEntry));

@@ -17,6 +17,12 @@
 // behalf of a transaction commit carries the txn id; the chunk that
 // completes the commit sets txn_commit. Roll-forward stages tagged inode /
 // imap updates and applies them only if the commit marker is reached.
+//
+// Deferred fsync (DESIGN.md §14): each chunk of an fsync that logged only
+// a file's data blocks names that file and its size. The summaries are then
+// the redo record roll-forward re-applies: the file's data entries give its
+// new block addresses. The fsync's last chunk sets redo_final, and the
+// record holds only if that chunk is in the chain.
 #ifndef LFSTX_LFS_SEGMENT_H_
 #define LFSTX_LFS_SEGMENT_H_
 
@@ -56,6 +62,13 @@ struct Summary {
   BlockAddr next_addr = kInvalidBlock;  ///< where the next summary will go
   TxnId txn = kNoTxn;        ///< commit this chunk belongs to, if any
   bool txn_commit = false;   ///< this chunk completes `txn`'s commit
+  /// The file a deferred fsync logged without its inode (kInvalidInode:
+  /// none), and that file's size in bytes.
+  InodeNum redo_inum = kInvalidInode;
+  uint64_t redo_size = 0;
+  /// This chunk ends the deferred fsync: its redo record holds only once
+  /// this chunk is in the chain.
+  bool redo_final = false;
   std::vector<SummaryEntry> entries;
 
   uint32_t nblocks() const { return static_cast<uint32_t>(entries.size()); }

@@ -3,7 +3,10 @@
 // addresses, updates the metadata chain bottom-up (data -> indirect ->
 // inode -> inode map), and pushes each partial segment to disk as one
 // contiguous write. Inode-map blocks go out only with checkpoints,
-// cleaning passes and frees; roll-forward rebuilds the rest.
+// cleaning passes and frees; roll-forward rebuilds the rest. An fsync
+// whose file changed only in block pointers and size since its inode was
+// logged writes just the data blocks, and its summaries carry the redo
+// record (DESIGN.md §14).
 #include <algorithm>
 #include <cstring>
 
@@ -40,7 +43,12 @@ Status Lfs::FlushUnderLock(TxnId txn, FlushScope scope, InodeNum file) {
 }
 
 Status Lfs::LogImapLocked() {
-  if (imap_.DirtyBlocks().empty()) return Status::OK();
+  std::vector<Inode*> in_core = InCoreInodes();
+  if (imap_.DirtyBlocks().empty() &&
+      std::none_of(in_core.begin(), in_core.end(),
+                   [](Inode* ino) { return ino->deferred; })) {
+    return Status::OK();
+  }
   return FlushLocked(kNoTxn, FlushScope::kCheckpoint);
 }
 
@@ -94,10 +102,16 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   // chunk's single disk write so the partition tracks the disk's
   // submit-time block counter exactly (even across a crash tear).
   uint64_t chunk_cat[kNumLogByteCats] = {};
+  // A deferred fsync's redo size (step 0 decides whether this flush
+  // defers, step 1 takes the size); every chunk of the flush carries it,
+  // and the last one marks the record complete.
+  bool defer = false;
+  uint64_t redo_size = 0;
   // Buffers placed in the open chunk stay pinned and dirty until the chunk
   // is durably on disk, then are released in one batch — this bounds the
-  // number of pinned frames to one chunk regardless of flush size.
-  std::vector<Buffer*> chunk_buffers;
+  // number of pinned frames to one chunk regardless of flush size. Each
+  // carries its modification count as of its copy into the chunk.
+  std::vector<std::pair<Buffer*, uint64_t>> chunk_buffers;
   cache_->PushNoDirtyEviction();
   struct FlushGuard {
     Lfs* lfs;
@@ -135,6 +149,11 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     s.next_addr = next_addr;
     s.txn = txn;
     s.txn_commit = final_commit && txn != kNoTxn;
+    if (defer) {
+      s.redo_inum = file;
+      s.redo_size = redo_size;
+      s.redo_final = final_commit;
+    }
     s.entries = entries;
     s.Encode(chunk, chunk + kBlockSize);
     env_->Consume(env_->costs().segment_block_cpu_us);
@@ -170,8 +189,10 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     nplaced = 0;
     close_chunk();
     // The chunk is durable: its buffers may now be evicted and re-read.
-    for (Buffer* b : chunk_buffers) {
-      cache_->MarkClean(b);
+    // One a process modified during the write stays dirty: the disk holds
+    // the older bytes.
+    for (auto [b, mods] : chunk_buffers) {
+      if (b->mods == mods) cache_->MarkClean(b);
       cache_->Release(b);
     }
     chunk_buffers.clear();
@@ -217,12 +238,23 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   // of each file in scope instead, in inode order, which is the dirty
   // list's order; the in-core table is read afresh on every pass, since
   // the pass before may have yielded on a chunk write.
+  //
+  // An fsync defers the file's indirect blocks and inode when roll-forward
+  // can redo them: a regular file whose inode is in the log and has changed
+  // since only in block pointers and a size Write grew. Its data blocks'
+  // summary entries and the size the summaries carry are then the redo
+  // record. A new direct or indirect block is an attribute change, so the
+  // redo never has to invent an indirect block.
+  Inode* target = nullptr;
   if (scope == FlushScope::kFile) {
-    LFSTX_RETURN_IF_ERROR(GetInode(file).status());
+    LFSTX_ASSIGN_OR_RETURN(target, GetInode(file));
+    defer = txn == kNoTxn && target->d.file_type() == FileType::kRegular &&
+            !target->attrs_dirty && imap_.Get(file).inode_addr != 0;
   }
   auto in_scope = [&](Inode* ino) {
     return (scope == FlushScope::kFile && ino->num() == file) ||
-           ino->d.file_type() == FileType::kDirectory;
+           ino->d.file_type() == FileType::kDirectory ||
+           (scope == FlushScope::kCheckpoint && ino->deferred);
   };
   // The scope's dirty buffers whose key passes `want`, pinned, in key
   // order.
@@ -261,6 +293,9 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     return !IsFileMeta(k.file) && k.file != kMetaFileId &&
            k.file != kInodeMapFileId;
   });
+  // The redo record's size, taken with no yield since the collect: it
+  // covers exactly the writes whose blocks this flush carries.
+  if (defer) redo_size = target->d.size;
   for (Buffer* b : data) {
     LFSTX_ASSIGN_OR_RETURN(Inode * ino,
                            GetInode(static_cast<InodeNum>(b->key.file)));
@@ -270,17 +305,22 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
               charge(IsWalFile(b->key.file) ? LogByteCat::kWal
                                             : LogByteCat::kUserData),
               ino->num(), b->key.lblock, b->data));
+    // Recorded before SetBlockMapping, which may yield on a leaf read.
+    chunk_buffers.emplace_back(b, b->mods);
     LFSTX_ASSIGN_OR_RETURN(BlockAddr prev,
                            SetBlockMapping(ino, b->key.lblock, addr));
     if (prev != kInvalidBlock) ReleaseBlockAddr(prev);
     b->disk_addr = addr;
-    chunk_buffers.push_back(b);
+    // Marked after the placement: a writer stall inside it lets a
+    // cleaning pass's drain log (and un-defer) the inode.
+    if (defer && ino->num() == file) ino->deferred = true;
   }
 
   // ---- 2./3. indirect blocks: children first, then roots ----
   for (bool children : {true, false}) {
-    for (Buffer* b : collect([children](BufferKey k) {
+    for (Buffer* b : collect([&, children](BufferKey k) {
            return IsFileMeta(k.file) &&
+                  !(defer && k.file == Inode::MetaFileId(file)) &&
                   (k.lblock >= kMetaDoubleChildBase) == children;
          })) {
       InodeNum inum = static_cast<InodeNum>(b->key.file & 0xffffffffu);
@@ -290,21 +330,24 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
           place(BlockKind::kIndirect,
                 charge(LogByteCat::kInode),
                 inum, b->key.lblock, b->data));
+      chunk_buffers.emplace_back(b, b->mods);
       LFSTX_ASSIGN_OR_RETURN(
           BlockAddr prev, SetMetaBlockMapping(ino, b->key.lblock, addr));
       if (prev != kInvalidBlock) ReleaseBlockAddr(prev);
       b->disk_addr = addr;
-      chunk_buffers.push_back(b);
     }
   }
 
   // ---- 4. inodes, packed kInodesPerBlock to a block ----
   // A scoped flush also writes every dirty inode the log has never seen:
-  // a directory block it writes may name one.
+  // a directory block it writes may name one. Such an inode's own blocks
+  // stay in the cache, so its attributes stay dirty: its next fsync must
+  // log its indirect blocks and inode, which roll-forward cannot redo.
   std::vector<Inode*> dirty_inodes;
   for (Inode* ino : InCoreInodes()) {
-    if (ino->dirty && (scope == FlushScope::kAll || in_scope(ino) ||
-                       imap_.Get(ino->num()).inode_addr == 0)) {
+    if (ino->dirty && !(defer && ino->num() == file) &&
+        (scope == FlushScope::kAll || in_scope(ino) ||
+         imap_.Get(ino->num()).inode_addr == 0)) {
       dirty_inodes.push_back(ino);
     }
   }
@@ -312,6 +355,13 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     char iblock[kBlockSize];
     memset(iblock, 0, sizeof(iblock));
     size_t n = std::min<size_t>(kInodesPerBlock, dirty_inodes.size() - i);
+    // Each inode is clean from its encoding on: placing the block may
+    // yield, and a change made meanwhile must dirty it again. A failed
+    // placement restores what it cleared.
+    struct Flags {
+      bool attrs_dirty, deferred;
+    };
+    Flags cleared[kInodesPerBlock] = {};
     for (size_t j = 0; j < n; j++) {
       Inode* ino = dirty_inodes[i + j];
       // A reused inode number adopts the inode map's bumped version so the
@@ -319,12 +369,24 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
       ino->d.version =
           std::max(ino->d.version, imap_.Get(ino->num()).version);
       EncodeInode(ino->d, iblock, static_cast<uint32_t>(j));
+      cleared[j] = {ino->attrs_dirty, ino->deferred};
+      if (scope == FlushScope::kAll || in_scope(ino)) {
+        ino->attrs_dirty = false;
+      }
+      ino->dirty = ino->deferred = false;
     }
-    LFSTX_ASSIGN_OR_RETURN(
-        BlockAddr addr,
-        place(BlockKind::kInode,
-              charge(LogByteCat::kInode),
-              dirty_inodes[i]->num(), 0, iblock));
+    auto placed = place(BlockKind::kInode, charge(LogByteCat::kInode),
+                        dirty_inodes[i]->num(), 0, iblock);
+    if (!placed.ok()) {
+      for (size_t j = 0; j < n; j++) {
+        Inode* ino = dirty_inodes[i + j];
+        ino->dirty = true;
+        ino->attrs_dirty |= cleared[j].attrs_dirty;
+        ino->deferred |= cleared[j].deferred;
+      }
+      return placed.status();
+    }
+    BlockAddr addr = placed.value();
     inode_block_refs_[addr] = static_cast<uint32_t>(n);
     for (size_t j = 0; j < n; j++) {
       Inode* ino = dirty_inodes[i + j];
@@ -336,7 +398,6 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
           inode_block_refs_.erase(it);
         }
       }
-      ino->dirty = false;
     }
   }
 

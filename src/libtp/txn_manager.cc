@@ -14,7 +14,8 @@ LibTp::LibTp(Kernel* kernel, Options options)
       options_(options),
       log_(kernel, options.log),
       pool_(kernel, &log_, options.pool_pages),
-      locks_(kernel->env(), "lock.libtp") {
+      locks_(kernel->env(), "lock.libtp"),
+      checkpoint_wait_(kernel->env()) {
   // Instance-prefixed so a machine co-hosting both architectures (fig5)
   // reports each manager separately instead of first-wins swallowing one.
   MetricsRegistry* m = kernel_->env()->metrics();
@@ -55,6 +56,13 @@ Status LibTp::Close() {
 // ------------------------------------------------------------ txn control --
 
 Result<TxnId> LibTp::Begin() {
+  // A truncating checkpoint found no transaction running; none may append
+  // to the log it is discarding.
+  while (truncating_) {
+    if (checkpoint_wait_.Sleep() == WakeReason::kStopped) {
+      return Status::Busy("simulation stopped during a log truncate");
+    }
+  }
   kernel_->env()->Consume(kernel_->env()->costs().txn_bookkeeping_us);
   TxnId id = ids_.Next();
   txns_[id] = TxnState{TxnStatus::kRunning, kNullLsn, kNullLsn};
@@ -94,9 +102,11 @@ Status LibTp::Commit(TxnId txn) {
   LFSTX_TRACE(env->tracer(), TraceCat::kTxn, "txn_commit", {"txn", txn},
               {"commit_lsn", lsn}, {"active", active_});
   // Fuzzy checkpoints no longer need a quiescent point: any commit that
-  // finds enough log accumulated takes one, live transactions and all.
-  if (log_.next_lsn() - last_checkpoint_lsn_ >=
-      options_.checkpoint_log_bytes) {
+  // finds enough log accumulated takes one, live transactions and all,
+  // unless another commit's checkpoint is already running.
+  if (!checkpointing_ &&
+      log_.next_lsn() - last_checkpoint_lsn_ >=
+          options_.checkpoint_log_bytes) {
     LFSTX_RETURN_IF_ERROR(Checkpoint());
   }
   return Status::OK();
@@ -232,6 +242,20 @@ Status LibTp::ApplyImage(uint32_t file_ref, uint64_t pageno, uint32_t offset,
 }
 
 Status LibTp::Checkpoint() {
+  while (checkpointing_) {
+    if (checkpoint_wait_.Sleep() == WakeReason::kStopped) {
+      return Status::Busy("simulation stopped before a checkpoint");
+    }
+  }
+  checkpointing_ = true;
+  struct Done {  // clears both flags on every return path
+    LibTp* tp;
+    ~Done() {
+      tp->checkpointing_ = false;
+      tp->truncating_ = false;
+      tp->checkpoint_wait_.WakeAll();
+    }
+  } done{this};
   // LSN fence and low-water mark, taken *before* the pool flush: records
   // appended while FlushAll yields are all >= cp_begin, and every live
   // transaction's first record is in the min, so redo from the low-water
@@ -247,9 +271,14 @@ Status LibTp::Checkpoint() {
   // truncate (or low-water-mark advance) loses committed page state with
   // no records left to redo it.
   LFSTX_RETURN_IF_ERROR(pool_.FsyncAll());
-  if (active_ == 0) {
+  if (active_ == 0 && log_.next_lsn() == cp_begin) {
     // Every update is reflected in a durable page and nothing is in
-    // flight: the old log is dead weight — reclaim it.
+    // flight: the old log is dead weight — reclaim it. A transaction that
+    // ran during the flush has records past the fence whose pages the
+    // flush may have missed, so the fuzzy path keeps them instead. From
+    // here until the truncated log is durable no transaction may begin:
+    // its records would land in a log the truncate is still rewriting.
+    truncating_ = true;
     LFSTX_RETURN_IF_ERROR(log_.Truncate());
   } else {
     // Fuzzy checkpoint: transactions stay live. The checkpoint record

@@ -69,7 +69,9 @@ class LibTp {
   /// B-tree locking, section 3 / Lehman-Yao).
   void UnlockPage(TxnId txn, uint32_t file_ref, uint64_t pageno);
 
-  /// Flush all dirty pages and write a checkpoint record.
+  /// Flush all dirty pages, then truncate the log if no transaction ran
+  /// since the flush began, else write a checkpoint record. One checkpoint
+  /// runs at a time.
   Status Checkpoint();
   /// Restart recovery: redo committed work, undo losers (called by Open).
   Status Recover();
@@ -118,6 +120,12 @@ class LibTp {
   std::unordered_map<TxnId, TxnState> txns_;
   uint32_t active_ = 0;
   Lsn last_checkpoint_lsn_ = 0;
+  /// A checkpoint is running; later ones wait for it.
+  bool checkpointing_ = false;
+  /// The running checkpoint decided to truncate the log: Begin waits until
+  /// the truncated log's header is durable.
+  bool truncating_ = false;
+  WaitQueue checkpoint_wait_;  ///< woken when either flag clears
   Stats stats_;
 };
 

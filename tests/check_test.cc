@@ -1,9 +1,10 @@
 // Invariant-checker framework tests: a healthy machine sweeps clean on
 // every checker, and each checker detects the corruption it exists for —
 // a bitmap/reachability mismatch (ffs), an orphan inode and an owner-table
-// slot that disagrees with the block maps (lfs), a leaked pin (cache), a
-// leaked lock (locks), a flipped byte in the durable WAL region (log), and
-// a transaction still live at a quiescent point (txn).
+// slot that disagrees with the block maps (lfs), a leaked pin and a clean
+// buffer that differs from its disk copy (cache), a leaked lock (locks), a
+// flipped byte in the durable WAL region (log), and a transaction still
+// live at a quiescent point (txn).
 // The LFS walker's other detection tests live in fsck_test.cc.
 #include <gtest/gtest.h>
 
@@ -234,6 +235,40 @@ TEST(CheckCacheTest, DetectsLeakedPinAtQuiescePoint) {
     EXPECT_TRUE(report.value().clean) << report.value().ToString();
   });
   env.Run();
+}
+
+TEST(CheckCacheTest, DetectsACleanBufferThatDiffersFromItsDiskCopy) {
+  // A lost update looks like this: the frame reads clean, but the disk
+  // holds other bytes, so an eviction would silently drop the change.
+  auto rig = TestRig::Create(Arch::kUserLfs);
+  rig->Run([&] {
+    FileSystem* fs = rig->machine->fs.get();
+    InodeNum ino = fs->Create("/f").value();
+    ASSERT_TRUE(fs->Write(ino, 0, Slice("on disk")).ok());
+    ASSERT_TRUE(fs->SyncAll().ok());
+    CheckContext ctx = MakeCheckContext(*rig);
+    auto report = CheckBufferCache(ctx);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
+    EXPECT_GT(report.value().CounterOr("clean_compared"), 0u);
+
+    BufferCache* cache = rig->machine->cache.get();
+    Buffer* b = cache->Peek(BufferKey{Inode::DataFileId(ino), 0});
+    ASSERT_NE(b, nullptr);
+    ASSERT_FALSE(b->dirty);
+    b->data[0] = 'X';  // changed without MarkDirty
+    cache->Release(b);
+    report = CheckBufferCache(ctx);
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report.value().problems.size(), 1u)
+        << report.value().ToString();
+    EXPECT_EQ(report.value().problems[0].rfind(
+                  "clean buffer (file " + std::to_string(ino) +
+                      ", block 0) differs from its disk copy",
+                  0),
+              0u)
+        << report.value().problems[0];
+  });
 }
 
 TEST(CheckLocksTest, DetectsLeakedLockAfterQuiesce) {

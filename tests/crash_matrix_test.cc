@@ -19,16 +19,21 @@
 // LFSTX_CRASH_MATRIX_FULL=1 sweeps every boundary (a step of CI's tier1
 // job). A second, file-level sweep crashes at every block boundary after a
 // checkpoint whose write point is a segment's end, where roll-forward must
-// continue in the successor segment the checkpoint recorded.
+// continue in the successor segment the checkpoint recorded. A third
+// crashes at every block boundary of a run of deferred fsyncs (DESIGN.md
+// §14) with a checkpoint, a cleaning pass and an fsync whose chunks cross
+// a segment end among them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "check/registry.h"
 #include "common/random.h"
+#include "lfs/cleaner.h"
 #include "lfs/fsck.h"
 #include "lfs/lfs.h"
 #include "machines.h"
@@ -275,6 +280,134 @@ TEST(CrashMatrixSegmentEnd, EveryBoundaryAfterTheCheckpointKeepsSyncedFiles) {
     env.Run();
     if (::testing::Test::HasFatalFailure()) {
       FAIL() << "aborting segment-end sweep at crash point " << k;
+    }
+  }
+}
+
+// ---- deferred fsyncs around a checkpoint and a cleaning pass ----
+
+/// One file's bytes, as a digest.
+uint64_t DigestFile(Lfs* fs, InodeNum ino) {
+  FileStat st;
+  if (!fs->StatInode(ino, &st).ok()) return 0;
+  std::string bytes(st.size, '\0');
+  auto n = fs->Read(ino, 0, st.size, bytes.data());
+  if (!n.ok() || n.value() != st.size) return 0;
+  uint64_t h = 14695981039346656037ull;
+  HashBytes(&h, bytes.data(), bytes.size());
+  return h ^ st.size;
+}
+
+/// Persist trace of: format; write and fsync a 200-block /a and take a
+/// checkpoint; then sixty fsyncs of /a, most of them deferred, with a
+/// fuzzy checkpoint after the twentieth and a kernel cleaning pass after
+/// the fortieth. Each fsync writes one block (an overwrite, and every fifth
+/// an append) except the fiftieth, which overwrites /a's last 64 blocks and
+/// appends 64 more: one chunk holds less than a segment, so that fsync's
+/// chunks cross a segment end. `boundary[i]` is the trace length once the
+/// i-th fsync of /a is durable and `digest[i]` its contents then; the
+/// checkpoint and the pass change no contents. `deferred` counts the
+/// fsyncs that left /a deferred.
+void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
+                       std::vector<size_t>* boundary,
+                       std::vector<uint64_t>* digest, uint64_t* deferred) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  disk.RecordPersistTrace(trace);
+  env.Spawn("main", [&] {
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Format().ok());
+    // Dropped before the Lfs it attaches to, with no pass in flight: the
+    // only pass is the CleanOne call below, which returns first.
+    auto cleaner = std::make_unique<Cleaner>(&env, &fs, Cleaner::Options{});
+    InodeNum a = fs.Create("/a").value();
+    Random rng(kSeed);
+    ASSERT_TRUE(fs.Write(a, 0, rng.Bytes(200 * kBlockSize)).ok());
+    ASSERT_TRUE(fs.SyncFile(a).ok());
+    // The inode map is clean from here on: only deferred fsyncs follow.
+    ASSERT_TRUE(fs.Checkpoint().ok());
+    auto synced = [&] {
+      boundary->push_back(trace->size());
+      digest->push_back(DigestFile(&fs, a));
+    };
+    synced();
+    uint64_t blocks = 200;
+    for (int i = 0; i < 60; i++) {
+      uint64_t chunks = fs.lfs_stats().partial_segments;
+      if (i == 50) {
+        const uint64_t n = fs.segment_blocks();
+        ASSERT_TRUE(fs.Write(a, (blocks - n / 2) * kBlockSize,
+                             rng.Bytes(n * kBlockSize))
+                        .ok());
+        blocks += n / 2;
+      } else {
+        uint64_t lb =
+            i % 5 == 4 ? blocks++ : (static_cast<uint64_t>(i) * 3) % 200;
+        ASSERT_TRUE(fs.Write(a, lb * kBlockSize, rng.Bytes(kBlockSize)).ok());
+      }
+      ASSERT_TRUE(fs.SyncFile(a).ok());
+      if (fs.GetInode(a).value()->deferred) ++*deferred;
+      if (i == 50) {
+        ASSERT_TRUE(fs.GetInode(a).value()->deferred);
+        ASSERT_GE(fs.lfs_stats().partial_segments - chunks, 2u);
+      }
+      synced();
+      if (i == 20) {
+        ASSERT_TRUE(fs.Checkpoint().ok());
+      }
+      if (i == 40) {
+        ASSERT_TRUE(cleaner->CleanOne().ok());
+        ASSERT_EQ(cleaner->stats().segments_cleaned, 1u);
+      }
+    }
+  });
+  env.Run();
+  disk.RecordPersistTrace(nullptr);
+}
+
+TEST(CrashMatrixDeferred, EveryBoundaryRecoversAnFsyncedState) {
+  std::vector<SimDisk::TraceBlock> trace;
+  std::vector<size_t> boundary;
+  std::vector<uint64_t> digest;
+  uint64_t deferred = 0;
+  RecordDeferredRun(&trace, &boundary, &digest, &deferred);
+  ASSERT_EQ(boundary.size(), 61u);
+  EXPECT_GT(deferred, 50u);  // the run exercises the deferred path
+
+  for (size_t k = boundary.front(); k <= trace.size(); k++) {
+    // j = last fsync durable at or before k; the one after may be too.
+    size_t j = static_cast<size_t>(std::upper_bound(boundary.begin(),
+                                                    boundary.end(), k) -
+                                   boundary.begin()) -
+               1;
+    SimEnv env;
+    SimDisk disk(&env, SimDisk::Options{});
+    for (size_t b = 0; b < k; b++) {
+      disk.RawWrite(trace[b].addr, 1, trace[b].data.data());
+    }
+    env.Spawn("main", [&] {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Mount().ok()) << "crash point " << k;
+      auto a = fs.Open("/a");
+      ASSERT_TRUE(a.ok()) << "crash point " << k;
+      uint64_t got = DigestFile(&fs, a.value());
+      EXPECT_TRUE(got == digest[j] ||
+                  (j + 1 < digest.size() && got == digest[j + 1]))
+          << "crash point " << k << " (after fsync " << j
+          << "): /a matches neither bracketing fsynced state";
+      ASSERT_TRUE(fs.Close(a.value()).ok());
+      auto report = CheckLfs(&fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report.value().clean)
+          << "crash point " << k << ":\n" << report.value().ToString();
+    });
+    env.Run();
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "aborting deferred-fsync sweep at crash point " << k;
     }
   }
 }

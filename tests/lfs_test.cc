@@ -452,6 +452,210 @@ TEST(LfsTest, SyncFileWritesOnlyThatFile) {
   });
 }
 
+std::string Pattern(char c, size_t n) { return std::string(n, c); }
+
+TEST(LfsTest, AnAppendingFsyncOfALoggedFileWritesOnlyItsData) {
+  // The block lands inside an indirect block the log already holds, so
+  // only a pointer and the size changed: the fsync writes a summary and
+  // the data block, and the indirect blocks and inode wait in core.
+  const uint64_t kDoubleIndirect = kNumDirect + kPtrsPerBlock;
+  for (uint64_t blocks : {uint64_t{20}, kDoubleIndirect + 20}) {
+    SCOPED_TRACE(blocks);
+    LfsFixture f(4096);
+    RunIn(&f.env, [&] {
+      ASSERT_TRUE(f.fs.Format().ok());
+      InodeNum a = f.fs.Create("/a").value();
+      ASSERT_TRUE(f.fs.Write(a, 0, Pattern('a', blocks * kBlockSize)).ok());
+      ASSERT_TRUE(f.fs.SyncFile(a).ok());
+      ASSERT_FALSE(f.fs.GetInode(a).value()->deferred);
+      f.disk.ResetStats();
+      ASSERT_TRUE(f.fs.Write(a, blocks * kBlockSize, Pattern('b', 10)).ok());
+      ASSERT_TRUE(f.fs.SyncFile(a).ok());
+      EXPECT_EQ(f.disk.stats().blocks_written, 2u);
+      Inode* ino = f.fs.GetInode(a).value();
+      EXPECT_TRUE(ino->deferred);
+      EXPECT_TRUE(ino->dirty);
+      EXPECT_EQ(f.cache.dirty_count(), 1u);  // the leaf with the pointer
+    });
+  }
+}
+
+TEST(LfsTest, DeferredDataAndSizeSurviveACrashBeforeAnyCheckpoint) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  const uint64_t size = 21 * kBlockSize + 100;
+  env.Spawn("test", [&] {
+    InodeNum a = kInvalidInode;
+    {
+      BufferCache cache(&env, 1024);
+      Lfs::Options opt;
+      opt.checkpoint_every_segments = 1000;
+      Lfs fs(&env, &disk, &cache, opt);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      a = fs.Create("/a").value();
+      ASSERT_TRUE(fs.Write(a, 0, Pattern('a', 20 * kBlockSize)).ok());
+      ASSERT_TRUE(fs.SyncFile(a).ok());
+      // An overwrite, then an append that ends mid-block.
+      ASSERT_TRUE(fs.Write(a, 3 * kBlockSize, Pattern('b', kBlockSize)).ok());
+      ASSERT_TRUE(fs.SyncFile(a).ok());
+      ASSERT_TRUE(fs.Write(a, 20 * kBlockSize,
+                           Pattern('c', size - 20 * kBlockSize))
+                      .ok());
+      ASSERT_TRUE(fs.SyncFile(a).ok());
+      ASSERT_TRUE(fs.GetInode(a).value()->deferred);
+      // Crash now: no Unmount, no checkpoint since Format's.
+    }
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Mount().ok());
+    FileStat st;
+    ASSERT_TRUE(fs.StatInode(a, &st).ok());
+    EXPECT_EQ(st.size, size);
+    std::string got(size, '\0');
+    ASSERT_EQ(fs.Read(a, 0, size, got.data()).value(), size);
+    std::string want = Pattern('a', 20 * kBlockSize) +
+                       Pattern('c', size - 20 * kBlockSize);
+    want.replace(3 * kBlockSize, kBlockSize, Pattern('b', kBlockSize));
+    EXPECT_TRUE(got == want);
+    // The recovery checkpoint logged the redone inode.
+    EXPECT_FALSE(fs.GetInode(a).value()->deferred);
+    auto report = CheckLfs(&fs);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
+  });
+  env.Run();
+}
+
+TEST(LfsTest, ACheckpointLogsADeferredFileBeforeItsCapture) {
+  // The checkpoint moves roll-forward's start past the fsync's redo
+  // record, so it must log the file's inode first, even with the imap
+  // clean.
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("test", [&] {
+    InodeNum a = kInvalidInode;
+    {
+      BufferCache cache(&env, 1024);
+      Lfs::Options opt;
+      opt.checkpoint_every_segments = 1000;
+      Lfs fs(&env, &disk, &cache, opt);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      a = fs.Create("/a").value();
+      ASSERT_TRUE(fs.Write(a, 0, Pattern('a', 20 * kBlockSize)).ok());
+      ASSERT_TRUE(fs.SyncFile(a).ok());
+      ASSERT_TRUE(fs.Checkpoint().ok());
+      ASSERT_TRUE(fs.Write(a, 20 * kBlockSize, Pattern('d', kBlockSize)).ok());
+      ASSERT_TRUE(fs.SyncFile(a).ok());
+      ASSERT_TRUE(fs.GetInode(a).value()->deferred);
+      ASSERT_TRUE(fs.imap().DirtyBlocks().empty());
+      ASSERT_TRUE(fs.Checkpoint().ok());
+      EXPECT_FALSE(fs.GetInode(a).value()->deferred);
+      // Crash right after the image.
+    }
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Mount().ok());
+    EXPECT_EQ(fs.recovery_stats().chunks, 0u);  // the checkpoint has it all
+    FileStat st;
+    ASSERT_TRUE(fs.StatInode(a, &st).ok());
+    EXPECT_EQ(st.size, 21 * kBlockSize);
+    char buf[kBlockSize] = {0};
+    ASSERT_EQ(fs.Read(a, 20 * kBlockSize, kBlockSize, buf).value(),
+              kBlockSize);
+    EXPECT_EQ(buf[0], 'd');
+    auto report = CheckLfs(&fs);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
+  });
+  env.Run();
+}
+
+TEST(LfsTest, ARemovedDeferredFilesNumberReusedBeforeACrashRecovers) {
+  // /f's redo record names its inode number; /g reuses that number, and
+  // /g's inode block, written later, supersedes the record.
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("test", [&] {
+    InodeNum g = kInvalidInode;
+    {
+      BufferCache cache(&env, 1024);
+      Lfs::Options opt;
+      opt.checkpoint_every_segments = 1000;
+      Lfs fs(&env, &disk, &cache, opt);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      InodeNum f = fs.Create("/f").value();
+      ASSERT_TRUE(fs.Write(f, 0, Pattern('f', 20 * kBlockSize)).ok());
+      ASSERT_TRUE(fs.SyncFile(f).ok());
+      ASSERT_TRUE(fs.Write(f, 20 * kBlockSize, Pattern('F', kBlockSize)).ok());
+      ASSERT_TRUE(fs.SyncFile(f).ok());
+      ASSERT_TRUE(fs.GetInode(f).value()->deferred);
+      ASSERT_TRUE(fs.Close(f).ok());
+      ASSERT_TRUE(fs.Remove("/f").ok());
+      g = fs.Create("/g").value();
+      ASSERT_EQ(g, f);
+      ASSERT_TRUE(fs.Write(g, 0, Slice("reused")).ok());
+      ASSERT_TRUE(fs.SyncFile(g).ok());
+      ASSERT_TRUE(fs.Close(g).ok());
+      // Crash now.
+    }
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Mount().ok());
+    EXPECT_EQ(fs.Open("/f").status().code(), Code::kNotFound);
+    auto r = fs.Open("/g");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r.value(), g);
+    FileStat st;
+    ASSERT_TRUE(fs.StatInode(g, &st).ok());
+    EXPECT_EQ(st.size, 6u);
+    char buf[8] = {0};
+    EXPECT_EQ(fs.Read(g, 0, sizeof(buf), buf).value(), 6u);
+    EXPECT_EQ(std::string(buf, 6), "reused");
+    ASSERT_TRUE(fs.Close(g).ok());
+    auto report = CheckLfs(&fs);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
+  });
+  env.Run();
+}
+
+TEST(LfsTest, AWriteDuringItsChunkWriteKeepsTheBlockDirty) {
+  // A flush marks its chunk's buffers clean once the chunk is on disk. A
+  // process that overwrote one of them while that write was in flight
+  // must find it still dirty, and the next sync must write the new bytes.
+  LfsFixture f;
+  RunIn(&f.env, [&] {
+    ASSERT_TRUE(f.fs.Format().ok());
+    InodeNum a = f.fs.Create("/a").value();
+    ASSERT_TRUE(f.fs.Write(a, 0, std::string(kBlockSize, 'o')).ok());
+    uint64_t chunks = f.fs.lfs_stats().partial_segments;
+    bool wrote = false;
+    f.env.Spawn("writer", [&] {
+      // Runs at the flush's first yield: its chunk write.
+      EXPECT_EQ(f.fs.lfs_stats().partial_segments, chunks);
+      EXPECT_TRUE(f.fs.Write(a, 0, std::string(kBlockSize, 'n')).ok());
+      wrote = true;
+    });
+    ASSERT_TRUE(f.fs.SyncAll().ok());
+    ASSERT_TRUE(wrote);
+    Buffer* b = f.cache.Peek(BufferKey{Inode::DataFileId(a), 0});
+    ASSERT_NE(b, nullptr);
+    EXPECT_TRUE(b->dirty);
+    f.cache.Release(b);
+    ASSERT_TRUE(f.fs.SyncAll().ok());
+    char disk[kBlockSize];
+    f.disk.RawRead(f.fs.MapBlock(f.fs.GetInode(a).value(), 0).value(), 1,
+                   disk);
+    EXPECT_EQ(disk[0], 'n');
+  });
+}
+
 TEST(LfsTest, SyncFileMakesEveryNameInItsDirectoryDurable) {
   // /a is created but never synced; fsync of /b writes the root directory
   // block, which names /a too, so /a's inode must go out with it.
@@ -484,6 +688,45 @@ TEST(LfsTest, SyncFileMakesEveryNameInItsDirectoryDurable) {
       ASSERT_TRUE(report.ok());
       EXPECT_TRUE(report.value().clean) << report.value().ToString();
     }
+  });
+  env.Run();
+}
+
+TEST(LfsTest, AFileLoggedOnlyForItsNameLogsItsIndirectBlockOnItsFsync) {
+  // /b's fsync logs /a's inode for the directory's sake, but not /a's data
+  // or single-indirect block. /a's own fsync must not defer: the logged
+  // inode names no indirect block, and roll-forward does not invent one.
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("test", [&] {
+    InodeNum a = kInvalidInode;
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      a = fs.Create("/a").value();
+      ASSERT_TRUE(fs.Write(a, 0, Pattern('a', 20 * kBlockSize)).ok());
+      InodeNum b = fs.Create("/b").value();
+      ASSERT_TRUE(fs.Write(b, 0, Slice("fsynced")).ok());
+      ASSERT_TRUE(fs.SyncFile(b).ok());
+      ASSERT_TRUE(fs.SyncFile(a).ok());
+      EXPECT_FALSE(fs.GetInode(a).value()->deferred);
+      // Crash now: no Unmount.
+    }
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Mount().ok());
+    FileStat st;
+    ASSERT_TRUE(fs.StatInode(a, &st).ok());
+    ASSERT_EQ(st.size, 20 * kBlockSize);
+    std::string got(st.size, '\0');
+    ASSERT_EQ(fs.Read(a, 0, st.size, got.data()).value(), st.size);
+    EXPECT_TRUE(got == Pattern('a', 20 * kBlockSize));
+    auto report = CheckLfs(&fs);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
   });
   env.Run();
 }

@@ -342,6 +342,130 @@ TEST(LibTpTest, RecoveryUndoesLosers) {
   });
 }
 
+TEST(LibTpTest, ATransactionBegunDuringTheLogTruncateSurvivesACrash) {
+  // A checkpoint that finds no transaction running truncates the log. The
+  // truncate yields (here: reading the log's indirect block to free its
+  // blocks), and a transaction that began then, committed and wrote its
+  // records would have them zeroed by the truncate's tail clearing. Begin
+  // must wait until the truncated log is durable.
+  auto rig = TestRig::Create(Arch::kUserLfs);
+  LibTp::Options lo;
+  lo.log.preallocate_bytes = 0;
+  lo.checkpoint_log_bytes = ~uint64_t{0};  // checkpoints only on request
+  rig->libtp = std::make_unique<LibTp>(rig->machine->kernel.get(), lo);
+  rig->backend = std::make_unique<LibTpBackend>(rig->libtp.get());
+  rig->Run([&] {
+    LibTp* tp = rig->libtp.get();
+    FileSystem* fs = rig->machine->fs.get();
+    uint32_t fref = tp->pool()->RegisterFile("/data", true).value();
+    // Grow the log past its direct blocks: seven whole-page rewrites log
+    // about 8 KiB each.
+    TxnId t1 = tp->Begin().value();
+    for (uint64_t pg = 0; pg < 7; pg++) {
+      auto p = tp->GetPage(t1, fref, pg, LockMode::kExclusive);
+      ASSERT_TRUE(p.ok());
+      memset(p.value()->data + sizeof(Lsn), static_cast<int>('a' + pg),
+             kBlockSize - sizeof(Lsn));
+      ASSERT_TRUE(tp->PutPageDirty(t1, p.value()).ok());
+    }
+    ASSERT_TRUE(tp->Commit(t1).ok());
+    ASSERT_TRUE(tp->pool()->FlushAll().ok());
+    ASSERT_TRUE(fs->SyncAll().ok());
+    // Evict the log's (clean) indirect block so the truncate reads it.
+    InodeNum log_ino = fs->LookupPath("/txn.log").value();
+    rig->machine->cache->DropFile(Inode::MetaFileId(log_ino));
+
+    uint32_t epoch = tp->log()->epoch();
+    bool committed = false;
+    rig->env()->Spawn("late", [&] {
+      while (tp->log()->epoch() == epoch) {
+        rig->env()->SleepFor(100 * kMicrosecond);
+      }
+      TxnId t2 = tp->Begin().value();
+      auto p = tp->GetPage(t2, fref, 9, LockMode::kExclusive);
+      ASSERT_TRUE(p.ok());
+      memcpy(p.value()->data + 300, "LATE", 4);
+      ASSERT_TRUE(tp->PutPageDirty(t2, p.value()).ok());
+      ASSERT_TRUE(tp->Commit(t2).ok());
+      committed = true;
+    });
+    ASSERT_TRUE(tp->Checkpoint().ok());
+    while (!committed) rig->env()->SleepFor(kMillisecond);
+    EXPECT_GT(tp->log()->epoch(), epoch);
+
+    // Crash: the pool's dirty page is lost, so only the log can redo the
+    // late commit.
+    LibTp fresh(rig->machine->kernel.get(), lo);
+    ASSERT_TRUE(fresh.pool()->RegisterFile("/data", false).ok());
+    ASSERT_TRUE(fresh.Open("/txn.log").ok());
+    TxnId t3 = fresh.Begin().value();
+    auto p3 = fresh.GetPage(t3, 0, 9, LockMode::kShared);
+    ASSERT_TRUE(p3.ok());
+    EXPECT_EQ(std::string(p3.value()->data + 300, 4), "LATE");
+    fresh.PutPage(p3.value());
+    ASSERT_TRUE(fresh.Commit(t3).ok());
+  });
+}
+
+TEST(LibTpTest, ATransactionCommittedDuringACheckpointsFlushSurvivesACrash) {
+  // The checkpoint's pool flush waits on a group commit's log flush; a
+  // transaction that begins meanwhile commits in the same log flush and is
+  // done before the checkpoint decides. No transaction is running then,
+  // but the flush never wrote the page it dirtied: the log must keep its
+  // records.
+  auto rig = TestRig::Create(Arch::kUserLfs);
+  LibTp::Options lo;
+  lo.log.preallocate_bytes = 0;
+  lo.log.group_commit_wait = 5 * kMillisecond;
+  lo.log.group_commit_batch = 4;
+  lo.checkpoint_log_bytes = ~uint64_t{0};  // checkpoints only on request
+  rig->libtp = std::make_unique<LibTp>(rig->machine->kernel.get(), lo);
+  rig->backend = std::make_unique<LibTpBackend>(rig->libtp.get());
+  rig->Run([&] {
+    LibTp* tp = rig->libtp.get();
+    uint32_t fref = tp->pool()->RegisterFile("/data", true).value();
+    auto update = [&](uint64_t pg, const char* bytes) {
+      TxnId t = tp->Begin().value();
+      auto p = tp->GetPage(t, fref, pg, LockMode::kExclusive);
+      ASSERT_TRUE(p.ok());
+      memcpy(p.value()->data + 300, bytes, 4);
+      ASSERT_TRUE(tp->PutPageDirty(t, p.value()).ok());
+      ASSERT_TRUE(tp->Commit(t).ok());
+    };
+    update(1, "BASE");
+    ASSERT_TRUE(tp->Checkpoint().ok());
+    int done = 0;
+    // Leads a group commit: its log flush holds 5 ms for company.
+    rig->env()->Spawn("leader", [&] {
+      update(2, "LEAD");
+      done++;
+    });
+    // Begins once the checkpoint is parked on the leader's log flush.
+    rig->env()->Spawn("late", [&] {
+      rig->env()->SleepFor(2 * kMillisecond);
+      update(3, "LATE");
+      done++;
+    });
+    rig->env()->SleepFor(kMillisecond);
+    ASSERT_TRUE(tp->Checkpoint().ok());
+    while (done < 2) rig->env()->SleepFor(kMillisecond);
+
+    // Crash: the pool's dirty pages are lost.
+    LibTp fresh(rig->machine->kernel.get(), lo);
+    ASSERT_TRUE(fresh.pool()->RegisterFile("/data", false).ok());
+    ASSERT_TRUE(fresh.Open("/txn.log").ok());
+    TxnId t = fresh.Begin().value();
+    for (auto [pg, want] : {std::pair<uint64_t, const char*>{2, "LEAD"},
+                            {3, "LATE"}}) {
+      auto p = fresh.GetPage(t, 0, pg, LockMode::kShared);
+      ASSERT_TRUE(p.ok());
+      EXPECT_EQ(std::string(p.value()->data + 300, 4), want) << "page " << pg;
+      fresh.PutPage(p.value());
+    }
+    ASSERT_TRUE(fresh.Commit(t).ok());
+  });
+}
+
 TEST(LibTpTest, GroupCommitBatchesFsyncs) {
   Machine::Options mo;
   auto rig = TestRig::Create(Arch::kUserLfs, mo);
