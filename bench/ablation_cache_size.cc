@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       table.AddRow({cache, "failed: " + m.error, ""});
       continue;
     }
-    cfg.DumpMetrics(run.label, m.metrics_json);
+    cfg.DumpMetrics(run.label, m.metrics_json, m.window);
     table.AddRow({cache, Fmt("%.2f", m.tps),
                   Fmt("%.2f", m.Get("disk.reads") /
                                   static_cast<double>(m.txns))});

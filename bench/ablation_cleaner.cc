@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       table.AddRow({row.name, "failed: " + m.error, "", ""});
       continue;
     }
-    cfg.DumpMetrics(run.label, m.metrics_json);
+    cfg.DumpMetrics(run.label, m.metrics_json, m.window);
     // Both cleaner columns cover the measured window, warm-up excluded.
     table.AddRow({row.name, Fmt("%.2f", m.tps),
                   Fmt("%.0f", m.Get("cleaner.segments_cleaned")),

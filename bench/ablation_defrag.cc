@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     fprintf(stderr, "failed: %s\n", m.updates.error.c_str());
     return 1;
   }
-  cfg.DumpMetrics(run.label, m.updates.metrics_json);
+  cfg.DumpMetrics(run.label, m.updates.metrics_json, m.updates.window);
 
   ResultTable table({"phase", "key-order scan time"});
   table.AddRow({"after random updates (Figure 6 state)",

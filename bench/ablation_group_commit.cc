@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       table.AddRow({mpl, timeout, adaptive, "failed: " + m.error, "", ""});
       continue;
     }
-    cfg.DumpMetrics(run.label, m.metrics_json);
+    cfg.DumpMetrics(run.label, m.metrics_json, m.window);
     // Both flush columns cover the measured window, the load excluded.
     double flushes = m.Get("txn.embedded.group_commit_flushes");
     double flushed = m.Get("txn.embedded.group_commit_txns_flushed");

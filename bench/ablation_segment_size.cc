@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       table.AddRow({size, "failed: " + m.error, "", "", ""});
       continue;
     }
-    cfg.DumpMetrics(run.label, m.metrics_json);
+    cfg.DumpMetrics(run.label, m.metrics_json, m.window);
     double partials = m.Get("lfs.partial_segments");
     table.AddRow({size, Fmt("%.2f", m.tps), Fmt("%.0f", partials),
                   Fmt("%.1f", partials > 0

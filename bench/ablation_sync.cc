@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       run.label = Fmt("ablation_sync_%s_%s", tas ? "tas" : "notas",
                       arch == Arch::kEmbedded ? "embedded" : "user");
       TpcbMeasurement m = MeasureTpcb(run, cfg);
-      if (m.ok) cfg.DumpMetrics(run.label, m.metrics_json);
+      if (m.ok) cfg.DumpMetrics(run.label, m.metrics_json, m.window);
       return m;
     };
     TpcbMeasurement user = measure(Arch::kUserLfs);

@@ -361,20 +361,27 @@ struct BenchConfig {
     return o;
   }
 
-  /// Write a metrics snapshot under `--metrics-dir` as `<name>.json`.
-  /// No-op when the flag was not given. `name` should identify the
-  /// configuration, e.g. "fig4_embedded_lfs".
-  void DumpMetrics(const std::string& name, const std::string& json) const {
+  /// Write a configuration's metrics snapshots under `--metrics-dir`: the
+  /// whole run (`json`, cumulative from Machine::Build) as `<name>.json`,
+  /// and the measured window's change in every metric as
+  /// `<name>.window.json`. No-op when the flag was not given. `name` should
+  /// identify the configuration, e.g. "fig4_embedded_lfs".
+  void DumpMetrics(const std::string& name, const std::string& json,
+                   const MetricValues& window) const {
     if (metrics_dir.empty() || json.empty()) return;
-    std::string path = metrics_dir + "/" + name + ".json";
-    FILE* f = fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
-      return;
+    for (const auto& [file, bytes] :
+         {std::pair<std::string, std::string>{name, json},
+          {name + ".window", MetricValuesJson(window)}}) {
+      std::string path = metrics_dir + "/" + file + ".json";
+      FILE* f = fopen(path.c_str(), "w");
+      if (f == nullptr) {
+        fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
+        return;
+      }
+      fwrite(bytes.data(), 1, bytes.size(), f);
+      fclose(f);
+      fprintf(stderr, "[bench] metrics snapshot: %s\n", path.c_str());
     }
-    fwrite(json.data(), 1, json.size(), f);
-    fclose(f);
-    fprintf(stderr, "[bench] metrics snapshot: %s\n", path.c_str());
   }
 
   LibTp::Options LibTpOptions() const {

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     cfg.DumpMetrics(std::string("fig4_") + ArchSlug(row.arch),
-                    m.metrics_json);
+                    m.metrics_json, m.window);
     if (!cfg.summary.empty()) {
       // Coverage: the share of the window inside transaction spans
       // (≤ 1 at MPL 1).

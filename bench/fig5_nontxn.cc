@@ -63,8 +63,10 @@ int main(int argc, char** argv) {
             txn.usertp.error.c_str());
     return 1;
   }
-  cfg.DumpMetrics("fig5_normal_kernel", normal.usertp.metrics_json);
-  cfg.DumpMetrics("fig5_txn_kernel", txn.usertp.metrics_json);
+  cfg.DumpMetrics("fig5_normal_kernel", normal.usertp.metrics_json,
+                  normal.usertp.window);
+  cfg.DumpMetrics("fig5_txn_kernel", txn.usertp.metrics_json,
+                  txn.usertp.window);
 
   ResultTable table({"benchmark", "normal kernel", "transaction kernel",
                      "delta", "paper"});

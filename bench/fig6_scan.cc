@@ -100,8 +100,10 @@ int main(int argc, char** argv) {
             lfs.updates.error.c_str());
     return 1;
   }
-  cfg.DumpMetrics("fig6_user_ffs", ffs.updates.metrics_json);
-  cfg.DumpMetrics("fig6_user_lfs", lfs.updates.metrics_json);
+  cfg.DumpMetrics("fig6_user_ffs", ffs.updates.metrics_json,
+                  ffs.updates.window);
+  cfg.DumpMetrics("fig6_user_lfs", lfs.updates.metrics_json,
+                  lfs.updates.window);
 
   ResultTable table({"file system", "scan time", "scan MB/s", "txn phase",
                      "txn TPS"});

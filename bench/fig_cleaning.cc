@@ -117,6 +117,7 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
       mo.cleaner.mode == Cleaner::Mode::kKernel ? "kernel" : "user";
 
   auto rig = ArchRig::Create(arch, mo, cfg.LibTpOptions());
+  MetricValues churn;
   Status run = rig->Run([&] {
     SimEnv* env = rig->env();
     Kernel* k = rig->machine->kernel.get();
@@ -190,7 +191,7 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
     env->SleepFor(500 * kMillisecond);
 
     p.churn_elapsed = env->Now() - t0;
-    MetricValues churn = metrics->Delta(mark);
+    churn = metrics->Delta(mark);
     p.churn_disk_blocks = AtU(churn, "disk.blocks_written");
     p.churn_logical_bytes = AtU(churn, "logecon.logical_user_bytes");
     p.churn_payload_blocks = (AtU(churn, "logecon.bytes.user_data") +
@@ -264,7 +265,7 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
   p.pretty = env->metrics()->PrettyPrint({"cleaner.", "wa.", "logecon."});
   cfg.DumpMetrics(Fmt("fig_cleaning_%s_f%d_%s", ArchSlug(arch), p.fullness,
                       wm.name),
-                  rig->MetricsJson());
+                  rig->MetricsJson(), churn);
   return p;
 }
 

@@ -130,11 +130,11 @@ int main(int argc, char** argv) {
         SimTime t0 = rig->env()->Now();
         OpenLoopDriver ol(rig->backend.get(), db, tpcb, opts);
         LFSTX_ASSIGN_OR_RETURN(res, ol.Run());
+        MetricValues window = rig->env()->metrics()->Delta(mark);
         PrintWindow(cfg, Fmt("%s@%g", ArchSlug(arch), tps), MgrOf(arch),
-                    rig->env()->metrics()->Delta(mark),
-                    rig->env()->Now() - t0);
+                    window, rig->env()->Now() - t0);
         cfg.DumpMetrics(Fmt("tail_%s_%g", ArchSlug(arch), tps),
-                        rig->MetricsJson());
+                        rig->MetricsJson(), window);
         return InvariantSweep(cfg, rig.get());
       };
       Status st = RunIn(rig.get(), [&] {

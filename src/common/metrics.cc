@@ -23,6 +23,36 @@ std::string FormatNumber(double v) {
   return buf;
 }
 
+// Pretty-printed JSON of (full name, rendered value) pairs sorted by name,
+// nested by the first dot component ("disk.seeks" -> {"disk": {"seeks":
+// ...}}). Sorting keeps each section's names adjacent, so a section opens
+// each time the prefix changes.
+std::string NestBySection(
+    const std::vector<std::pair<std::string, std::string>>& leaves) {
+  std::string out = "{";
+  std::string section;
+  bool first_section = true;
+  bool first_in_section = true;
+  for (const auto& [name, value] : leaves) {
+    size_t dot = name.find('.');
+    std::string sec = dot == std::string::npos ? "" : name.substr(0, dot);
+    std::string leaf = dot == std::string::npos ? name : name.substr(dot + 1);
+    if (sec != section || first_section) {
+      if (!first_section) out += "\n  },";
+      out += "\n  \"" + sec + "\": {";
+      section = sec;
+      first_section = false;
+      first_in_section = true;
+    }
+    out += first_in_section ? "\n" : ",\n";
+    first_in_section = false;
+    out += "    \"" + leaf + "\": " + value;
+  }
+  if (!first_section) out += "\n  }";
+  out += "\n}\n";
+  return out;
+}
+
 }  // namespace
 
 size_t HdrHistogram::BucketIndex(uint64_t v) {
@@ -140,26 +170,10 @@ void MetricsRegistry::DropOwner(const void* owner) {
 }
 
 std::string MetricsRegistry::ToJson() const {
-  // entries_ is sorted by full name, so all "disk.*" metrics are adjacent:
-  // emit a section object each time the prefix changes.
-  std::string out = "{";
-  std::string section;
-  bool first_section = true;
-  bool first_in_section = true;
+  std::vector<std::pair<std::string, std::string>> leaves;
+  leaves.reserve(entries_.size());
   for (const auto& [name, e] : entries_) {
-    size_t dot = name.find('.');
-    std::string sec = dot == std::string::npos ? "" : name.substr(0, dot);
-    std::string leaf = dot == std::string::npos ? name : name.substr(dot + 1);
-    if (sec != section || first_section) {
-      if (!first_section) out += "\n  },";
-      out += "\n  \"" + sec + "\": {";
-      section = sec;
-      first_section = false;
-      first_in_section = true;
-    }
-    out += first_in_section ? "\n" : ",\n";
-    first_in_section = false;
-    out += "    \"" + leaf + "\": ";
+    std::string out;
     switch (e.kind) {
       case Entry::Kind::kCounter:
         out += FormatNumber(static_cast<double>(e.counter->value()));
@@ -183,10 +197,18 @@ std::string MetricsRegistry::ToJson() const {
         break;
       }
     }
+    leaves.emplace_back(name, std::move(out));
   }
-  if (!first_section) out += "\n  }";
-  out += "\n}\n";
-  return out;
+  return NestBySection(leaves);
+}
+
+std::string MetricValuesJson(const MetricValues& values) {
+  std::vector<std::pair<std::string, std::string>> leaves;
+  leaves.reserve(values.size());
+  for (const auto& [name, v] : values) {
+    leaves.emplace_back(name, FormatNumber(v));
+  }
+  return NestBySection(leaves);
 }
 
 std::vector<std::pair<std::string, double>> MetricsRegistry::SampleNumeric()

@@ -114,6 +114,11 @@ class MetricHistogram {
 /// Numeric metric values by name, as SampleNumeric flattens them.
 using MetricValues = std::map<std::string, double>;
 
+/// `values` as JSON in MetricsRegistry::ToJson's layout, nested by the
+/// first dot component of each name. A histogram appears as its `.count`
+/// and `.sum` leaves, as SampleNumeric flattens it.
+std::string MetricValuesJson(const MetricValues& values);
+
 /// \brief Registry of named metrics, snapshotable to JSON.
 class MetricsRegistry {
  public:

@@ -105,13 +105,15 @@ Status EmbeddedTxnManager::TxnAbort() {
   // Invalidate the dirty buffers: the no-overwrite policy guarantees the
   // before-images on disk are still the current on-disk versions.
   lfs_->cache()->InvalidateTxnBuffers(st->id);
-  // Roll back in-core inode growth from aborted appends. The write path
-  // already flagged the inode dirty, so the restored size reaches disk
-  // with the next segment write.
+  // Roll back in-core inode growth from aborted appends. A flush may have
+  // logged the grown size already, so the rollback dirties the inode's
+  // attributes: the next segment write logs the restored size.
+  Status rolled_back = Status::OK();
   for (const auto& [inum, size] : st->size_at_first_touch) {
     auto r = lfs_->GetInode(inum);
     if (r.ok() && r.value()->d.size != size) {
-      r.value()->d.size = size;
+      Status s = lfs_->RollBackSize(r.value(), size);
+      if (rolled_back.ok()) rolled_back = s;
     }
   }
   locks_.ReleaseAll(st->id);
@@ -121,7 +123,7 @@ Status EmbeddedTxnManager::TxnAbort() {
   env_->profiler()->EndSpan("embedded", st->id, false);
   LFSTX_TRACE(env_->tracer(), TraceCat::kTxn, "txn_abort", {"txn", st->id},
               {"active", active_});
-  return Status::OK();
+  return rolled_back;
 }
 
 Result<TxnId> EmbeddedTxnManager::OnPageAccess(Inode* inode, uint64_t lblock,

@@ -67,13 +67,14 @@ struct Inode {
   /// LFS: since the inode was last logged, something changed that
   /// roll-forward cannot redo from a summary — anything that went through
   /// NoteInodeDirty (create, truncate, links, flags, a cleaner relocation,
-  /// a new direct or indirect block). Block pointers and Write's size
-  /// growth leave it alone. Cleared when a flush logs the inode together
-  /// with its own blocks.
+  /// a new direct or indirect block, an aborted append's size rollback).
+  /// Block pointers and Write's size growth leave it alone. Cleared when a
+  /// flush logs the inode together with its own blocks.
   bool attrs_dirty = false;
-  /// LFS: an fsync logged data blocks of this file that only its summaries'
-  /// redo records map; its inode and indirect blocks are still dirty in
-  /// core (DESIGN.md §14). Cleared when the inode is logged.
+  /// LFS: an fsync or a transaction commit logged data blocks of this file
+  /// that only its summaries' redo records map; its inode and indirect
+  /// blocks are still dirty in core (DESIGN.md §14). Cleared when the inode
+  /// is logged.
   bool deferred = false;
 
   /// Kernel-mode cleaner lock (paper section 5.1: "when the cleaner runs,

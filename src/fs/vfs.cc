@@ -595,6 +595,11 @@ Status FsCore::Truncate(InodeNum inum, uint64_t new_size) {
   return NoteInodeDirty(ino);
 }
 
+Status FsCore::RollBackSize(Inode* ino, uint64_t size) {
+  ino->d.size = size;
+  return NoteInodeDirty(ino);
+}
+
 // ------------------------------------------------------------ directories --
 
 Result<InodeNum> FsCore::FindInDir(Inode* dir, const std::string& name) {

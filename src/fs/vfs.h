@@ -165,6 +165,12 @@ class FsCore : public FileSystem {
   /// Current on-disk home of an indirect block (see SetMetaBlockMapping).
   Result<BlockAddr> GetMetaBlockHome(Inode* ino, uint64_t meta_lblock);
 
+  /// Put back the size an aborted transaction's appends grew (embedded
+  /// TxnAbort). An attribute change, like a truncate: the inode reaches
+  /// disk with the next write, whole, even if a flush already logged the
+  /// grown size.
+  Status RollBackSize(Inode* ino, uint64_t size);
+
  protected:
   // ---- FS-specific policy, supplied by FFS / LFS ----
 

@@ -1,7 +1,7 @@
 // Deep consistency checker for the log-structured file system — the kind
 // of tool a real release ships. Walks the checkpoint, inode map, every
 // inode and its block map (Lfs::WalkBlockMaps: on disk, or in core for a
-// file whose fsync deferred its metadata), and cross-checks:
+// file whose fsync or commit deferred its metadata), and cross-checks:
 //   * every mapped block address lands inside the segment area;
 //   * no two mappings claim the same disk block;
 //   * the segment usage table's live counts match a full recount, and its

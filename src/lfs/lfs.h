@@ -91,7 +91,9 @@ class Lfs : public FsCore {
 
   /// Flush everything dirty to the log. When `txn` is nonzero the chunks
   /// are tagged so roll-forward applies them atomically (commit path of
-  /// the embedded transaction manager).
+  /// the embedded transaction manager), and, as an fsync does, the flush
+  /// keeps the indirect blocks and inode of each file it writes data for
+  /// in core when roll-forward can redo them (DESIGN.md §14).
   Status Flush(TxnId txn = kNoTxn);
 
   /// Force a checkpoint now — the *fuzzy* path: the flush lock is held
@@ -201,8 +203,10 @@ class Lfs : public FsCore {
   // ---- segment writer (segment_writer.cc) ----
   /// What one FlushLocked call writes.
   enum class FlushScope {
-    /// Every dirty block and inode: sync, eviction write-back, the syncer
-    /// and the embedded commit.
+    /// Every dirty block and inode: sync, eviction write-back, the syncer,
+    /// a cleaning pass and the embedded commit. Untagged, it writes every
+    /// deferred file out; tagged (a commit), it defers like kFile, for
+    /// every regular file whose data it writes.
     kAll,
     /// One file's dirty data blocks, indirect blocks and inode, plus the
     /// namespace closure: every dirty directory block and directory inode,
@@ -210,7 +214,7 @@ class Lfs : public FsCore {
     /// recovered directory could name an inode the log never saw (fsync).
     /// A regular file whose logged inode differs from its in-core one only
     /// in block pointers and a size Write grew keeps its indirect blocks
-    /// and inode in core: the chunks' summaries carry the redo record
+    /// and inode in core: the chunks' redo tables name it and its size
     /// (DESIGN.md §14), and the file is marked deferred.
     kFile,
     /// The namespace closure, every deferred file whole, and every dirty

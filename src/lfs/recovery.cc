@@ -16,13 +16,14 @@
 // marker), then rebuilds the usage table and its owner slots exactly and
 // writes a fresh checkpoint. The roll-forward is one sequential pass that
 // applies every inode and inode-map update inline, in log order, and
-// collects the redo records of deferred fsyncs (DESIGN.md §14): a record
-// counts once its fsync's final chunk is in the chain, an inode block
-// written after it supersedes it, and the rest are applied to their
-// inodes once the pass ends, before the usage rebuild. The whole
-// recovery holds the flush lock: the cleaner and syncer daemons start
-// before the file system is mounted, and only the lock keeps them from
-// appending to a log whose head the scan has not found yet.
+// collects the redo records of flushes that deferred metadata (DESIGN.md
+// §14): a record counts once its flush's final chunk is in the chain (for
+// a commit, its commit marker), an inode block written after it supersedes
+// it, and the rest are applied to their inodes once the pass ends, before
+// the usage rebuild. The whole recovery holds the flush lock: the cleaner
+// and syncer daemons start before the file system is mounted, and only the
+// lock keeps them from appending to a log whose head the scan has not
+// found yet.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -194,9 +195,9 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   // ---- 3. roll forward along the summary chain ----
   SimTime scan_start = env_->Now();
 
-  // A deferred fsync's redo record, as its summaries recorded it: the data
-  // blocks its chunks logged for the file, each with its chunk's write_seq,
-  // and the file's size, which its final chunk dates.
+  // A deferred file's redo record, as one flush's summaries recorded it:
+  // the data blocks its chunks logged for the file, each with its chunk's
+  // write_seq, and the file's size, which the flush's final chunk dates.
   struct RedoBlock {
     uint64_t seq;
     uint64_t lblock;
@@ -207,16 +208,46 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
     uint64_t size;
     std::vector<RedoBlock> blocks;
   };
-  // Per file: the complete records in log order, and the blocks of an
-  // fsync whose final chunk the scan has not reached yet (a torn fsync
-  // leaves them there, and they are dropped). An inode block for the file
-  // written at seq s supersedes everything logged before s: it was written
-  // with the map those blocks redo.
-  struct FileRedo {
-    std::vector<Redo> done;
-    std::vector<RedoBlock> open;
+  // Blocks whose flush's final chunk the scan has not reached yet, per file.
+  using OpenRedo = std::map<InodeNum, std::vector<RedoBlock>>;
+  // Per file, the complete records in log order. An inode block for the
+  // file written at seq s supersedes everything logged before s, complete
+  // or not: it was written with the map those blocks redo.
+  std::map<InodeNum, std::vector<Redo>> redo;
+  // An fsync's blocks wait here for its final chunk; a torn fsync leaves
+  // them, and they are dropped.
+  OpenRedo fsync_redo;
+
+  // Chunks of a transaction stage here until the chunk carrying its commit
+  // marker: the raw images of the inode and inode-map blocks it logged,
+  // which the marker applies in log order, and the blocks of the files it
+  // deferred, which the marker completes like an fsync's final chunk.
+  struct StagedBlock {
+    BlockKind kind;
+    BlockAddr addr;
+    uint64_t lblock;
+    uint64_t seq;
+    std::vector<char> bytes;
   };
-  std::map<InodeNum, FileRedo> redo;
+  struct Staged {
+    std::vector<StagedBlock> blocks;
+    OpenRedo redo;
+  };
+  std::map<TxnId, Staged> staged;
+
+  // Moves the open blocks of each file chunk `s`'s redo table names into a
+  // complete record dated by `s`.
+  auto complete = [&](const Summary& s, OpenRedo* open) {
+    for (const RedoRow& row : s.redo) {
+      auto it = open->find(row.inum);
+      std::vector<RedoBlock> blocks;
+      if (it != open->end()) {
+        blocks = std::move(it->second);
+        open->erase(it);
+      }
+      redo[row.inum].push_back({s.write_seq, row.size, std::move(blocks)});
+    }
+  };
 
   auto charge = [&](uint64_t cost) {
     recovery_stats_.apply_items++;
@@ -239,13 +270,18 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
           continue;
         }
         imap_.Set(d.inum, addr, d.version);
+        auto before = [seq](const auto& x) { return x.seq <= seq; };
+        auto supersede = [&](OpenRedo* open) {
+          auto o = open->find(d.inum);
+          if (o != open->end()) std::erase_if(o->second, before);
+        };
         auto r = redo.find(d.inum);
         if (r != redo.end()) {
-          auto before = [seq](const auto& x) { return x.seq <= seq; };
-          std::erase_if(r->second.done, before);
-          for (Redo& x : r->second.done) std::erase_if(x.blocks, before);
-          std::erase_if(r->second.open, before);
+          std::erase_if(r->second, before);
+          for (Redo& x : r->second) std::erase_if(x.blocks, before);
         }
+        supersede(&fsync_redo);
+        for (auto& [id, t] : staged) supersede(&t.redo);
         charge(entry_cost);
       }
     } else {
@@ -254,17 +290,6 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
       charge(env_->costs().segment_block_cpu_us);
     }
   };
-
-  // Chunks of a transaction stage here (as raw block images) until the
-  // chunk carrying the commit marker applies them in log order.
-  struct Staged {
-    BlockKind kind;
-    BlockAddr addr;
-    uint64_t lblock;
-    uint64_t seq;
-    std::vector<char> bytes;
-  };
-  std::map<TxnId, std::vector<Staged>> staged;
 
   Status scan_status = Status::OK();
   // A checkpoint taken when the last chunk filled its segment points at
@@ -317,44 +342,37 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
     recovery_stats_.payload_blocks += n;
 
     usage_.ReplayChunk(seg, off, n, s.generation, s.timestamp);
-    if (s.txn == kNoTxn && s.redo_inum != kInvalidInode) {
-      FileRedo& f = redo[s.redo_inum];
-      for (uint32_t i = 0; i < s.nblocks(); i++) {
-        const SummaryEntry& e = s.entries[i];
-        if (e.kind == static_cast<uint32_t>(BlockKind::kData) &&
-            e.inum == s.redo_inum) {
-          f.open.push_back({s.write_seq, e.lblock, next + 1 + i});
-        }
-      }
-      if (s.redo_final) {
-        f.done.push_back({s.write_seq, s.redo_size, std::move(f.open)});
-        f.open.clear();
-      }
-    }
+    Staged* txn = s.txn != kNoTxn ? &staged[s.txn] : nullptr;
+    OpenRedo* open = txn != nullptr ? &txn->redo : &fsync_redo;
     for (uint32_t i = 0; i < s.nblocks(); i++) {
       const SummaryEntry& e = s.entries[i];
       BlockAddr addr = next + 1 + i;
       BlockKind kind = static_cast<BlockKind>(e.kind);
+      if (kind == BlockKind::kData) {
+        if (std::any_of(s.redo.begin(), s.redo.end(),
+                        [&](const RedoRow& r) { return r.inum == e.inum; })) {
+          (*open)[e.inum].push_back({s.write_seq, e.lblock, addr});
+        }
+        continue;
+      }
       if (kind != BlockKind::kInode && kind != BlockKind::kImap) continue;
-      if (s.txn != kNoTxn) {
-        Staged u;
-        u.kind = kind;
-        u.addr = addr;
-        u.lblock = e.lblock;
-        u.seq = s.write_seq;
-        u.bytes.assign(seg_buf.data() + (1ull + i) * kBlockSize,
-                       seg_buf.data() + (2ull + i) * kBlockSize);
-        staged[s.txn].push_back(std::move(u));
+      const char* bytes = seg_buf.data() + (1ull + i) * kBlockSize;
+      if (txn != nullptr) {
+        txn->blocks.push_back(
+            {kind, addr, e.lblock, s.write_seq,
+             std::vector<char>(bytes, bytes + kBlockSize)});
       } else {
-        apply(kind, addr, e.lblock, seg_buf.data() + (1ull + i) * kBlockSize,
-              s.write_seq);
+        apply(kind, addr, e.lblock, bytes, s.write_seq);
       }
     }
-    if (s.txn != kNoTxn && s.txn_commit) {
-      for (const Staged& u : staged[s.txn]) {
+    if (txn != nullptr && s.txn_commit) {
+      for (const StagedBlock& u : txn->blocks) {
         apply(u.kind, u.addr, u.lblock, u.bytes.data(), u.seq);
       }
+      complete(s, &txn->redo);
       staged.erase(s.txn);
+    } else if (txn == nullptr && s.redo_final) {
+      complete(s, &fsync_redo);
     }
     expect_seq++;
     cur_seg_ = seg;
@@ -377,21 +395,22 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
               {"seg", cur_seg_}, {"off", cur_off_});
   staged.clear();
 
-  // ---- 3b. redo the deferred fsyncs no later inode block superseded ----
+  // ---- 3b. redo the deferred records no later inode block superseded ----
   // Each file's logged inode gets the records' block addresses and the
   // largest size, and stays deferred: its indirect blocks are dirty in the
   // cache, and the recovery checkpoint below logs them with the inode.
-  // Sizes only grow between logged inodes (a truncate logs its inode),
-  // but a record of an fsync that stalled for the cleaner may carry a
-  // size taken before the pass's drain logged a larger one.
-  for (const auto& [inum, f] : redo) {
-    if (f.done.empty()) continue;
+  // Sizes only grow between logged inodes (a truncate, or an aborted
+  // append's rollback, logs its inode), but a record of a flush that
+  // stalled for the cleaner may carry a size taken before the pass's drain
+  // logged a larger one.
+  for (const auto& [inum, records] : redo) {
+    if (records.empty()) continue;
     auto ir = GetInode(inum);
     // Freed since: a logged inode-map block says so.
     if (ir.status().IsNotFound()) continue;
     LFSTX_RETURN_IF_ERROR(ir.status());
     Inode* ino = ir.value();
-    for (const Redo& r : f.done) {
+    for (const Redo& r : records) {
       for (const RedoBlock& b : r.blocks) {
         LFSTX_RETURN_IF_ERROR(SetBlockMapping(ino, b.lblock, b.addr).status());
         charge(entry_cost);

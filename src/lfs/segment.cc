@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/check_macros.h"
 #include "common/crc32c.h"
 
 namespace lfstx {
@@ -18,10 +19,9 @@ struct RawHeader {
   uint64_t next_addr;
   uint64_t txn;
   uint32_t crc;  // masked CRC32C of header (crc=0) + entries + payload
-  uint32_t redo_inum;  // deferred fsync's file (0 = none)
-  uint64_t redo_size;  // and its size in bytes
+  uint32_t nredo;  // redo rows after the nblocks entries
 };
-static_assert(sizeof(RawHeader) == 64);
+static_assert(sizeof(RawHeader) == 56);
 constexpr uint32_t kFlagTxnCommit = 0x1;
 constexpr uint32_t kFlagRedoFinal = 0x2;
 }  // namespace
@@ -44,11 +44,16 @@ void Summary::Encode(char* block, const char* payload) const {
   h.next_addr = next_addr;
   h.txn = txn;
   h.crc = 0;
-  h.redo_inum = redo_inum;
-  h.redo_size = redo_size;
+  h.nredo = static_cast<uint32_t>(redo.size());
+  LFSTX_CHECK(h.nblocks + h.nredo <= MaxEntries(),
+              "summary entries and redo rows overflow the summary block");
   memcpy(block, &h, sizeof(h));
-  memcpy(block + sizeof(h), entries.data(),
-         entries.size() * sizeof(SummaryEntry));
+  char* at = block + sizeof(h);
+  memcpy(at, entries.data(), entries.size() * sizeof(SummaryEntry));
+  if (!redo.empty()) {  // an empty vector's data() may be null
+    memcpy(at + entries.size() * sizeof(SummaryEntry), redo.data(),
+           redo.size() * sizeof(RedoRow));
+  }
   uint32_t crc = crc32c::Value(block, kBlockSize);
   crc = crc32c::Extend(crc, payload,
                        static_cast<size_t>(nblocks()) * kBlockSize);
@@ -75,7 +80,8 @@ Result<Summary> Summary::Decode(const char* block, const char* payload,
   if (h.magic != kSummaryMagic) {
     return Status::Corruption("not a segment summary");
   }
-  if (h.nblocks > MaxEntries() || h.nblocks > payload_available_blocks) {
+  if (h.nblocks > MaxEntries() || h.nblocks > payload_available_blocks ||
+      h.nredo > MaxEntries() - h.nblocks) {
     return Status::Corruption("summary block count out of range");
   }
   // Re-CRC with the stored value zeroed.
@@ -98,11 +104,16 @@ Result<Summary> Summary::Decode(const char* block, const char* payload,
   s.txn = h.txn;
   s.txn_commit = (h.flags & kFlagTxnCommit) != 0;
   s.redo_final = (h.flags & kFlagRedoFinal) != 0;
-  s.redo_inum = h.redo_inum;
-  s.redo_size = h.redo_size;
   s.entries.resize(h.nblocks);
-  memcpy(s.entries.data(), block + sizeof(RawHeader),
+  s.redo.resize(h.nredo);
+  const char* at = block + sizeof(RawHeader);
+  memcpy(s.entries.data(), at,
          static_cast<size_t>(h.nblocks) * sizeof(SummaryEntry));
+  if (h.nredo > 0) {
+    memcpy(s.redo.data(),
+           at + static_cast<size_t>(h.nblocks) * sizeof(SummaryEntry),
+           static_cast<size_t>(h.nredo) * sizeof(RedoRow));
+  }
   return s;
 }
 

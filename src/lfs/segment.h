@@ -18,10 +18,12 @@
 // completes the commit sets txn_commit. Roll-forward stages tagged inode /
 // imap updates and applies them only if the commit marker is reached.
 //
-// Deferred fsync (DESIGN.md §14): each chunk of an fsync that logged only
-// a file's data blocks names that file and its size. The summaries are then
-// the redo record roll-forward re-applies: the file's data entries give its
-// new block addresses. The fsync's last chunk sets redo_final, and the
+// Deferred metadata (DESIGN.md §14): a flush that logs a file's data blocks
+// without its inode and indirect blocks (an fsync, or a transaction commit)
+// lists that file and its size in every chunk's redo table. The table is
+// then the redo record roll-forward re-applies: the chunk's data entries for
+// a listed file give its new block addresses. The flush's last chunk sets
+// redo_final (for a commit, the chunk with the commit marker), and the
 // record holds only if that chunk is in the chain.
 #ifndef LFSTX_LFS_SEGMENT_H_
 #define LFSTX_LFS_SEGMENT_H_
@@ -54,6 +56,16 @@ struct SummaryEntry {
 };
 static_assert(sizeof(SummaryEntry) == 16);
 
+/// One row of a summary's redo table: a file whose data entries in the
+/// chunk map blocks no logged inode names yet, and its size in bytes. Rows
+/// follow the entries in the summary block and take an entry's room.
+struct RedoRow {
+  InodeNum inum = kInvalidInode;
+  uint32_t pad = 0;
+  uint64_t size = 0;
+};
+static_assert(sizeof(RedoRow) == sizeof(SummaryEntry));
+
 /// \brief Decoded partial-segment summary.
 struct Summary {
   uint64_t write_seq = 0;    ///< global monotonic partial-segment counter
@@ -62,18 +74,17 @@ struct Summary {
   BlockAddr next_addr = kInvalidBlock;  ///< where the next summary will go
   TxnId txn = kNoTxn;        ///< commit this chunk belongs to, if any
   bool txn_commit = false;   ///< this chunk completes `txn`'s commit
-  /// The file a deferred fsync logged without its inode (kInvalidInode:
-  /// none), and that file's size in bytes.
-  InodeNum redo_inum = kInvalidInode;
-  uint64_t redo_size = 0;
-  /// This chunk ends the deferred fsync: its redo record holds only once
-  /// this chunk is in the chain.
+  /// The files the flush logged without their inodes, each with its size;
+  /// every chunk of the flush carries the whole table.
+  std::vector<RedoRow> redo;
+  /// This chunk ends the flush: its redo record holds only once this chunk
+  /// is in the chain.
   bool redo_final = false;
   std::vector<SummaryEntry> entries;
 
   uint32_t nblocks() const { return static_cast<uint32_t>(entries.size()); }
 
-  /// Max payload blocks one summary block can describe.
+  /// Max payload blocks plus redo rows one summary block can describe.
   static uint32_t MaxEntries();
 
   /// Serialize into a 4 KiB summary block. `payload` (nblocks * 4 KiB) is

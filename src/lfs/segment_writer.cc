@@ -3,10 +3,10 @@
 // addresses, updates the metadata chain bottom-up (data -> indirect ->
 // inode -> inode map), and pushes each partial segment to disk as one
 // contiguous write. Inode-map blocks go out only with checkpoints,
-// cleaning passes and frees; roll-forward rebuilds the rest. An fsync
-// whose file changed only in block pointers and size since its inode was
-// logged writes just the data blocks, and its summaries carry the redo
-// record (DESIGN.md §14).
+// cleaning passes and frees; roll-forward rebuilds the rest. An fsync or a
+// transaction commit writes just the data blocks of a file that changed
+// only in block pointers and size since its inode was logged, and its
+// summaries' redo table names the file and its size (DESIGN.md §14).
 #include <algorithm>
 #include <cstring>
 
@@ -102,11 +102,15 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   // chunk's single disk write so the partition tracks the disk's
   // submit-time block counter exactly (even across a crash tear).
   uint64_t chunk_cat[kNumLogByteCats] = {};
-  // A deferred fsync's redo size (step 0 decides whether this flush
-  // defers, step 1 takes the size); every chunk of the flush carries it,
-  // and the last one marks the record complete.
-  bool defer = false;
-  uint64_t redo_size = 0;
+  // The files this flush logs without their inodes and indirect blocks,
+  // with their sizes (step 1 fills it before the first chunk opens). Every
+  // chunk of the flush carries the table, and the last one marks the
+  // record complete.
+  std::vector<RedoRow> redo;
+  auto deferring = [&redo](InodeNum inum) {
+    return std::any_of(redo.begin(), redo.end(),
+                       [inum](const RedoRow& r) { return r.inum == inum; });
+  };
   // Buffers placed in the open chunk stay pinned and dirty until the chunk
   // is durably on disk, then are released in one batch — this bounds the
   // number of pinned frames to one chunk regardless of flush size. Each
@@ -149,9 +153,8 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     s.next_addr = next_addr;
     s.txn = txn;
     s.txn_commit = final_commit && txn != kNoTxn;
-    if (defer) {
-      s.redo_inum = file;
-      s.redo_size = redo_size;
+    if (!redo.empty()) {
+      s.redo = redo;
       s.redo_final = final_commit;
     }
     s.entries = entries;
@@ -204,8 +207,9 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
       LFSTX_RETURN_IF_ERROR(AdvanceSegment());
     }
     chunk_base = SegBase(cur_seg_) + cur_off_;
-    chunk_cap = std::min<uint32_t>(Summary::MaxEntries(),
-                                   options_.segment_blocks - cur_off_ - 1);
+    chunk_cap = std::min<uint32_t>(
+        Summary::MaxEntries() - static_cast<uint32_t>(redo.size()),
+        options_.segment_blocks - cur_off_ - 1);
     LFSTX_CHECK(!stage_live_,
                 "LFS flush opened a staging chunk while another flush's "
                 "chunk is live — the flush lock's exclusion was violated");
@@ -238,18 +242,9 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   // of each file in scope instead, in inode order, which is the dirty
   // list's order; the in-core table is read afresh on every pass, since
   // the pass before may have yielded on a chunk write.
-  //
-  // An fsync defers the file's indirect blocks and inode when roll-forward
-  // can redo them: a regular file whose inode is in the log and has changed
-  // since only in block pointers and a size Write grew. Its data blocks'
-  // summary entries and the size the summaries carry are then the redo
-  // record. A new direct or indirect block is an attribute change, so the
-  // redo never has to invent an indirect block.
   Inode* target = nullptr;
   if (scope == FlushScope::kFile) {
     LFSTX_ASSIGN_OR_RETURN(target, GetInode(file));
-    defer = txn == kNoTxn && target->d.file_type() == FileType::kRegular &&
-            !target->attrs_dirty && imap_.Get(file).inode_addr != 0;
   }
   auto in_scope = [&](Inode* ino) {
     return (scope == FlushScope::kFile && ino->num() == file) ||
@@ -293,9 +288,34 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     return !IsFileMeta(k.file) && k.file != kMetaFileId &&
            k.file != kInodeMapFileId;
   });
-  // The redo record's size, taken with no yield since the collect: it
-  // covers exactly the writes whose blocks this flush carries.
-  if (defer) redo_size = target->d.size;
+  // An fsync defers its file, and a commit every file it writes data for,
+  // when roll-forward can redo the indirect blocks and inode: a regular
+  // file whose inode is in the log and has changed since only in block
+  // pointers and a size Write grew. Its data blocks' summary entries and
+  // the size in the redo table are then the redo record. A new direct or
+  // indirect block is an attribute change, so the redo never has to invent
+  // an indirect block. The untagged full flushes never defer: they are what
+  // writes deferred files out. Each size is taken with no yield since the
+  // collect, so it covers exactly the writes whose blocks this flush
+  // carries. The table takes at most half the summary block, so a chunk
+  // still holds a default segment's payload; files past that go out whole.
+  auto defer_if_clean = [&](const Inode* ino) {
+    if (ino != nullptr && ino->d.file_type() == FileType::kRegular &&
+        !ino->attrs_dirty && imap_.Get(ino->num()).inode_addr != 0 &&
+        redo.size() < Summary::MaxEntries() / 2) {
+      redo.push_back(RedoRow{ino->num(), 0, ino->d.size});
+    }
+  };
+  if (scope == FlushScope::kFile) {
+    defer_if_clean(target);
+  } else if (txn != kNoTxn) {
+    InodeNum last = kInvalidInode;
+    for (Buffer* b : data) {
+      auto inum = static_cast<InodeNum>(b->key.file);
+      if (inum != last) defer_if_clean(FindInCore(inum));
+      last = inum;
+    }
+  }
   for (Buffer* b : data) {
     LFSTX_ASSIGN_OR_RETURN(Inode * ino,
                            GetInode(static_cast<InodeNum>(b->key.file)));
@@ -313,14 +333,25 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     b->disk_addr = addr;
     // Marked after the placement: a writer stall inside it lets a
     // cleaning pass's drain log (and un-defer) the inode.
-    if (defer && ino->num() == file) ino->deferred = true;
+    if (deferring(ino->num())) ino->deferred = true;
+  }
+
+  // A commit whose chunks made the periodic checkpoint due logs its files
+  // whole after all. The capture at the end of this flush may name no
+  // deferred file, so deferring here would cost a flush of its own just
+  // before it. The data entries the sealed chunks carry for these files
+  // stay an incomplete record, which recovery drops: the inodes this flush
+  // writes map those blocks.
+  if (txn != kNoTxn &&
+      segments_since_checkpoint_ >= options_.checkpoint_every_segments) {
+    redo.clear();
   }
 
   // ---- 2./3. indirect blocks: children first, then roots ----
   for (bool children : {true, false}) {
     for (Buffer* b : collect([&, children](BufferKey k) {
            return IsFileMeta(k.file) &&
-                  !(defer && k.file == Inode::MetaFileId(file)) &&
+                  !deferring(static_cast<InodeNum>(k.file & 0xffffffffu)) &&
                   (k.lblock >= kMetaDoubleChildBase) == children;
          })) {
       InodeNum inum = static_cast<InodeNum>(b->key.file & 0xffffffffu);
@@ -345,7 +376,7 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   // log its indirect blocks and inode, which roll-forward cannot redo.
   std::vector<Inode*> dirty_inodes;
   for (Inode* ino : InCoreInodes()) {
-    if (ino->dirty && !(defer && ino->num() == file) &&
+    if (ino->dirty && !deferring(ino->num()) &&
         (scope == FlushScope::kAll || in_scope(ino) ||
          imap_.Get(ino->num()).inode_addr == 0)) {
       dirty_inodes.push_back(ino);

@@ -22,11 +22,13 @@
 // continue in the successor segment the checkpoint recorded. A third
 // crashes at every block boundary of a run of deferred fsyncs (DESIGN.md
 // §14) with a checkpoint, a cleaning pass and an fsync whose chunks cross
-// a segment end among them.
+// a segment end among them, and a fourth at every block boundary of a run
+// of the embedded manager's deferred commits with the same events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
@@ -286,13 +288,17 @@ TEST(CrashMatrixSegmentEnd, EveryBoundaryAfterTheCheckpointKeepsSyncedFiles) {
 
 // ---- deferred fsyncs around a checkpoint and a cleaning pass ----
 
-/// One file's bytes, as a digest.
-uint64_t DigestFile(Lfs* fs, InodeNum ino) {
+/// One file's size and the bytes of its blocks [first, last), as far as
+/// its size reaches, as a digest.
+uint64_t DigestFile(Lfs* fs, InodeNum ino, uint64_t first = 0,
+                    uint64_t last = kMaxFileBlocks) {
   FileStat st;
   if (!fs->StatInode(ino, &st).ok()) return 0;
-  std::string bytes(st.size, '\0');
-  auto n = fs->Read(ino, 0, st.size, bytes.data());
-  if (!n.ok() || n.value() != st.size) return 0;
+  uint64_t lo = std::min(first * kBlockSize, st.size);
+  uint64_t hi = std::min(last * kBlockSize, st.size);
+  std::string bytes(hi - lo, '\0');
+  auto n = fs->Read(ino, lo, bytes.size(), bytes.data());
+  if (!n.ok() || n.value() != bytes.size()) return 0;
   uint64_t h = 14695981039346656037ull;
   HashBytes(&h, bytes.data(), bytes.size());
   return h ^ st.size;
@@ -367,17 +373,18 @@ void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
   disk.RecordPersistTrace(nullptr);
 }
 
-TEST(CrashMatrixDeferred, EveryBoundaryRecoversAnFsyncedState) {
-  std::vector<SimDisk::TraceBlock> trace;
-  std::vector<size_t> boundary;
-  std::vector<uint64_t> digest;
-  uint64_t deferred = 0;
-  RecordDeferredRun(&trace, &boundary, &digest, &deferred);
-  ASSERT_EQ(boundary.size(), 61u);
-  EXPECT_GT(deferred, 50u);  // the run exercises the deferred path
-
+/// Crashes at every block boundary from `boundary.front()` to the end of
+/// `trace`: replays the prefix onto a fresh platter, mounts it, and
+/// requires `digest_of` to read one of the two states `digest` brackets
+/// the point with (`boundary[i]` is where state i is durable) and
+/// `CheckLfs` to come back clean. `what` names a step of the run.
+void SweepEveryBoundary(const std::vector<SimDisk::TraceBlock>& trace,
+                        const std::vector<size_t>& boundary,
+                        const std::vector<uint64_t>& digest,
+                        const char* what,
+                        const std::function<uint64_t(Lfs*)>& digest_of) {
   for (size_t k = boundary.front(); k <= trace.size(); k++) {
-    // j = last fsync durable at or before k; the one after may be too.
+    // j = last state durable at or before k; the one after may be too.
     size_t j = static_cast<size_t>(std::upper_bound(boundary.begin(),
                                                     boundary.end(), k) -
                                    boundary.begin()) -
@@ -392,14 +399,11 @@ TEST(CrashMatrixDeferred, EveryBoundaryRecoversAnFsyncedState) {
       Lfs fs(&env, &disk, &cache);
       cache.set_writeback(&fs);
       ASSERT_TRUE(fs.Mount().ok()) << "crash point " << k;
-      auto a = fs.Open("/a");
-      ASSERT_TRUE(a.ok()) << "crash point " << k;
-      uint64_t got = DigestFile(&fs, a.value());
+      uint64_t got = digest_of(&fs);
       EXPECT_TRUE(got == digest[j] ||
                   (j + 1 < digest.size() && got == digest[j + 1]))
-          << "crash point " << k << " (after fsync " << j
-          << "): /a matches neither bracketing fsynced state";
-      ASSERT_TRUE(fs.Close(a.value()).ok());
+          << "crash point " << k << " (after " << what << " " << j
+          << "): the files match neither bracketing state";
       auto report = CheckLfs(&fs);
       ASSERT_TRUE(report.ok());
       EXPECT_TRUE(report.value().clean)
@@ -407,9 +411,162 @@ TEST(CrashMatrixDeferred, EveryBoundaryRecoversAnFsyncedState) {
     });
     env.Run();
     if (::testing::Test::HasFailure()) {
-      FAIL() << "aborting deferred-fsync sweep at crash point " << k;
+      FAIL() << "aborting the " << what << " sweep at crash point " << k;
     }
   }
+}
+
+/// The digest of the file at `path`, 0 if it cannot be opened.
+uint64_t DigestPath(Lfs* fs, const char* path) {
+  auto f = fs->Open(path);
+  EXPECT_TRUE(f.ok()) << path;
+  if (!f.ok()) return 0;
+  uint64_t h = DigestFile(fs, f.value());
+  EXPECT_TRUE(fs->Close(f.value()).ok());
+  return h;
+}
+
+TEST(CrashMatrixDeferred, EveryBoundaryRecoversAnFsyncedState) {
+  std::vector<SimDisk::TraceBlock> trace;
+  std::vector<size_t> boundary;
+  std::vector<uint64_t> digest;
+  uint64_t deferred = 0;
+  RecordDeferredRun(&trace, &boundary, &digest, &deferred);
+  ASSERT_EQ(boundary.size(), 61u);
+  EXPECT_GT(deferred, 50u);  // the run exercises the deferred path
+  SweepEveryBoundary(trace, boundary, digest, "fsync",
+                     [](Lfs* fs) { return DigestPath(fs, "/a"); });
+}
+
+// ---- deferred commits of the embedded manager ----
+
+// /a's blocks below this are a hole in RecordDeferredCommitRun, except for
+// its first 20.
+constexpr uint64_t kCommitHoleEnd = 900;
+
+/// The contents of RecordDeferredCommitRun's two files, as one digest.
+uint64_t DigestCommitted(Lfs* fs, InodeNum a, InodeNum b) {
+  uint64_t h = DigestFile(fs, a, 0, 20);
+  h = h * 1099511628211ull ^ DigestFile(fs, a, kCommitHoleEnd);
+  return h * 1099511628211ull ^ DigestFile(fs, b);
+}
+
+/// Persist trace of: format, with a periodic checkpoint every two segments;
+/// one commit that writes a sparse /a (blocks 0-19, and the last 15 of its
+/// first double-indirect child) and a 20-block /b, both
+/// transaction-protected; a sync and a checkpoint; then sixty commits, most
+/// of them deferred, with a fuzzy checkpoint after the twentieth and a
+/// kernel cleaning pass after the fortieth. Each commit overwrites one block
+/// of /b and one of /a, except that every fifth appends to /a and
+/// overwrites again the block the commit before wrote: /a's double-indirect
+/// map grows, and the sixth append starts its second child, so that commit
+/// logs /a's inode over the record of the commit before. The fiftieth and
+/// the fifty-fifth overwrite /a's last 64 blocks and append 64 more, so
+/// their chunks cross a segment end; the fiftieth also makes the periodic
+/// checkpoint due. `boundary[i]` is the trace length once the i-th commit
+/// returned and `digest[i]` the files' contents then; the checkpoints and
+/// the pass change no contents. `deferred` counts the commits that left
+/// both files deferred.
+void RecordDeferredCommitRun(std::vector<SimDisk::TraceBlock>* trace,
+                             std::vector<size_t>* boundary,
+                             std::vector<uint64_t>* digest,
+                             uint64_t* deferred) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  disk.RecordPersistTrace(trace);
+  env.Spawn("main", [&] {
+    BufferCache cache(&env, 1024);
+    Lfs::Options lo;
+    lo.checkpoint_every_segments = 2;
+    Lfs fs(&env, &disk, &cache, lo);
+    cache.set_writeback(&fs);
+    Kernel kernel(&env, &fs);
+    EmbeddedTxnManager etm(&env, &fs);
+    kernel.AttachTxnManager(&etm);
+    ASSERT_TRUE(fs.Format().ok());
+    // Dropped before the Lfs it attaches to, with no pass in flight: the
+    // only pass is the CleanOne call below, which returns first.
+    auto cleaner = std::make_unique<Cleaner>(&env, &fs, Cleaner::Options{});
+    InodeNum a = kernel.Create("/a").value();
+    InodeNum b = kernel.Create("/b").value();
+    ASSERT_TRUE(kernel.SetTxnProtected("/a", true).ok());
+    ASSERT_TRUE(kernel.SetTxnProtected("/b", true).ok());
+    Random rng(kSeed);
+    auto write = [&](InodeNum f, uint64_t lb, uint64_t n) {
+      ASSERT_TRUE(kernel.Write(f, lb * kBlockSize, rng.Bytes(n * kBlockSize))
+                      .ok());
+    };
+    // /a's size in blocks: five short of its second double-indirect child.
+    uint64_t blocks = kNumDirect + 2 * kPtrsPerBlock - 5;
+    ASSERT_TRUE(kernel.TxnBegin().ok());
+    write(a, 0, 20);
+    write(a, blocks - 15, 15);
+    write(b, 0, 20);
+    ASSERT_TRUE(kernel.TxnCommit().ok());
+    ASSERT_TRUE(kernel.Sync().ok());
+    ASSERT_TRUE(fs.Checkpoint().ok());
+    auto committed = [&] {
+      boundary->push_back(trace->size());
+      digest->push_back(DigestCommitted(&fs, a, b));
+    };
+    committed();
+    uint64_t last = 0;  // the block of /a the commit before overwrote
+    for (int i = 0; i < 60; i++) {
+      uint64_t chunks = fs.lfs_stats().partial_segments;
+      ASSERT_TRUE(kernel.TxnBegin().ok());
+      if (i == 50 || i == 55) {
+        const uint64_t n = fs.segment_blocks();
+        write(a, blocks - n / 2, n);
+        blocks += n / 2;
+      } else if (i % 5 == 4) {
+        write(a, blocks++, 1);
+        write(a, last, 1);
+      } else {
+        last = i % 2 == 0 ? (i * 3) % 20 : blocks - 1 - i % 10;
+        write(a, last, 1);
+      }
+      write(b, (i * 7) % 20, 1);
+      uint64_t checkpoints = fs.lfs_stats().checkpoints;
+      ASSERT_TRUE(kernel.TxnCommit().ok());
+      const bool a_deferred = fs.GetInode(a).value()->deferred;
+      const bool b_deferred = fs.GetInode(b).value()->deferred;
+      if (a_deferred && b_deferred) ++*deferred;
+      if (i == 50 || i == 55) {
+        ASSERT_GE(fs.lfs_stats().partial_segments - chunks, 2u);
+        // The fiftieth makes the periodic checkpoint due, so it logs both
+        // files whole; the fifty-fifth defers across its chunks.
+        ASSERT_EQ(fs.lfs_stats().checkpoints - checkpoints, i == 50 ? 1u : 0u);
+        ASSERT_EQ(a_deferred, i == 55);
+        ASSERT_EQ(b_deferred, i == 55);
+      }
+      committed();
+      if (i == 20) {
+        ASSERT_TRUE(fs.Checkpoint().ok());
+      }
+      if (i == 40) {
+        ASSERT_TRUE(cleaner->CleanOne().ok());
+        ASSERT_EQ(cleaner->stats().segments_cleaned, 1u);
+      }
+    }
+  });
+  env.Run();
+  disk.RecordPersistTrace(nullptr);
+}
+
+TEST(CrashMatrixDeferredCommits, EveryBoundaryRecoversACommittedState) {
+  std::vector<SimDisk::TraceBlock> trace;
+  std::vector<size_t> boundary;
+  std::vector<uint64_t> digest;
+  uint64_t deferred = 0;
+  RecordDeferredCommitRun(&trace, &boundary, &digest, &deferred);
+  ASSERT_EQ(boundary.size(), 61u);
+  EXPECT_GT(deferred, 50u);  // the run exercises the deferred path
+  SweepEveryBoundary(trace, boundary, digest, "commit", [](Lfs* fs) {
+    auto a = fs->Open("/a");
+    auto b = fs->Open("/b");
+    EXPECT_TRUE(a.ok() && b.ok());
+    return a.ok() && b.ok() ? DigestCommitted(fs, a.value(), b.value()) : 0;
+  });
 }
 
 class CrashMatrix : public ::testing::TestWithParam<Arch> {};

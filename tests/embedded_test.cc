@@ -342,5 +342,139 @@ TEST(EmbeddedTest, WholePagesAreWrittenAtCommit) {
   });
 }
 
+TEST(EmbeddedTest, ACommitToLoggedFilesWritesOnlyTheirDataBlocks) {
+  // Each block lands inside an indirect block the log already holds (a
+  // single-indirect leaf of /a, a double-indirect child of /b), so the
+  // commit changes only pointers: it writes one summary and the two data
+  // blocks, and both files' indirect blocks and inodes wait in core.
+  const uint64_t kDoubleIndirect = kNumDirect + kPtrsPerBlock;
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("main", [&] {
+    BufferCache cache(&env, 2048);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    Kernel kernel(&env, &fs);
+    EmbeddedTxnManager etm(&env, &fs);
+    kernel.AttachTxnManager(&etm);
+    ASSERT_TRUE(fs.Format().ok());
+    InodeNum a = kernel.Create("/a").value();
+    InodeNum b = kernel.Create("/b").value();
+    ASSERT_TRUE(kernel.SetTxnProtected("/a", true).ok());
+    ASSERT_TRUE(kernel.SetTxnProtected("/b", true).ok());
+    ASSERT_TRUE(kernel.TxnBegin().ok());
+    ASSERT_TRUE(kernel.Write(a, 0, std::string(20 * kBlockSize, 'a')).ok());
+    ASSERT_TRUE(
+        kernel.Write(b, 0, std::string((kDoubleIndirect + 20) * kBlockSize,
+                                       'b'))
+            .ok());
+    ASSERT_TRUE(kernel.TxnCommit().ok());
+    // The first commit created the blocks, so it logged both files whole.
+    ASSERT_FALSE(fs.GetInode(a).value()->deferred);
+    ASSERT_FALSE(fs.GetInode(b).value()->deferred);
+    disk.ResetStats();
+    ASSERT_TRUE(kernel.TxnBegin().ok());
+    ASSERT_TRUE(kernel.Write(a, 15 * kBlockSize, Slice("a15")).ok());
+    ASSERT_TRUE(kernel.Write(b, (kDoubleIndirect + 5) * kBlockSize,
+                             Slice("b529"))
+                    .ok());
+    ASSERT_TRUE(kernel.TxnCommit().ok());
+    EXPECT_EQ(disk.stats().blocks_written, 3u);
+    EXPECT_TRUE(fs.GetInode(a).value()->deferred);
+    EXPECT_TRUE(fs.GetInode(b).value()->deferred);
+    // The leaves with the new pointers stay dirty: /a's indirect block,
+    // /b's double-indirect child.
+    EXPECT_EQ(cache.dirty_count(), 2u);
+  });
+  env.Run();
+}
+
+TEST(EmbeddedTest, ACommitThatMakesACheckpointDueLogsItsFilesWhole) {
+  // The capture at the end of the commit's flush may name no deferred file.
+  // The commit writes the file's indirect block and inode itself, so the
+  // checkpoint needs no flush of its own.
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("main", [&] {
+    BufferCache cache(&env, 2048);
+    Lfs::Options lo;
+    lo.checkpoint_every_segments = 1;
+    Lfs fs(&env, &disk, &cache, lo);
+    cache.set_writeback(&fs);
+    Kernel kernel(&env, &fs);
+    EmbeddedTxnManager etm(&env, &fs);
+    kernel.AttachTxnManager(&etm);
+    ASSERT_TRUE(fs.Format().ok());
+    InodeNum a = kernel.Create("/a").value();
+    ASSERT_TRUE(kernel.SetTxnProtected("/a", true).ok());
+    ASSERT_TRUE(kernel.TxnBegin().ok());
+    ASSERT_TRUE(kernel.Write(a, 0, std::string(20 * kBlockSize, 'a')).ok());
+    ASSERT_TRUE(kernel.TxnCommit().ok());
+    // One-block commits defer until one fills the segment.
+    for (int i = 0;; i++) {
+      ASSERT_LT(i, 200) << "no commit filled the segment";
+      const Lfs::LfsStats before = fs.lfs_stats();
+      ASSERT_TRUE(kernel.TxnBegin().ok());
+      ASSERT_TRUE(kernel.Write(a, (i % 20) * kBlockSize, Slice("x")).ok());
+      ASSERT_TRUE(kernel.TxnCommit().ok());
+      const bool deferred = fs.GetInode(a).value()->deferred;
+      if (fs.lfs_stats().checkpoints == before.checkpoints) {
+        ASSERT_TRUE(deferred) << i;
+        continue;
+      }
+      EXPECT_FALSE(deferred);
+      EXPECT_EQ(fs.lfs_stats().flushes - before.flushes, 1u);
+      EXPECT_EQ(cache.dirty_count(), 0u);
+      break;
+    }
+  });
+  env.Run();
+}
+
+TEST(EmbeddedTest, AnAbortedAppendsSizeDoesNotSurviveACrash) {
+  // A full flush logs the size an open transaction's append grew; the
+  // abort puts the old size back, and the next flush must log it.
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("main", [&] {
+    {
+      BufferCache cache(&env, 2048);
+      Lfs::Options lo;
+      lo.checkpoint_every_segments = 1000;  // force roll-forward recovery
+      Lfs fs(&env, &disk, &cache, lo);
+      cache.set_writeback(&fs);
+      Kernel kernel(&env, &fs);
+      EmbeddedTxnManager etm(&env, &fs);
+      kernel.AttachTxnManager(&etm);
+      ASSERT_TRUE(fs.Format().ok());
+      InodeNum ino = kernel.Create("/grow").value();
+      ASSERT_TRUE(kernel.SetTxnProtected("/grow", true).ok());
+      ASSERT_TRUE(kernel.TxnBegin().ok());
+      ASSERT_TRUE(kernel.Write(ino, 0, Slice("base")).ok());
+      ASSERT_TRUE(kernel.TxnCommit().ok());
+      ASSERT_TRUE(kernel.TxnBegin().ok());
+      ASSERT_TRUE(kernel.Write(ino, 4, Slice(" plus aborted growth")).ok());
+      ASSERT_TRUE(kernel.Sync().ok());
+      ASSERT_TRUE(kernel.TxnAbort().ok());
+      ASSERT_TRUE(kernel.Sync().ok());
+      // Crash now: no Unmount.
+    }
+    BufferCache cache(&env, 2048);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    Kernel kernel(&env, &fs);
+    ASSERT_TRUE(fs.Mount().ok());
+    FileStat st;
+    ASSERT_TRUE(kernel.Stat("/grow", &st).ok());
+    EXPECT_EQ(st.size, 4u);
+    auto r = kernel.Open("/grow");
+    ASSERT_TRUE(r.ok());
+    char buf[32] = {0};
+    EXPECT_EQ(kernel.Read(r.value(), 0, sizeof(buf), buf).value(), 4u);
+    EXPECT_EQ(std::string(buf, 4), "base");
+  });
+  env.Run();
+}
+
 }  // namespace
 }  // namespace lfstx

@@ -86,6 +86,36 @@ TEST(SummaryTest, MaxEntriesFitsInOneBlock) {
   EXPECT_EQ(r.value().nblocks(), max);
 }
 
+TEST(SummaryTest, RedoTableRoundTripsInTheEntriesRoom) {
+  // The rows share the entries' room: a full block of entries and rows.
+  const uint32_t nblocks = Summary::MaxEntries() - 2;
+  Summary s = MakeSummary(nblocks);
+  s.redo = {RedoRow{17, 0, 5 * kBlockSize + 3}, RedoRow{23, 0, 1ull << 40}};
+  s.redo_final = true;
+  std::string payload(static_cast<size_t>(nblocks) * kBlockSize, 'r');
+  char block[kBlockSize];
+  s.Encode(block, payload.data());
+  auto r = Summary::Decode(block, payload.data(), nblocks);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().nblocks(), nblocks);
+  EXPECT_EQ(r.value().entries.back().lblock, 100u + nblocks - 1);
+  ASSERT_EQ(r.value().redo.size(), 2u);
+  EXPECT_EQ(r.value().redo[0].inum, 17u);
+  EXPECT_EQ(r.value().redo[0].size, 5 * kBlockSize + 3);
+  EXPECT_EQ(r.value().redo[1].inum, 23u);
+  EXPECT_EQ(r.value().redo[1].size, 1ull << 40);
+  EXPECT_TRUE(r.value().redo_final);
+  EXPECT_TRUE(r.value().txn_commit);
+
+  // A chunk without deferred files has an empty table.
+  Summary plain = MakeSummary(3);
+  plain.Encode(block, payload.data());
+  r = Summary::Decode(block, payload.data(), 3);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().redo.empty());
+  EXPECT_FALSE(r.value().redo_final);
+}
+
 // --------------------------------------------------------------- inode map --
 
 TEST(InodeMapTest, SetGetFreeAndVersioning) {
