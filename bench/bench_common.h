@@ -49,9 +49,6 @@
 //                    a machine-readable JSON summary of the run to F; the
 //                    committed BENCH_*.json baselines are these summaries
 //                    (`tools/report.py baseline`)
-//   --arrival=KIND   (fig_tail) open-loop arrival process: "poisson"
-//                    (default), "bursty", or "diurnal" (see
-//                    src/harness/arrivals.h)
 //   --offered-tps=L  (fig_tail) comma-separated offered-load sweep in
 //                    arrivals per simulated second (default "4,8,16,32")
 //   --queue-cap=N    (fig_tail) admission-queue bound; arrivals beyond it
@@ -135,10 +132,9 @@ struct BenchConfig {
   std::string trace;
   std::string trace_file;
   std::string summary;
-  std::string arrival = "poisson";  // fig_tail: arrival-process kind
-  std::string offered_tps;          // fig_tail: comma list; "" = default
-  uint64_t queue_cap = 64;          // fig_tail: admission-queue bound
-  uint64_t exemplars = 8;           // fig_tail: slowest-txns kept per point
+  std::string offered_tps;  // fig_tail: comma list; "" = default
+  uint64_t queue_cap = 64;  // fig_tail: admission-queue bound
+  uint64_t exemplars = 8;   // fig_tail: slowest-txns kept per point
   std::string fullness;   // fig_cleaning: comma list of fill pct; "" = default
   std::string watermark;  // fig_cleaning: "lazy"|"eager"; "" = both
   std::string arch;       // fig_cleaning: "embedded"|"user_lfs"; "" = both
@@ -164,7 +160,7 @@ struct BenchConfig {
   /// to FromArgs, and every other group stays an unknown flag.
   enum FlagGroup : unsigned {
     kSummaryFlag = 1,    ///< --summary
-    kTailFlags = 2,      ///< --arrival, --offered-tps, --queue-cap, --exemplars
+    kTailFlags = 2,      ///< --offered-tps, --queue-cap, --exemplars
     kCleaningFlags = 4,  ///< --fullness, --watermark, --arch
     kUsersFlag = 8,      ///< --users
     kWindowFlags = 16,   ///< --profile, --blame
@@ -213,14 +209,6 @@ struct BenchConfig {
       } else if ((groups & kSummaryFlag) &&
                  strncmp(argv[i], "--summary=", 10) == 0) {
         c.summary = argv[i] + 10;
-      } else if (tail && strncmp(argv[i], "--arrival=", 10) == 0) {
-        c.arrival = argv[i] + 10;
-        if (c.arrival != "poisson" && c.arrival != "bursty" &&
-            c.arrival != "diurnal") {
-          fprintf(stderr, "bad --arrival=%s (poisson|bursty|diurnal)\n",
-                  c.arrival.c_str());
-          exit(2);
-        }
       } else if (tail && strncmp(argv[i], "--offered-tps=", 14) == 0) {
         c.offered_tps = argv[i] + 14;
       } else if (tail && strncmp(argv[i], "--queue-cap=", 12) == 0) {
@@ -324,8 +312,7 @@ struct BenchConfig {
             "    [--cleaner=kernel|user] (no --users in\n"
             "    ablation_group_commit, no --cleaner in ablation_cleaner)\n"
             "  fig4_tps, fig_tail, fig_cleaning, fig_recovery: [--summary=F]\n"
-            "  fig_tail: [--arrival=poisson|bursty|diurnal] [--offered-tps=L]\n"
-            "    [--queue-cap=N] [--exemplars=K]\n"
+            "  fig_tail: [--offered-tps=L] [--queue-cap=N] [--exemplars=K]\n"
             "  fig_cleaning: [--cleaner=kernel|user] [--fullness=L]\n"
             "    [--watermark=lazy|eager] [--arch=embedded|user_lfs]\n"
             "See the flag list at the top of bench/bench_common.h.\n",

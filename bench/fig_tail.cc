@@ -96,9 +96,10 @@ int main(int argc, char** argv) {
   uint64_t warmup = target / 4;
   TpcbConfig tpcb = cfg.Tpcb();
 
-  printf("Tail latency under open-loop %s arrivals (scale 1/%llu: %llu "
-         "accounts, %llu servers, queue cap %llu, %llu arrivals/point)\n\n",
-         cfg.arrival.c_str(), (unsigned long long)cfg.scale,
+  printf("Tail latency under open-loop poisson arrivals (scale 1/%llu: "
+         "%llu accounts, %llu servers, queue cap %llu, %llu "
+         "arrivals/point)\n\n",
+         (unsigned long long)cfg.scale,
          (unsigned long long)tpcb.accounts, (unsigned long long)cfg.users,
          (unsigned long long)cfg.queue_cap, (unsigned long long)target);
 
@@ -120,7 +121,6 @@ int main(int argc, char** argv) {
         fprintf(stderr, "[bench] %s @ %g tps: measuring...\n",
                 ArchName(arch), tps);
         OpenLoopOptions opts;
-        opts.arrivals.kind = ParseArrivalKind(cfg.arrival).value();
         opts.arrivals.offered_tps = tps;
         opts.workers = cfg.users;
         opts.queue_cap = cfg.queue_cap;
@@ -195,11 +195,11 @@ int main(int argc, char** argv) {
   if (!cfg.summary.empty()) {
     std::string json = Fmt(
         "{\n  \"bench\": \"fig_tail\",\n  \"scale\": %llu,\n"
-        "  \"users\": %llu,\n  \"arrival\": \"%s\",\n"
+        "  \"users\": %llu,\n  \"arrival\": \"poisson\",\n"
         "  \"queue_cap\": %llu,\n  \"target_arrivals\": %llu,\n"
         "  \"exemplars\": %llu,\n  \"configs\": [\n",
         (unsigned long long)cfg.scale, (unsigned long long)cfg.users,
-        cfg.arrival.c_str(), (unsigned long long)cfg.queue_cap,
+        (unsigned long long)cfg.queue_cap,
         (unsigned long long)target, (unsigned long long)cfg.exemplars);
     json += summary_configs;
     json += "\n  ]\n}\n";

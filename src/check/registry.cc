@@ -79,7 +79,7 @@ CheckContext MakeCheckContext(Machine& m) {
   EmbeddedTxnManager* etm = m.kernel ? m.kernel->txn_manager() : nullptr;
   if (etm != nullptr) {
     ctx.etm = etm;
-    ctx.kernel_locks = etm->lock_table()->manager();
+    ctx.kernel_locks = etm->locks();
   }
   if (ctx.lfs != nullptr && ctx.cache != nullptr) {
     ctx.gens_captured = true;

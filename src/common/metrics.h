@@ -31,8 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
-
 namespace lfstx {
 
 /// \brief Monotonic counter (pointer-stable; owned by the registry).

@@ -9,7 +9,7 @@ EmbeddedTxnManager::EmbeddedTxnManager(SimEnv* env, Lfs* lfs, Options options)
     : env_(env),
       lfs_(lfs),
       options_(options),
-      locks_(env),
+      locks_(env, "lock.kernel"),
       gc_(env, lfs, options.group_commit) {
   lfs_->set_txn_hooks(this);
   // Instance-prefixed so a machine co-hosting both architectures (fig5)
@@ -86,7 +86,7 @@ Status EmbeddedTxnManager::TxnCommit() {
   active_--;
   Status flushed = gc_.CommitFlush(st->id, active_ > 0);
   // ...and release locks once the writes have completed.
-  locks_.ReleaseAll(st->id);
+  locks_.UnlockAll(st->id);
   st->status = flushed.ok() ? TxnStatus::kCommitted : TxnStatus::kAborted;
   if (flushed.ok()) stats_.committed++;
   env_->profiler()->EndSpan("embedded", st->id, flushed.ok());
@@ -116,7 +116,7 @@ Status EmbeddedTxnManager::TxnAbort() {
       if (rolled_back.ok()) rolled_back = s;
     }
   }
-  locks_.ReleaseAll(st->id);
+  locks_.UnlockAll(st->id);
   st->status = TxnStatus::kAborted;
   active_--;
   stats_.aborted++;
@@ -136,9 +136,8 @@ Result<TxnId> EmbeddedTxnManager::OnPageAccess(Inode* inode, uint64_t lblock,
   if (is_write) {
     st->size_at_first_touch.emplace(inode->num(), inode->d.size);
   }
-  Status s = locks_.LockPage(st->id, inode->data_file_id(), lblock,
-                             is_write ? LockMode::kExclusive
-                                      : LockMode::kShared);
+  Status s = locks_.Lock(st->id, LockId{inode->data_file_id(), lblock},
+                         is_write ? LockMode::kExclusive : LockMode::kShared);
   if (s.IsDeadlock()) stats_.deadlocks++;
   LFSTX_RETURN_IF_ERROR(s);
   return is_write ? st->id : kNoTxn;

@@ -20,8 +20,8 @@
 #include <unordered_map>
 
 #include "embedded/group_commit.h"
-#include "embedded/lock_table.h"
 #include "lfs/lfs.h"
+#include "txn/lock_manager.h"
 #include "txn/txn_id.h"
 
 namespace lfstx {
@@ -69,7 +69,7 @@ class EmbeddedTxnManager : public TxnHooks {
     }
     return n;
   }
-  KernelLockTable* lock_table() { return &locks_; }
+  const LockManager* locks() const { return &locks_; }
   GroupCommit* group_commit() { return &gc_; }
   const Stats& stats() const { return stats_; }
 
@@ -88,7 +88,11 @@ class EmbeddedTxnManager : public TxnHooks {
   SimEnv* env_;
   Lfs* lfs_;
   Options options_;
-  KernelLockTable locks_;
+  /// The kernel lock table (section 4.1): page locks by (file, block),
+  /// chained by transaction for commit and abort. Locking charges nothing
+  /// beyond the system call the caller already paid for, the asymmetry
+  /// section 5.1 measures against LIBTP's user-level semaphores.
+  LockManager locks_;
   TxnIdAllocator ids_;
   GroupCommit gc_;
   std::unordered_map<SimProc*, TxnState> by_proc_;

@@ -1,63 +1,29 @@
-// Deterministic open-loop arrival processes on the virtual clock.
+// Deterministic open-loop arrival process on the virtual clock.
 //
 // Closed-loop benches (fig4 et al.) let each terminal issue its next
 // transaction the instant the previous one finishes, so the offered load
 // collapses exactly when the system slows down — the regime production
-// traffic never grants. An ArrivalProcess instead generates a stream of
-// arrival instants whose rate is fixed *independently* of service times:
-// Poisson (memoryless), bursty (on/off interrupted Poisson), or diurnal
-// (sinusoidally modulated). The stream is a pure function of the config
-// and seed — it never reads the environment — so it is byte-identical
-// across runs and across simulator execution backends by construction.
-//
-// Non-homogeneous streams use Lewis-Shedler thinning: candidates are drawn
-// from a homogeneous Poisson process at the peak rate and accepted with
-// probability rate(t)/peak, which keeps the draw count (and therefore the
-// RNG stream) deterministic for a given config.
+// traffic never grants. An ArrivalProcess instead generates a homogeneous
+// Poisson stream of arrival instants whose rate is fixed *independently*
+// of service times. The stream is a pure function of the config and seed —
+// it never reads the environment — so it is byte-identical across runs and
+// across simulator execution backends by construction.
 #ifndef LFSTX_HARNESS_ARRIVALS_H_
 #define LFSTX_HARNESS_ARRIVALS_H_
 
-#include <string>
-
 #include "common/random.h"
-#include "common/status.h"
 #include "sim/clock.h"
 
 namespace lfstx {
 
-/// Shape of the offered-load stream.
-enum class ArrivalKind {
-  kPoisson,  ///< homogeneous Poisson at `offered_tps`
-  kBursty,   ///< on/off: all load inside a duty-cycle window of each period
-  kDiurnal,  ///< sinusoidal day/night modulation around `offered_tps`
-};
-
-const char* ArrivalKindName(ArrivalKind k);
-/// "poisson" | "bursty" | "diurnal" (anything else: InvalidArgument).
-Result<ArrivalKind> ParseArrivalKind(const std::string& name);
-
-/// \brief Arrival-stream parameters. The long-run mean rate is
-/// `offered_tps` for every kind; the kinds differ in how the load is
-/// distributed over time.
+/// \brief Arrival-stream parameters.
 struct ArrivalConfig {
-  ArrivalKind kind = ArrivalKind::kPoisson;
-  double offered_tps = 10.0;  ///< long-run mean arrivals per simulated second
+  double offered_tps = 10.0;  ///< mean arrivals per simulated second
   uint64_t seed = 99;
-
-  /// kBursty: period of the on/off square wave and the fraction of each
-  /// period that is "on". Arrivals occur only while on, at offered/duty,
-  /// so the long-run mean stays `offered_tps`.
-  SimTime burst_period = 2 * kSecond;
-  double burst_duty = 0.25;
-
-  /// kDiurnal: rate(t) = offered * (1 + amplitude * sin(2*pi*t/period)).
-  /// amplitude must be in [0, 1].
-  SimTime diurnal_period = 20 * kSecond;
-  double diurnal_amplitude = 0.8;
 };
 
-/// \brief Deterministic generator of arrival instants (µs offsets from the
-/// stream's start). Pure: owns its RNG and never touches a SimEnv.
+/// \brief Deterministic generator of Poisson arrival instants (µs offsets
+/// from the stream's start). Pure: owns its RNG and never touches a SimEnv.
 class ArrivalProcess {
  public:
   explicit ArrivalProcess(const ArrivalConfig& config);
@@ -70,11 +36,8 @@ class ArrivalProcess {
   const ArrivalConfig& config() const { return config_; }
 
  private:
-  /// Instantaneous rate in arrivals per microsecond at offset `t_us`.
-  double RatePerUs(double t_us) const;
-  double peak_per_us_ = 0;  ///< thinning envelope rate
-
   ArrivalConfig config_;
+  double mean_gap_us_ = 0;
   Random rng_;
   double t_us_ = 0;  ///< continuous-time cursor (µs)
   uint64_t generated_ = 0;

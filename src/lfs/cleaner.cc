@@ -88,25 +88,8 @@ void Cleaner::Loop() {
   uint32_t stagnant = 0;
   while (lfs_->clean_segments() < options_.high_water &&
          !env_->stop_requested()) {
-    // A pass needs two clean segments in hand: its flush carries the
-    // victim's live blocks plus metadata (and, on the first pass after a
-    // writer stall, the writer's drained backlog), which can cross one
-    // segment boundary and still need room beyond it. Starting lower
-    // risks running out mid-flush with the victim still dirty — and an
-    // engagement can only reach this floor mid-run, since the writer
-    // stalls at three and every completed pass ends at two or better.
-    if (lfs_->clean_segments() < 2) break;
-    uint64_t dead_before = stats_.dead_blocks_dropped;  // LFSTX_YIELD_OK(pre-pass snapshot compared across the pass on purpose)
     Status s = CleanOne();
     if (!s.ok()) break;  // nothing cleanable right now
-    // No dead block dropped and no gain: the victim was fully live, or the
-    // pass had to leave it dirty (a file being freed owns some of its
-    // blocks) and greedy would pick it again. The next pass can do no
-    // better.
-    if (stats_.dead_blocks_dropped == dead_before &&
-        lfs_->clean_segments() <= best) {
-      break;
-    }
     if (lfs_->clean_segments() > best) {
       best = lfs_->clean_segments();
       stagnant = 0;
@@ -281,24 +264,10 @@ Status Cleaner::CleanOne() {
     }
   }
 
-  // Reclaim-on-failure: a flush that ran out of log mid-pass may still
-  // have relocated every remaining live block, and reclaiming the victim
-  // here is what lets the next engagement run at all — it needs a clean
-  // segment to start, and an abort that freed nothing is an absorbing
-  // state. The image goes to the fixed region, but the checkpoint first
-  // appends the inode-map blocks the failed flush left dirty (one chunk
-  // of at most InodeMap::nblocks() blocks, plus any dirty directory). With
-  // the log full that chunk lands in the victim just reclaimed, which has
-  // room for it, so the checkpoint cannot fail for lack of log space.
-  auto salvage = [&](Status s) {
-    if (lfs_->usage_.state(victim) == SegState::kDirty &&
-        lfs_->usage_.live(victim) == 0) {
-      lfs_->usage_.MarkClean(victim);
-      stats_.segments_cleaned++;
-      (void)lfs_->WriteCheckpointLocked();
-    }
-    return finish(s);
-  };
+  // A flush that fails below (the log ran out, or the simulation stopped
+  // during a write) ends the pass with its victim dirty: the inodes that
+  // map the relocated blocks may not be on disk, so the victim's copies
+  // are still the durable ones, and a later pass cleans it.
 
   // Drain the writers' backlog before copying anything forward: the
   // flushes below write every dirty block in the cache, so a stalled
@@ -310,7 +279,7 @@ Status Cleaner::CleanOne() {
   // only what the pass's later flushes write counts as the cleaner's,
   // including any block a writer dirties after the drain.
   if (lfs_->cache()->dirty_count() > 0) {
-    if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return salvage(s);
+    if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return finish(s);
   }
   lfs_->cleaner_copying_ = true;
   // Read what is still missing: every live block in kernel mode, and in
@@ -411,14 +380,14 @@ Status Cleaner::CleanOne() {
     // Keep the copy-forward working set bounded: flush part-way if the
     // cache is filling with copied blocks.
     if (lfs_->cache()->dirty_count() * 2 >= lfs_->cache()->capacity()) {
-      if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return salvage(s);
+      if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return finish(s);
     }
   }
   stats_.live_blocks_copied += live_copied;
 
   // Rewrite the live data elsewhere, reclaim the victim, and checkpoint so
   // the crash-recovery window never references the reclaimed segment.
-  if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return salvage(s);
+  if (Status s = lfs_->FlushLocked(kNoTxn); !s.ok()) return finish(s);
   if (options_.mode == Mode::kUserSpace) {
     // Section 5.4: a user-space cleaner revalidates its copied blocks
     // against recently-modified blocks inside one system call.

@@ -230,6 +230,14 @@ class Lfs : public FsCore {
                      InodeNum file = kInvalidInode);
   /// Lock the log and flush under it (Flush, SyncFile).
   Status FlushUnderLock(TxnId txn, FlushScope scope, InodeNum file);
+  /// The log's one reserve rule (DESIGN.md §11): a flush may take a clean
+  /// segment only while more than kCleanerReserveSegments are clean. The
+  /// cleaner's own pass may always take one, since it frees its victim at
+  /// the end, and so may a log with no cleaner attached.
+  bool MayTakeSegment() const {
+    return cleaning_in_progress_ || cleaner_ == nullptr ||
+           usage_.clean_count() > kCleanerReserveSegments;
+  }
   /// Whether a flush of `scope` could write anything: a dirty buffer or
   /// in-core inode, an unlogged free, or (kCheckpoint) a dirty inode-map
   /// block. Conservative for kFile, which it treats as kAll.

@@ -61,12 +61,10 @@ bool Lfs::HasUnloggedChanges(FlushScope scope) {
 Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   lfs_stats_.flushes++;
 
-  // Hold regular flushes out of the cleaner's reserve before they consume
-  // any open-segment room: AdvanceSegment alone cannot enforce the
-  // reserve, because a flush that fits in the current segment never calls
-  // it — a stalled writer would keep trickling blocks into the log
-  // between cleaner passes, and every pass would re-carry that backlog
-  // until the reserve ratchets away beneath the cleaner.
+  // The reserve rule (MayTakeSegment) holds at entry too, not only in
+  // AdvanceSegment: a flush that fits in the current segment never calls
+  // it, so a stalled writer would keep trickling blocks into the log
+  // between passes until the reserve ratchets away beneath the cleaner.
   //
   // A flush that a pass drained has nothing left to write, and while the
   // reserve is whole it returns. Its writer goes on to overwrite more
@@ -76,8 +74,7 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   // all parked nets no segment. Below the reserve (a pass dug into it) the
   // writer waits even with nothing to write, so the backlog the next pass
   // drains stays bounded.
-  while (cleaner_ != nullptr && !cleaning_in_progress_ &&
-         usage_.clean_count() <= kCleanerReserveSegments) {
+  while (!MayTakeSegment()) {
     if (usage_.clean_count() == kCleanerReserveSegments &&
         !HasUnloggedChanges(scope)) {
       return Status::OK();
@@ -479,14 +476,7 @@ Status Lfs::AdvanceSegment() {
     }
     // The successor the last summary named, unless it could name none.
     int64_t next = EnsureSuccessor();
-    // Regular flushes stop at the cleaner's reserve (see
-    // kCleanerReserveSegments); only the cleaner's own pass may dig into
-    // it, because that pass frees its victim at the end.
-    bool allowed = next >= 0 && (cleaning_in_progress_ ||
-                                 usage_.clean_count() >
-                                     kCleanerReserveSegments ||
-                                 cleaner_ == nullptr);
-    if (allowed) {
+    if (next >= 0 && MayTakeSegment()) {
       cur_seg_ = static_cast<uint32_t>(next);
       next_seg_hint_ = -1;
       cur_gen_ = usage_.Activate(cur_seg_);
@@ -502,8 +492,7 @@ Status Lfs::AdvanceSegment() {
     if (cleaning_in_progress_) {
       // The caller is the cleaner itself (it holds the log for the pass).
       // Stalling here would poke-and-wait on itself forever; abort the
-      // pass instead and let the next round retry with whatever the churn
-      // has killed in the meantime.
+      // pass instead, leaving its victim dirty for a later pass.
       return Status::NoSpace("log full during cleaning pass");
     }
     if (cleaner_ == nullptr) {

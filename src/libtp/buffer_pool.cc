@@ -118,7 +118,7 @@ Status BufferPool::EvictOne() {
       // concurrent EvictOne picking the same victim would double-erase it.
       victim->pins++;
       Status s = WriteBackPage(victim);
-      victim->pins--;
+      Unpin(victim);
       LFSTX_RETURN_IF_ERROR(s);
       if (victim->pins > 0 || victim->dirty) {
         // Re-pinned or re-dirtied while the write-back yielded; report
@@ -182,8 +182,7 @@ void BufferPool::Release(DbPage* page) {
   env->LatchOp();
   LFSTX_CHECK(page->pins > 0,
               "Release without a matching GetPage (pin underflow)");
-  page->pins--;
-  if (page->pins == 0 && !page->dirty) page->snapshot.reset();
+  Unpin(page);
   env->LatchOp();
 }
 
@@ -192,9 +191,17 @@ void BufferPool::ReleaseDirty(DbPage* page) {
   env->LatchOp();
   LFSTX_CHECK(page->pins > 0,
               "ReleaseDirty without a matching GetPage (pin underflow)");
-  page->pins--;
   page->dirty = true;
+  Unpin(page);
   env->LatchOp();
+}
+
+void BufferPool::Unpin(DbPage* page) {
+  // The pre-image lives exactly as long as the pins: an abort's undo or a
+  // restart's redo (LibTp::ApplyImage) changes the bytes without a write
+  // pin, and a snapshot kept past it would make the next writer diff, and
+  // log its before-image, against bytes the page no longer holds.
+  if (--page->pins == 0) page->snapshot.reset();
 }
 
 Result<uint64_t> BufferPool::FilePages(uint32_t file_ref) {

@@ -31,7 +31,7 @@ struct DbPage {
   bool dirty = false;
   int pins = 0;
   /// Snapshot taken when the page was fetched with write intent; the
-  /// before/after diff becomes the log record.
+  /// before/after diff becomes the log record. Dropped with the last pin.
   std::unique_ptr<std::string> snapshot;
 
   std::list<DbPage*>::iterator lru_pos;
@@ -110,6 +110,8 @@ class BufferPool {
   };
 
   Status WriteBackPage(DbPage* page);
+  /// Drop one pin, and the pre-image snapshot with the last one.
+  void Unpin(DbPage* page);
   Status EvictOne();
   void TouchLru(DbPage* page);
 

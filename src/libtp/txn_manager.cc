@@ -218,8 +218,9 @@ Status LibTp::PutPageDirty(TxnId txn, DbPage* page) {
       page->set_lsn(lsn + 1);  // stored LSN is rec+1 so 0 means "never"
       stats_.update_records++;
     }
-    // Refresh the snapshot for subsequent updates under the same pin.
-    page->snapshot->assign(page->data, kBlockSize);
+    // Refresh the snapshot for updates under another pin of the page; the
+    // release below drops it with the last pin.
+    if (page->pins > 1) page->snapshot->assign(page->data, kBlockSize);
   }
   pool_.ReleaseDirty(page);
   return Status::OK();

@@ -5,8 +5,8 @@
 #ifndef LFSTX_TPCB_DRIVER_H_
 #define LFSTX_TPCB_DRIVER_H_
 
+#include "common/metrics.h"
 #include "common/random.h"
-#include "common/stats.h"
 #include "tpcb/loader.h"
 
 namespace lfstx {
@@ -22,7 +22,7 @@ class TpcbDriver {
     uint64_t transactions = 0;
     uint64_t deadlock_retries = 0;
     SimTime elapsed = 0;
-    Histogram latency;  ///< per-transaction virtual latency
+    HdrHistogram latency;  ///< per-transaction virtual latency
 
     double tps() const {
       return elapsed == 0 ? 0.0

@@ -1,11 +1,9 @@
-// Open-loop arrival processes and the admission-queue harness: streams are
-// deterministic pure functions of (config, seed), shaped load lands where
-// the shape says it should, the bounded queue sheds exactly what it cannot
-// hold, and the whole harness is byte-identical across simulator execution
-// backends.
+// Open-loop arrival process and the admission-queue harness: streams are
+// deterministic pure functions of (config, seed) with the offered mean
+// rate, the bounded queue sheds exactly what it cannot hold, and the whole
+// harness is byte-identical across simulator execution backends.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <vector>
 
@@ -51,52 +49,6 @@ TEST(ArrivalProcessTest, PoissonLongRunRateMatchesOffered) {
   // Expected gap 5000 us; 20k exponential draws put the sample mean well
   // within 3%.
   EXPECT_NEAR(mean_gap_us, 1e6 / cfg.offered_tps, 0.03 * 1e6 / cfg.offered_tps);
-}
-
-TEST(ArrivalProcessTest, BurstyConfinesArrivalsToDutyWindow) {
-  ArrivalConfig cfg;
-  cfg.kind = ArrivalKind::kBursty;
-  cfg.offered_tps = 100;
-  cfg.burst_period = kSecond;
-  cfg.burst_duty = 0.25;
-  cfg.seed = 11;
-  const uint64_t kN = 5000;
-  std::vector<SimTime> s = Stream(cfg, kN);
-  for (SimTime t : s) {
-    double pos = std::fmod(static_cast<double>(t),
-                           static_cast<double>(cfg.burst_period));
-    EXPECT_LT(pos, cfg.burst_duty * static_cast<double>(cfg.burst_period))
-        << "arrival at t=" << t << " falls outside the on-window";
-  }
-  // The thinning keeps the long-run mean at offered_tps even though the
-  // instantaneous on-rate is offered/duty.
-  double rate = static_cast<double>(kN) / ToSeconds(s.back());
-  EXPECT_NEAR(rate, cfg.offered_tps, 0.05 * cfg.offered_tps);
-}
-
-TEST(ArrivalProcessTest, DiurnalPeakHalfOutdrawsTroughHalf) {
-  ArrivalConfig cfg;
-  cfg.kind = ArrivalKind::kDiurnal;
-  cfg.offered_tps = 100;
-  cfg.diurnal_period = 10 * kSecond;
-  cfg.diurnal_amplitude = 0.8;
-  cfg.seed = 5;
-  // rate(t) = offered * (1 + 0.8 sin(2*pi*t/period)): the first half of
-  // every period is the peak, the second half the trough.
-  uint64_t peak = 0, trough = 0;
-  ArrivalProcess p(cfg);
-  for (int i = 0; i < 10000; i++) {
-    SimTime t = p.Next();
-    double pos = std::fmod(static_cast<double>(t),
-                           static_cast<double>(cfg.diurnal_period));
-    if (pos < static_cast<double>(cfg.diurnal_period) / 2) {
-      peak++;
-    } else {
-      trough++;
-    }
-  }
-  // With amplitude 0.8 the halves split roughly 75/25.
-  EXPECT_GT(peak, 2 * trough);
 }
 
 // ------------------------------------------------------ open-loop harness --

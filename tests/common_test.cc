@@ -6,7 +6,6 @@
 #include "common/crc32c.h"
 #include "common/random.h"
 #include "common/slice.h"
-#include "common/stats.h"
 #include "common/status.h"
 
 namespace lfstx {
@@ -214,26 +213,6 @@ TEST(RandomTest, ExponentialMean) {
   const int n = 20000;
   for (int i = 0; i < n; i++) sum += r.Exponential(10.0);
   EXPECT_NEAR(sum / n, 10.0, 0.5);
-}
-
-TEST(StatsTest, RunningStatMoments) {
-  RunningStat s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.01);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(StatsTest, HistogramPercentiles) {
-  Histogram h;
-  for (uint64_t i = 1; i <= 1000; i++) h.Add(i);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_NEAR(h.mean(), 500.5, 0.1);
-  // Bucketed percentile is coarse; check it is in the right ballpark.
-  EXPECT_GT(h.Percentile(99), 500.0);
-  EXPECT_LT(h.Percentile(10), 300.0);
 }
 
 }  // namespace

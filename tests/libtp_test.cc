@@ -245,6 +245,67 @@ TEST(LibTpTest, AbortRestoresBeforeImages) {
   });
 }
 
+// Commits "BASE" at offset 64 of page 3, then aborts a transaction that
+// writes "EVIL" there, and returns the page's file ref. The abort's undo
+// changes the page without a write pin.
+uint32_t CommitBaseThenAbortEvil(LibTp* tp) {
+  uint32_t fref = tp->pool()->RegisterFile("/data", true).value();
+  TxnId t1 = tp->Begin().value();
+  DbPage* p = tp->GetPage(t1, fref, 3, LockMode::kExclusive).value();
+  memcpy(p->data + 64, "BASE", 4);
+  EXPECT_TRUE(tp->PutPageDirty(t1, p).ok());
+  EXPECT_TRUE(tp->Commit(t1).ok());
+  TxnId t2 = tp->Begin().value();
+  p = tp->GetPage(t2, fref, 3, LockMode::kExclusive).value();
+  memcpy(p->data + 64, "EVIL", 4);
+  EXPECT_TRUE(tp->PutPageDirty(t2, p).ok());
+  EXPECT_TRUE(tp->Abort(t2).ok());
+  return fref;
+}
+
+std::string ReadPage3(LibTp* tp, uint32_t fref, uint32_t offset) {
+  TxnId t = tp->Begin().value();
+  DbPage* p = tp->GetPage(t, fref, 3, LockMode::kShared).value();
+  std::string got(p->data + offset, 4);
+  tp->PutPage(p);
+  EXPECT_TRUE(tp->Commit(t).ok());
+  return got;
+}
+
+TEST(LibTpTest, ASecondAbortOfTheSameUpdateRestoresTheCommittedValue) {
+  // The second writer's pre-image is the restored page, not the first
+  // writer's: otherwise writing the same bytes again logs nothing, and
+  // its abort has nothing to undo.
+  auto rig = TestRig::Create(Arch::kUserLfs);
+  rig->Run([&] {
+    LibTp* tp = rig->libtp.get();
+    uint32_t fref = CommitBaseThenAbortEvil(tp);
+    TxnId t3 = tp->Begin().value();
+    DbPage* p = tp->GetPage(t3, fref, 3, LockMode::kExclusive).value();
+    memcpy(p->data + 64, "EVIL", 4);
+    ASSERT_TRUE(tp->PutPageDirty(t3, p).ok());
+    ASSERT_TRUE(tp->Abort(t3).ok());
+    EXPECT_EQ(ReadPage3(tp, fref, 64), "BASE");
+  });
+}
+
+TEST(LibTpTest, AnAbortAfterAnAbortedUpdateOfTheSamePageKeepsItUndone) {
+  // A later writer of other bytes on the page must not log the aborted
+  // value as its before-image, or its own abort brings that value back.
+  auto rig = TestRig::Create(Arch::kUserLfs);
+  rig->Run([&] {
+    LibTp* tp = rig->libtp.get();
+    uint32_t fref = CommitBaseThenAbortEvil(tp);
+    TxnId t3 = tp->Begin().value();
+    DbPage* p = tp->GetPage(t3, fref, 3, LockMode::kExclusive).value();
+    memcpy(p->data + 1024, "OTHR", 4);
+    ASSERT_TRUE(tp->PutPageDirty(t3, p).ok());
+    ASSERT_TRUE(tp->Abort(t3).ok());
+    EXPECT_EQ(ReadPage3(tp, fref, 64), "BASE");
+    EXPECT_EQ(ReadPage3(tp, fref, 1024), std::string(4, '\0'));
+  });
+}
+
 TEST(LibTpTest, OnlyChangedBytesAreLogged) {
   auto rig = TestRig::Create(Arch::kUserLfs);
   rig->Run([&] {
