@@ -25,10 +25,11 @@
 //                    and all measured virtual times are byte-identical
 //                    across backends; see SIMULATOR.md. Defaults honour
 //                    the LFSTX_SIM_BACKEND environment variable.
-// Every bench that runs TPC-B (all but fig_cleaning) also accepts these,
-// except that ablation_group_commit's MPL axis sets the terminal count
-// (no --users) and ablation_cleaner's rows set the placement (no
-// --cleaner); fig_cleaning accepts only --cleaner:
+// Every bench that runs TPC-B (all but fig_cleaning and fig_recovery) also
+// accepts these, except that ablation_group_commit's MPL axis sets the
+// terminal count (no --users) and ablation_cleaner's rows set the
+// placement (no --cleaner); fig_cleaning accepts only --cleaner, and
+// fig_recovery none of them:
 //   --users=N        concurrent TPC-B terminals during the measured
 //                    window (default 1; load and warmup stay single-user)
 //   --profile        print the measured window's "where did the time go"
@@ -599,33 +600,12 @@ inline std::string DiskCauseJson(const MetricValues& w) {
   return out;
 }
 
-/// Sync, then wait in virtual time until no cleaning pass is in flight and
-/// the cleaner would not engage at its next poll, syncing again after each
-/// wait: the checkers' own reads yield, and a cleaner that engaged then
-/// would rewrite the log mid-sweep. Fails after ten minutes of waiting.
+/// Stop the cleaner for good (Cleaner::Stop: the pass in flight ends and
+/// no other starts), then sync: the checkers' own reads yield, and a pass
+/// that ran then would rewrite the log mid-sweep.
 inline Status Quiesce(Machine* m) {
-  constexpr SimTime kBound = 600 * kSecond;
-  SimEnv* env = m->env.get();
-  Lfs* lfs = m->lfs();
-  Cleaner* cleaner = m->cleaner.get();
-  const SimTime deadline = env->Now() + kBound;
-  for (;;) {
-    LFSTX_RETURN_IF_ERROR(m->fs->SyncAll());
-    if (lfs == nullptr || cleaner == nullptr) return Status::OK();
-    const uint32_t low_water = cleaner->options().low_water;
-    if (!cleaner->busy() && lfs->clean_segments() >= low_water) {
-      return Status::OK();
-    }
-    if (env->Now() >= deadline) {
-      return Status::Internal(Fmt(
-          "invariant sweep: the cleaner did not settle within %llu s of "
-          "virtual time (%u clean segments, low water %u, pass in flight: "
-          "%s)",
-          static_cast<unsigned long long>(kBound / kSecond),
-          lfs->clean_segments(), low_water, cleaner->busy() ? "yes" : "no"));
-    }
-    env->SleepFor(cleaner->options().poll_interval);
-  }
+  if (m->cleaner != nullptr) m->cleaner->Stop();
+  return m->fs->SyncAll();
 }
 
 /// --fsck: quiesce, then run every invariant checker (src/check/). OK when

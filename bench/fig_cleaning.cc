@@ -211,6 +211,7 @@ CleanPoint Measure(const BenchConfig& cfg, Arch arch, int fullness,
     p.free_segments_end = lfs->clean_segments();
 
     if (cfg.fsck) {
+      LFSTX_CHECK(Quiesce(rig->machine.get()).ok(), "quiesce failed");
       CheckSummary sweep = RunAllChecks(*rig);
       LFSTX_CHECK(sweep.clean(), "invariant sweep dirty after churn");
     }

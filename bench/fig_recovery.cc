@@ -1,25 +1,18 @@
-// Recovery-time curves (ISSUE 9): how long does restart recovery take as a
-// function of the log written since the last checkpoint — and what do
-// checkpoints cost while the system is up?
+// Recovery-time curves: how long does restart recovery take as a function
+// of the log written since the last checkpoint?
 //
-// Two measurements, all in virtual time:
-//
-//   1. curve: build an LFS image with R workload rounds (~1 segment each)
-//      after format, stop without Unmount, mount a clone, and read the
-//      roll-forward cost from Lfs::recovery_stats(). Two modes per R:
-//      "nocp" (no checkpoint after format — recovery replays the whole
-//      log, the unbounded baseline) and "fuzzy" (fuzzy checkpoint every 2
-//      segments — replay is bounded by the checkpoint interval, so the
-//      curve must flatten while nocp keeps climbing).
-//   2. overhead: closed-loop TPC-B TPS on the embedded architecture with
-//      the fuzzy-checkpoint daemon off vs. on (250 ms interval) — the
-//      bounded-recovery guarantee's cost in foreground throughput.
+// Build an LFS image with R workload rounds (~1 segment each) after
+// format, stop without Unmount, mount a clone, and read the roll-forward
+// cost (virtual time) from Lfs::recovery_stats(). Two modes per R:
+// "nocp" (no checkpoint after format — recovery replays the whole log, the
+// unbounded baseline) and "periodic" (the segment trigger writes a
+// checkpoint every 2 segments — replay is bounded by that distance, so the
+// curve must flatten while nocp keeps climbing).
 //
 // --summary=F writes the machine-readable JSON that
 // `tools/report.py baseline recovery` validates (axes, nocp growth,
-// fuzzy sublinearity, bounded daemon overhead) into BENCH_recovery.json.
-// Every invariant checker runs after each recovery; a dirty sweep fails
-// the bench.
+// periodic sublinearity) into BENCH_recovery.json. Every invariant checker
+// runs after each recovery; a dirty sweep fails the bench.
 #include "bench_common.h"
 
 namespace lfstx {
@@ -46,14 +39,14 @@ void RunRound(Lfs* fs, int round) {
 }
 
 /// Build an un-unmounted image: format, R rounds, stop. Returns blocks
-/// written (the log-size axis). `fuzzy` bounds replay with a checkpoint
+/// written (the log-size axis). `periodic` bounds replay with a checkpoint
 /// every 2 segments; otherwise only the format checkpoint exists and
 /// recovery must roll the entire log forward.
-uint64_t BuildImage(SimEnv* env, SimDisk* disk, bool fuzzy, int rounds) {
+uint64_t BuildImage(SimEnv* env, SimDisk* disk, bool periodic, int rounds) {
   env->Spawn("workload", [=] {
     BufferCache cache(env, 1024);
     Lfs::Options lo;
-    lo.checkpoint_every_segments = fuzzy ? 2 : 1000000;
+    lo.checkpoint_every_segments = periodic ? 2 : 1000000;
     Lfs fs(env, disk, &cache, lo);
     cache.set_writeback(&fs);
     LFSTX_CHECK(fs.Format().ok(), "format failed");
@@ -113,58 +106,19 @@ std::string CurveJson(const CurvePoint& p) {
       static_cast<unsigned long long>(p.rec.total_us));
 }
 
-struct OverheadPoint {
-  bool daemon = false;
-  TpcbMeasurement m;
-  uint64_t checkpoints = 0;  ///< whole run, load included
-  uint64_t fuzzy_checkpoints = 0;
-};
-
-/// Closed-loop TPC-B on the embedded architecture, with or without the
-/// fuzzy-checkpoint daemon, same seed and transaction count either way.
-OverheadPoint MeasureOverhead(const BenchConfig& cfg, bool daemon,
-                              uint64_t txns) {
-  OverheadPoint out;
-  out.daemon = daemon;
-  TpcbRun run = cfg.RunOf(Arch::kEmbedded, /*seed=*/17, 0, txns);
-  run.machine.start_checkpointer = daemon;
-  run.machine.checkpointer.interval = 250 * kMillisecond;
-  run.label = daemon ? "checkpointer_on" : "checkpointer_off";
-  run.after_window = [&](ArchRig* rig, TpcbDatabase*) {
-    out.checkpoints = rig->machine->lfs()->lfs_stats().checkpoints;
-    out.fuzzy_checkpoints = rig->machine->lfs()->lfs_stats().fuzzy_checkpoints;
-    return Status::OK();
-  };
-  out.m = MeasureTpcb(run, cfg);
-  return out;
-}
-
-std::string OverheadJson(const OverheadPoint& p) {
-  return Fmt(
-      "{\"checkpointer\": %s, \"tps\": %.4f, \"txns\": %llu, "
-      "\"elapsed_us\": %llu, \"checkpoints\": %llu, "
-      "\"fuzzy_checkpoints\": %llu}",
-      p.daemon ? "true" : "false", p.m.tps,
-      static_cast<unsigned long long>(p.m.txns),
-      static_cast<unsigned long long>(p.m.elapsed),
-      static_cast<unsigned long long>(p.checkpoints),
-      static_cast<unsigned long long>(p.fuzzy_checkpoints));
-}
-
 int Main(int argc, char** argv) {
-  BenchConfig cfg = BenchConfig::FromArgs(
-      argc, argv, BenchConfig::kSummaryFlag | BenchConfig::kTpcbFlags);
+  BenchConfig cfg =
+      BenchConfig::FromArgs(argc, argv, BenchConfig::kSummaryFlag);
 
-  // --- 1. recovery time vs log since checkpoint ---
   std::vector<CurvePoint> curve;
   ResultTable curve_table({"mode", "rounds", "written blk", "replayed blk",
                            "chunks", "recovery (us)"});
-  for (const char* mode : {"nocp", "fuzzy"}) {
-    bool fuzzy = strcmp(mode, "fuzzy") == 0;
+  for (const char* mode : {"nocp", "periodic"}) {
+    bool periodic = strcmp(mode, "periodic") == 0;
     for (int rounds : kRounds) {
       SimEnv env;
       SimDisk disk(&env, SimDisk::Options{});
-      uint64_t written = BuildImage(&env, &disk, fuzzy, rounds);
+      uint64_t written = BuildImage(&env, &disk, periodic, rounds);
       CurvePoint p;
       p.mode = mode;
       p.rounds = rounds;
@@ -182,35 +136,12 @@ int Main(int argc, char** argv) {
   printf("\nrecovery time vs log written since checkpoint:\n");
   curve_table.Print();
 
-  // --- 2. checkpoint-daemon overhead on foreground TPC-B ---
-  uint64_t txns = cfg.TxnsOr(640);
-  OverheadPoint off = MeasureOverhead(cfg, false, txns);
-  OverheadPoint on = MeasureOverhead(cfg, true, txns);
-  for (const OverheadPoint* p : {&off, &on}) {
-    if (!p->m.ok) {
-      fprintf(stderr, "overhead measurement (daemon=%d) failed: %s\n",
-              p->daemon, p->m.error.c_str());
-      return 1;
-    }
-  }
-  printf("\ncheckpoint-daemon overhead (embedded TPC-B, %llu txns):\n",
-         static_cast<unsigned long long>(txns));
-  ResultTable ot({"checkpointer", "TPS", "checkpoints", "fuzzy"});
-  for (const OverheadPoint* p : {&off, &on}) {
-    ot.AddRow({p->daemon ? "on (250 ms)" : "off", Fmt("%.2f", p->m.tps),
-               Fmt("%llu", static_cast<unsigned long long>(p->checkpoints)),
-               Fmt("%llu",
-                   static_cast<unsigned long long>(p->fuzzy_checkpoints))});
-  }
-  ot.Print();
-
   std::string json = "{\n \"bench\": \"fig_recovery\",\n \"curve\": [\n";
   for (size_t i = 0; i < curve.size(); i++) {
     json += "  " + CurveJson(curve[i]) +
             (i + 1 < curve.size() ? ",\n" : "\n");
   }
-  json += " ],\n \"overhead\": [\n  " + OverheadJson(off) + ",\n  " +
-          OverheadJson(on) + "\n ]\n}\n";
+  json += " ]\n}\n";
   return cfg.WriteSummary(json) ? 0 : 1;
 }
 

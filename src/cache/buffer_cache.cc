@@ -251,7 +251,6 @@ void BufferCache::Release(Buffer* buf) {
 }
 
 void BufferCache::MarkDirty(Buffer* buf) {
-  if (!buf->dirty) buf->dirtied_at = env_->Now();
   SetDirty(buf, true);
   SetTxnOwner(buf, kNoTxn);
   buf->mods++;
@@ -264,7 +263,6 @@ void BufferCache::MarkTxnDirty(Buffer* buf, TxnId txn) {
               "kNoTxn would never commit or abort)");
   SetDirty(buf, false);  // invisible to the syncer until commit
   SetTxnOwner(buf, txn);
-  buf->dirtied_at = env_->Now();
   buf->mods++;
   mutation_gen_++;
 }
@@ -297,10 +295,10 @@ void BufferCache::InvalidateTxnBuffers(TxnId txn) {
   }
 }
 
-std::vector<Buffer*> BufferCache::CollectDirty(SimTime before) {
+std::vector<Buffer*> BufferCache::CollectDirty() {
   std::vector<Buffer*> out;
   for (auto& [key, buf] : dirty_) {
-    if (!buf->io_in_progress && buf->dirtied_at <= before) {
+    if (!buf->io_in_progress) {
       buf->pin_count++;
       out.push_back(buf);
     }

@@ -55,7 +55,6 @@ struct Buffer {
   int pin_count = 0;
   bool io_in_progress = false;  ///< being loaded or written back
   BlockAddr disk_addr = kInvalidBlock;  ///< where this version lives on disk
-  SimTime dirtied_at = 0;
   /// Bumped by MarkDirty and MarkTxnDirty. A writer records it when it
   /// captures the contents and marks the buffer clean after its (yielding)
   /// disk write only if it has not moved: a process that modified the
@@ -153,9 +152,9 @@ class BufferCache {
   /// become the visible versions again.
   void InvalidateTxnBuffers(TxnId txn);
 
-  /// Snapshot of dirty (non-transaction) buffers in key order, optionally
-  /// only those dirtied at or before `before`. Buffers are returned pinned.
-  std::vector<Buffer*> CollectDirty(SimTime before = ~SimTime{0});
+  /// Snapshot of dirty (non-transaction) buffers in key order. Buffers are
+  /// returned pinned.
+  std::vector<Buffer*> CollectDirty();
   /// Dirty buffers belonging to one file, in block order, pinned.
   std::vector<Buffer*> CollectDirtyFile(FileId file);
 

@@ -6,6 +6,10 @@
 namespace lfstx {
 
 namespace {
+/// Spacing of first blocks of distinct files, approximating FFS
+/// cylinder-group spreading.
+constexpr uint64_t kFileSpreadBlocks = 64;
+
 struct Layout {
   uint64_t total_blocks;
   uint32_t bitmap_blocks;
@@ -202,8 +206,7 @@ Result<BlockAddr> Ffs::AllocBlockAddr(Inode* ino) {
     hint = file_rotor_;
     uint64_t span = sb_.total_blocks - sb_.data_start;
     file_rotor_ = sb_.data_start +
-                  (file_rotor_ - sb_.data_start + options_.file_spread_blocks) %
-                      span;
+                  (file_rotor_ - sb_.data_start + kFileSpreadBlocks) % span;
   }
   LFSTX_ASSIGN_OR_RETURN(BlockAddr addr, bitmap_.Alloc(hint));
   alloc_hint_[ino->num()] = addr;

@@ -23,9 +23,6 @@ class Ffs : public FsCore {
  public:
   struct Options {
     uint32_t max_inodes = 4096;
-    /// Spacing of first blocks of distinct files, approximating FFS
-    /// cylinder-group spreading (0 = no spreading).
-    uint32_t file_spread_blocks = 64;
   };
 
   Ffs(SimEnv* env, SimDisk* disk, BufferCache* cache);

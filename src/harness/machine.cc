@@ -132,15 +132,12 @@ std::unique_ptr<Machine> Machine::Build(const Options& options) {
               path.c_str(), s.message().c_str());
     }
   }
-  // Flight recorder: when nobody is watching the trace stream, keep a
-  // short in-memory tail per category so an LFSTX_CHECK failure still has
-  // context to print. An active trace spec disables the default (the real
-  // sink already has everything).
-  int64_t flight = options.flight_events;
-  if (flight < 0) {
-    flight = spec.empty() ? 64 : 0;
-    if (auto n = EnvNumber("LFSTX_FLIGHT")) flight = static_cast<int64_t>(*n);
-  }
+  // Flight recorder: when nobody is watching the trace stream, keep the
+  // last 64 events per category in memory so an LFSTX_CHECK failure still
+  // has context to print. An active trace spec disables it (the real sink
+  // already has everything); LFSTX_FLIGHT overrides the depth, 0 disabling.
+  uint64_t flight = spec.empty() ? 64 : 0;
+  if (auto n = EnvNumber("LFSTX_FLIGHT")) flight = *n;
   if (flight > 0) {
     m->env->tracer()->EnableFlightRecorder(static_cast<size_t>(flight));
   }
@@ -158,10 +155,6 @@ std::unique_ptr<Machine> Machine::Build(const Options& options) {
     if (options.start_cleaner) {
       m->cleaner = std::make_unique<Cleaner>(m->env.get(), lfs.get(),
                                              options.cleaner);
-    }
-    if (options.start_checkpointer) {
-      m->checkpointer = std::make_unique<Checkpointer>(
-          m->env.get(), lfs.get(), options.checkpointer);
     }
     if (options.start_fsck) {
       m->fsck = std::make_unique<OnlineFsck>(m->env.get(), lfs.get(),

@@ -15,7 +15,6 @@
 #include "ffs/ffs.h"
 #include "ffs/syncer.h"
 #include "fs/vfs.h"
-#include "lfs/checkpointer.h"
 #include "lfs/cleaner.h"
 #include "lfs/lfs.h"
 #include "sim/sampler.h"
@@ -92,11 +91,6 @@ struct Machine {
     SimTime sync_interval = 30 * kSecond;
     bool start_cleaner = true;       ///< LFS only
     Cleaner::Options cleaner;
-    /// LFS only: periodic fuzzy-checkpoint daemon (off by default so
-    /// checkpoint timing stays exactly as configured by
-    /// lfs.checkpoint_every_segments unless a rig opts in).
-    bool start_checkpointer = false;
-    Checkpointer::Options checkpointer;
     /// LFS only: online consistency-audit daemon (fsck.* metrics).
     bool start_fsck = false;
     OnlineFsck::Options fsck;
@@ -112,12 +106,6 @@ struct Machine {
     /// and force-enables the metrics trace category. Zero = consult
     /// LFSTX_SAMPLE_MS (milliseconds), off when that is unset too.
     SimTime sample_interval = 0;
-    /// Flight-recorder depth: keep the last N trace events per category in
-    /// memory and dump them when an LFSTX_CHECK fails. -1 (default) keeps
-    /// 64 per category when file tracing is off and disables the recorder
-    /// when a trace spec is active (the file already has everything);
-    /// 0 disables unconditionally. LFSTX_FLIGHT overrides the default.
-    int64_t flight_events = -1;
   };
 
   std::unique_ptr<SimEnv> env;
@@ -126,8 +114,7 @@ struct Machine {
   std::unique_ptr<FileSystem> fs;
   std::unique_ptr<Syncer> syncer;
   std::unique_ptr<Cleaner> cleaner;
-  std::unique_ptr<Checkpointer> checkpointer;  ///< when start_checkpointer
-  std::unique_ptr<OnlineFsck> fsck;            ///< when start_fsck
+  std::unique_ptr<OnlineFsck> fsck;  ///< when start_fsck
   std::unique_ptr<Kernel> kernel;
   std::unique_ptr<MetricsSampler> sampler;  ///< when sample_interval > 0
 

@@ -65,6 +65,13 @@ Cleaner::~Cleaner() {
   if (lfs_ != nullptr) lfs_->AttachCleaner(nullptr);
 }
 
+void Cleaner::Stop() {
+  shared_->alive = false;
+  while (busy()) env_->SleepFor(kMillisecond);
+  lfs_->AttachCleaner(nullptr);
+  lfs_->clean_wait_.WakeAll();
+}
+
 void Cleaner::Loop() {
   // Passes allowed past the engagement's best clean-segment count before
   // it yields. High enough to span the ~seg_blocks/net-yield passes one
@@ -87,7 +94,7 @@ void Cleaner::Loop() {
   uint32_t best = lfs_->clean_segments();
   uint32_t stagnant = 0;
   while (lfs_->clean_segments() < options_.high_water &&
-         !env_->stop_requested()) {
+         !env_->stop_requested() && shared_->alive) {
     Status s = CleanOne();
     if (!s.ok()) break;  // nothing cleanable right now
     if (lfs_->clean_segments() > best) {

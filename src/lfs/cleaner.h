@@ -67,6 +67,12 @@ class Cleaner {
   /// Wake the daemon immediately (writer is out of segments).
   void Poke() { shared_->wakeup.WakeAll(); }
 
+  /// Retire the daemon for good: an engagement ends at its next pass
+  /// boundary, the pass in flight runs to its end (waited for in virtual
+  /// time), and the cleaner detaches from the file system, so a flush at
+  /// the reserve no longer stalls for it. Call from a simulated process.
+  void Stop();
+
   /// Clean exactly one victim segment now (also used by tests). Returns
   /// kNoSpace when there is nothing to clean.
   Status CleanOne();

@@ -29,10 +29,8 @@ Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
       options_(options),
       imap_(options.max_inodes),
       usage_(1, options.segment_blocks),  // resized once geometry is known
-      // yield_ok: the checkpoint lock is held across the fuzzy image
-      // write; the log lock serializes multi-I/O segment and checkpoint
-      // writes, so holding them across disk I/O is their purpose.
-      checkpoint_lock_(env, "lfs.checkpoint", /*yield_ok=*/true),
+      // yield_ok: the log lock serializes multi-I/O segment and checkpoint
+      // writes, so holding it across disk I/O is its purpose.
       flush_lock_(env, "lfs.flush", /*yield_ok=*/true),
       clean_wait_(env) {
   uint64_t total = disk->num_blocks();
@@ -64,11 +62,8 @@ Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
               [this] { return static_cast<double>(lfs_stats_.blocks_written); });
   m->AddGauge(this, "lfs.checkpoints", "count", "checkpoints written",
               [this] { return static_cast<double>(lfs_stats_.checkpoints); });
-  m->AddGauge(this, "lfs.fuzzy_checkpoints", "count",
-              "checkpoints whose image was written without the flush lock",
-              [this] { return static_cast<double>(lfs_stats_.fuzzy_checkpoints); });
   m->AddGauge(this, "lfs.checkpoints_skipped", "count",
-              "checkpoint requests skipped (log clean or write in flight)",
+              "checkpoint requests skipped because the log was clean",
               [this] { return static_cast<double>(lfs_stats_.checkpoints_skipped); });
   m->AddGauge(this, "lfs.flushes", "count", "Flush() calls",
               [this] { return static_cast<double>(lfs_stats_.flushes); });
@@ -193,32 +188,11 @@ Status Lfs::WriteBack(Buffer* buf) {
 }
 
 Status Lfs::Checkpoint() {
-  if (!mounted_) return Status::OK();  // daemon tick before boot finishes
-  // Fuzzy path: serialize against other fuzzy checkpointers, log the
-  // dirty inode map and snapshot under the flush lock, then write the
-  // image with the lock released so transactions keep committing during
-  // the multi-block region write.
-  SimMutexGuard cg(&checkpoint_lock_);
-  if (!cg.locked()) return Status::Busy("stopped before checkpoint");
-  CheckpointData cp;
-  BlockAddr region = 0;
-  {
-    SimMutexGuard g(&flush_lock_);
-    if (!g.locked()) return Status::Busy("stopped before checkpoint");
-    if (CheckpointIsCleanLocked()) {
-      lfs_stats_.checkpoints_skipped++;
-      return Status::OK();
-    }
-    // No image write can be in flight here: fuzzy writers hold
-    // checkpoint_lock_ and locked writers finish inside the flush lock.
-    flush_owner_ = SimEnv::Current();
-    Status logged = LogImapLocked();
-    flush_owner_ = nullptr;
-    LFSTX_RETURN_IF_ERROR(logged);
-    LFSTX_RETURN_IF_ERROR(CaptureCheckpointLocked(&cp, &region));
-  }
-  Status s = WriteCheckpointImage(cp, region);
-  if (s.ok()) lfs_stats_.fuzzy_checkpoints++;
+  SimMutexGuard g(&flush_lock_);
+  if (!g.locked()) return Status::Busy("stopped before checkpoint");
+  flush_owner_ = SimEnv::Current();
+  Status s = WriteCheckpointLocked();
+  flush_owner_ = nullptr;
   return s;
 }
 

@@ -47,9 +47,7 @@ class Lfs : public FsCore {
     uint64_t segments_activated = 0;
     uint64_t blocks_written = 0;     ///< payload blocks through the log
     uint64_t checkpoints = 0;
-    uint64_t fuzzy_checkpoints = 0;  ///< captured under the flush lock,
-                                     ///< written without it
-    uint64_t checkpoints_skipped = 0;  ///< log clean or image write in flight
+    uint64_t checkpoints_skipped = 0;  ///< requests that found the log clean
     uint64_t flushes = 0;
     uint64_t writer_stalls = 0;      ///< waits for the cleaner
   };
@@ -96,11 +94,8 @@ class Lfs : public FsCore {
   /// in core when roll-forward can redo them (DESIGN.md §14).
   Status Flush(TxnId txn = kNoTxn);
 
-  /// Force a checkpoint now — the *fuzzy* path: the flush lock is held
-  /// only for the in-memory capture; the image write goes to disk with
-  /// transactions still committing. Safe because the capture is an atomic
-  /// consistent snapshot (GenStamp-proven) and the dual regions alternate,
-  /// so a crash mid-write falls back to the other region.
+  /// Force a checkpoint now: take the flush lock and write one, as the
+  /// segment trigger does (WriteCheckpointLocked).
   Status Checkpoint();
 
   bool is_mounted() const { return mounted_; }
@@ -271,16 +266,10 @@ class Lfs : public FsCore {
   Status MaybePeriodicCheckpoint();
 
   // ---- checkpoint / recovery (checkpoint.cc, recovery.cc) ----
-  /// Snapshot the checkpoint state and pick the target region. Pure CPU
-  /// under the flush lock (GenStamp-asserted): the capture is atomic even
-  /// when transactions are mid-flight — the fuzzy-checkpoint invariant.
-  Status CaptureCheckpointLocked(CheckpointData* cp, BlockAddr* region);
-  /// Encode and write a captured image. Does not require the flush lock.
-  Status WriteCheckpointImage(const CheckpointData& cp, BlockAddr region);
-  /// Capture + write under the flush lock (format, unmount, periodic,
-  /// cleaner, recovery), after LogImapLocked. Skips when the log is clean
-  /// or a fuzzy image write is in flight (two concurrent region writes
-  /// could tear both regions).
+  /// Every checkpoint (format, unmount, the segment trigger, the end of a
+  /// cleaning pass or of recovery, Checkpoint()): under the flush lock,
+  /// log the dirty inode map (LogImapLocked), capture the state, pick the
+  /// other region and write the image there. Skips when the log is clean.
   Status WriteCheckpointLocked();
   /// True when nothing was appended since the last capture — the on-disk
   /// image is already current.
@@ -316,15 +305,8 @@ class Lfs : public FsCore {
   uint64_t last_cp_write_seq_ = 0;
   uint32_t last_cp_seg_ = ~0u;
   uint32_t last_cp_off_ = ~0u;
-  /// A fuzzy image write is on the platter without the flush lock held.
-  /// Locked-path writers must not start a concurrent write to the other
-  /// region (a crash could then find both regions torn).
-  bool checkpoint_write_in_flight_ = false;
   int force_checkpoint_region_ = -1;  // see ForceCheckpointRegionForTest
 
-  /// Serializes fuzzy checkpointers; ordered before flush_lock_ (never
-  /// acquired while holding it). Held across the image disk write.
-  SimMutex checkpoint_lock_;
   SimMutex flush_lock_;
   SimProc* flush_owner_ = nullptr;  // detects re-entrant flushes
   /// FlushLocked's chunk staging buffer (a summary block plus one segment

@@ -1,15 +1,12 @@
 // Checkpointing and crash recovery.
 //
-// Checkpoints are split into a pure-CPU *capture* (under the flush lock,
-// GenStamp-asserted atomic) and an *image write* (multi-block region
-// write). The fuzzy path (Lfs::Checkpoint) releases the flush lock between
-// the two so transactions keep committing during the write; the locked
-// path (format, unmount, periodic, cleaner) keeps the lock across both.
-// The dual regions alternate, so a crash mid-write falls back to the
-// other region — provided at most one region write is ever in flight,
-// which the checkpoint_write_in_flight_ flag enforces. Every capture
-// first logs the dirty inode-map blocks (LogImapLocked): flushes leave
-// them to roll-forward, and an image must not name a stale map.
+// Every checkpoint is written under the flush lock (WriteCheckpointLocked):
+// it logs the dirty inode-map blocks first (LogImapLocked), because flushes
+// leave them to roll-forward and an image must not name a stale map, then
+// captures the log head, inode-map addresses and usage table and writes the
+// image to the region the previous checkpoint did not use. The lock keeps
+// the head still from the capture to the end of the image write, and the
+// regions alternate, so a crash mid-write falls back to the other region.
 //
 // Recovery loads the newer valid checkpoint, rolls the log forward along
 // the summary chain (staging transaction-tagged chunks until their commit
@@ -36,30 +33,36 @@ namespace lfstx {
 
 // ------------------------------------------------------------ checkpoints --
 
-Status Lfs::CaptureCheckpointLocked(CheckpointData* cp, BlockAddr* region) {
-  // Pure CPU under the flush lock: no yield point, so the snapshot is one
-  // atomic step even with transactions mid-flight — the fuzzy-checkpoint
-  // invariant. The GenStamp proves it.
+Status Lfs::WriteCheckpointLocked() {
+  if (CheckpointIsCleanLocked()) {
+    lfs_stats_.checkpoints_skipped++;
+    return Status::OK();
+  }
+  LFSTX_RETURN_IF_ERROR(LogImapLocked());
+  // The caller holds the flush lock, so no one may append to the log (or
+  // advance the head) from the capture to the end of the image write — the
+  // image's (seg, off, seq) snapshot would silently go stale.
   GenStamp<Lfs> head(this);
-  cp->seq = ++checkpoint_seq_;
-  cp->timestamp = env_->Now();
-  cp->cur_segment = cur_seg_;
-  cp->cur_offset = cur_off_;
-  cp->cur_generation = cur_gen_;
+  CheckpointData cp;
+  cp.seq = ++checkpoint_seq_;
+  cp.timestamp = env_->Now();
+  cp.cur_segment = cur_seg_;
+  cp.cur_offset = cur_off_;
+  cp.cur_generation = cur_gen_;
   // A write point with no room for a chunk continues in a successor. Name
   // it now if the last summary could not (no clean segment then); the next
   // activation takes the hint, so the chain and this image agree on it.
   if (cur_off_ + 2 > options_.segment_blocks) {
     int64_t next = EnsureSuccessor();
-    if (next >= 0) cp->next_segment = static_cast<uint32_t>(next);
+    if (next >= 0) cp.next_segment = static_cast<uint32_t>(next);
   }
-  cp->next_write_seq = next_write_seq_;
-  cp->imap_addrs = imap_.block_addrs();
-  cp->usage_bytes.resize(usage_.SerializedBytes());
-  usage_.Serialize(cp->usage_bytes.data());
-  *region = checkpoint_to_a_ ? geo_.checkpoint_a : geo_.checkpoint_b;
+  cp.next_write_seq = next_write_seq_;
+  cp.imap_addrs = imap_.block_addrs();
+  cp.usage_bytes.resize(usage_.SerializedBytes());
+  usage_.Serialize(cp.usage_bytes.data());
+  BlockAddr region = checkpoint_to_a_ ? geo_.checkpoint_a : geo_.checkpoint_b;
   LFSTX_TRACE(env_->tracer(), TraceCat::kCheckpoint, "checkpoint",
-              {"seq", cp->seq}, {"region", checkpoint_to_a_ ? "A" : "B"},
+              {"seq", cp.seq}, {"region", checkpoint_to_a_ ? "A" : "B"},
               {"seg", cur_seg_}, {"off", cur_off_},
               {"blocks", geo_.checkpoint_blocks});
   checkpoint_to_a_ = !checkpoint_to_a_;
@@ -67,14 +70,7 @@ Status Lfs::CaptureCheckpointLocked(CheckpointData* cp, BlockAddr* region) {
   last_cp_write_seq_ = next_write_seq_;
   last_cp_seg_ = cur_seg_;
   last_cp_off_ = cur_off_;
-  checkpoint_write_in_flight_ = true;
-  LFSTX_GEN_CHECK(head,
-                  "log head moved during a checkpoint capture — the capture "
-                  "must be a single atomic step");
-  return Status::OK();
-}
 
-Status Lfs::WriteCheckpointImage(const CheckpointData& cp, BlockAddr region) {
   // Checkpoint region writes are attributed to the checkpoint cause even
   // when a foreground commit (MaybePeriodicCheckpoint) triggers them.
   ProfCauseScope prof_cause(env_->profiler(), IoCause::kCheckpoint);
@@ -84,35 +80,10 @@ Status Lfs::WriteCheckpointImage(const CheckpointData& cp, BlockAddr region) {
   env_->log_econ()->ChargeBlocks(LogByteCat::kCheckpoint,
                                  geo_.checkpoint_blocks);
   Status s = disk_->Write(region, geo_.checkpoint_blocks, buf.data());
-  checkpoint_write_in_flight_ = false;
   if (s.ok()) lfs_stats_.checkpoints++;
-  return s;
-}
-
-Status Lfs::WriteCheckpointLocked() {
-  if (checkpoint_write_in_flight_) {
-    // A fuzzy image write is on the platter right now. Starting a second
-    // write to the other region would let a crash tear both regions at
-    // once; the in-flight image already bounds recovery, so skip.
-    lfs_stats_.checkpoints_skipped++;
-    return Status::OK();
-  }
-  if (CheckpointIsCleanLocked()) {
-    lfs_stats_.checkpoints_skipped++;
-    return Status::OK();
-  }
-  LFSTX_RETURN_IF_ERROR(LogImapLocked());
-  CheckpointData cp;
-  BlockAddr region = 0;
-  LFSTX_RETURN_IF_ERROR(CaptureCheckpointLocked(&cp, &region));
-  // The caller holds the flush lock, so no one may append to the log (or
-  // advance the head) while the checkpoint image is being written — the
-  // image's (seg, off, seq) snapshot would silently go stale.
-  GenStamp<Lfs> head(this);
-  Status s = WriteCheckpointImage(cp, region);
   LFSTX_GEN_CHECK(head,
-                  "log head moved during a checkpoint write — the flush "
-                  "lock's exclusion was violated");
+                  "log head moved during a checkpoint — the flush lock's "
+                  "exclusion was violated");
   return s;
 }
 

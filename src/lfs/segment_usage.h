@@ -4,7 +4,8 @@
 // number of occupied slots and the cleaner reads only the blocks the table
 // names. Besides the owners, each segment carries its state, generation,
 // the payload blocks written in its current incarnation, and the write
-// timestamp used by the cost-benefit cleaning policy.
+// timestamp from which the `lfs.segment_lifetime_us` histogram measures a
+// segment's age when it is cleaned.
 //
 // The checkpoint persists state, generation, write time and the written
 // count. Live counts and owners are rebuilt at every mount by walking every

@@ -3,8 +3,9 @@
 // invariant, so their state needs no internal locking, and all inherit
 // WaitQueue's FIFO wake ordering — part of the determinism contract in
 // SIMULATOR.md, and why these primitives behave identically on every
-// execution backend. InFlight counts the blocked calls a daemon object
-// must not be destroyed under.
+// execution backend. A release wakes the first waiter without handing it
+// the resource, so acquisition order is not FIFO (see SimMutex). InFlight
+// counts the blocked calls a daemon object must not be destroyed under.
 #ifndef LFSTX_SIM_SYNC_H_
 #define LFSTX_SIM_SYNC_H_
 
@@ -14,7 +15,13 @@
 
 namespace lfstx {
 
-/// \brief FIFO blocking mutex for simulated processes.
+/// \brief Blocking mutex for simulated processes.
+///
+/// Not FIFO: Unlock wakes the longest waiter but does not hand it the
+/// lock. Until the woken process runs, a Lock call finds the mutex free
+/// and takes it (the unlocker itself, if it relocks before yielding); the
+/// woken process then finds it held and waits again, at the back of the
+/// queue. Deterministic all the same, on every backend.
 ///
 /// Every acquisition reports to the environment's cooperative lockdep
 /// (sim/lockdep.h). `name` labels this mutex in lockdep reports;

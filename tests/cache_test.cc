@@ -286,7 +286,6 @@ struct ModelFrame {
   TxnId owner = kNoTxn;
   bool prefetched = false;
   int pins = 0;
-  SimTime dirtied_at = 0;
 };
 
 class CacheModel {
@@ -339,19 +338,17 @@ class CacheModel {
     lru_.push_back(k);
     return true;
   }
-  void MarkDirty(BufferKey k, SimTime now) {
+  void MarkDirty(BufferKey k) {
     ModelFrame& f = frames_.at(k);
-    if (!f.dirty) f.dirtied_at = now;
     f.dirty = true;
     f.txn_dirty = false;
     f.owner = kNoTxn;
   }
-  void MarkTxnDirty(BufferKey k, TxnId txn, SimTime now) {
+  void MarkTxnDirty(BufferKey k, TxnId txn) {
     ModelFrame& f = frames_.at(k);
     f.dirty = false;
     f.txn_dirty = true;
     f.owner = txn;
-    f.dirtied_at = now;
   }
   void MarkClean(BufferKey k) {
     ModelFrame& f = frames_.at(k);
@@ -361,10 +358,10 @@ class CacheModel {
   }
 
   // The full scans.
-  std::vector<BufferKey> CollectDirty(SimTime before) const {
+  std::vector<BufferKey> CollectDirty() const {
     std::vector<BufferKey> out;
     for (const auto& [k, f] : frames_) {
-      if (f.dirty && f.dirtied_at <= before) out.push_back(k);
+      if (f.dirty) out.push_back(k);
     }
     return out;
   }
@@ -500,7 +497,6 @@ void RunModelCheck(uint64_t seed) {
   CacheModel model(capacity);
   f.env.Spawn("p", [&] {
     std::vector<Buffer*> held;  // pins the test keeps across steps
-    std::vector<SimTime> dirty_times;
     auto key = [&] {
       return BufferKey{1 + rng.Uniform(kFiles), rng.Uniform(kBlocks)};
     };
@@ -580,12 +576,11 @@ void RunModelCheck(uint64_t seed) {
           Buffer* b = held[rng.Uniform(held.size())];
           const uint64_t what = rng.Uniform(3);
           if (what == 0) {
-            model.MarkDirty(b->key, f.env.Now());
+            model.MarkDirty(b->key);
             f.cache.MarkDirty(b);
-            dirty_times.push_back(b->dirtied_at);
           } else if (what == 1) {
             TxnId txn = 1 + rng.Uniform(kTxns);
-            model.MarkTxnDirty(b->key, txn, f.env.Now());
+            model.MarkTxnDirty(b->key, txn);
             f.cache.MarkTxnDirty(b, txn);
           } else {
             model.MarkClean(b->key);
@@ -609,7 +604,7 @@ void RunModelCheck(uint64_t seed) {
           const bool commit = rng.Uniform(2) == 0;
           for (Buffer* b : got) {
             if (commit) {
-              model.MarkDirty(b->key, f.env.Now());
+              model.MarkDirty(b->key);
               f.cache.MarkDirty(b);
             }
             f.cache.Release(b);
@@ -638,10 +633,10 @@ void RunModelCheck(uint64_t seed) {
             ASSERT_EQ(r.ok(), ok) << r.status().ToString();
             if (!ok) break;
             if (how == 1) {
-              model.MarkDirty(k, f.env.Now());
+              model.MarkDirty(k);
               f.cache.MarkDirty(r.value());
             } else if (how == 2) {
-              model.MarkTxnDirty(k, txn, f.env.Now());
+              model.MarkTxnDirty(k, txn);
               f.cache.MarkTxnDirty(r.value(), txn);
             }
             f.cache.Release(r.value());
@@ -653,14 +648,9 @@ void RunModelCheck(uint64_t seed) {
       }
 
       ASSERT_EQ(resident_diff(), "");
-      SimTime before = ~SimTime{0};
-      if (!dirty_times.empty() && rng.Uniform(2) == 0) {
-        before = dirty_times[rng.Uniform(dirty_times.size())];
-      }
-      std::vector<BufferKey> want = model.CollectDirty(before);
-      std::vector<BufferKey> got =
-          KeysAndRelease(&f.cache, f.cache.CollectDirty(before));
-      ASSERT_EQ(Show(got), Show(want)) << "CollectDirty(" << before << ")";
+      ASSERT_EQ(Show(KeysAndRelease(&f.cache, f.cache.CollectDirty())),
+                Show(model.CollectDirty()))
+          << "CollectDirty()";
       FileId file = 1 + rng.Uniform(kFiles + 2);
       ASSERT_EQ(Show(KeysAndRelease(&f.cache, f.cache.CollectDirtyFile(file))),
                 Show(model.CollectDirtyFile(file)))
@@ -669,7 +659,7 @@ void RunModelCheck(uint64_t seed) {
       ASSERT_EQ(Show(KeysAndRelease(&f.cache, f.cache.TakeTxnBuffers(txn))),
                 Show(model.TxnBuffers(txn)))
           << "TakeTxnBuffers(" << txn << ")";
-      ASSERT_EQ(f.cache.dirty_count(), model.CollectDirty(~SimTime{0}).size());
+      ASSERT_EQ(f.cache.dirty_count(), model.CollectDirty().size());
       const BufferCache::Stats& cs = f.cache.stats();
       const BufferCache::Stats& ms = model.stats();
       ASSERT_EQ(cs.hits, ms.hits);

@@ -306,8 +306,8 @@ uint64_t DigestFile(Lfs* fs, InodeNum ino, uint64_t first = 0,
 
 /// Persist trace of: format; write and fsync a 200-block /a and take a
 /// checkpoint; then sixty fsyncs of /a, most of them deferred, with a
-/// fuzzy checkpoint after the twentieth and a kernel cleaning pass after
-/// the fortieth. Each fsync writes one block (an overwrite, and every fifth
+/// forced checkpoint (Lfs::Checkpoint) after the twentieth and a kernel
+/// cleaning pass after the fortieth. Each fsync writes one block (an overwrite, and every fifth
 /// an append) except the fiftieth, which overwrites /a's last 64 blocks and
 /// appends 64 more: one chunk holds less than a segment, so that fsync's
 /// chunks cross a segment end. `boundary[i]` is the trace length once the
@@ -455,15 +455,15 @@ uint64_t DigestCommitted(Lfs* fs, InodeNum a, InodeNum b) {
 /// one commit that writes a sparse /a (blocks 0-19, and the last 15 of its
 /// first double-indirect child) and a 20-block /b, both
 /// transaction-protected; a sync and a checkpoint; then sixty commits, most
-/// of them deferred, with a fuzzy checkpoint after the twentieth and a
-/// kernel cleaning pass after the fortieth. Each commit overwrites one block
-/// of /b and one of /a, except that every fifth appends to /a and
-/// overwrites again the block the commit before wrote: /a's double-indirect
-/// map grows, and the sixth append starts its second child, so that commit
-/// logs /a's inode over the record of the commit before. The fiftieth and
-/// the fifty-fifth overwrite /a's last 64 blocks and append 64 more, so
-/// their chunks cross a segment end; the fiftieth also makes the periodic
-/// checkpoint due. `boundary[i]` is the trace length once the i-th commit
+/// of them deferred, with a forced checkpoint (Lfs::Checkpoint) after the
+/// twentieth and a kernel cleaning pass after the fortieth. Each commit
+/// overwrites one block of /b and one of /a, except that every fifth
+/// appends to /a and overwrites again the block the commit before wrote:
+/// /a's double-indirect map grows, and the sixth append starts its second
+/// child, so that commit logs /a's inode over the record of the commit
+/// before. The fiftieth and the fifty-fifth overwrite /a's last 64 blocks
+/// and append 64 more, so their chunks cross a segment end; the fiftieth
+/// also makes the periodic checkpoint due. `boundary[i]` is the trace length once the i-th commit
 /// returned and `digest[i]` the files' contents then; the checkpoints and
 /// the pass change no contents. `deferred` counts the commits that left
 /// both files deferred.

@@ -773,8 +773,8 @@ TEST(LfsTest, CheckpointLogsTheDirtyImapBeforeItsCapture) {
   // to roll-forward, not to the on-disk imap. A checkpoint moves the
   // roll-forward start past their inode blocks, so it must log the imap
   // first — on the periodic path inside the flush's last chunk.
-  for (bool fuzzy : {false, true}) {
-    SCOPED_TRACE(fuzzy ? "fuzzy checkpoint" : "periodic checkpoint");
+  for (bool forced : {false, true}) {
+    SCOPED_TRACE(forced ? "Checkpoint() call" : "periodic checkpoint");
     SimEnv env;
     SimDisk disk(&env, SimDisk::Options{});
     const int kFiles = 4;
@@ -782,7 +782,7 @@ TEST(LfsTest, CheckpointLogsTheDirtyImapBeforeItsCapture) {
       {
         BufferCache cache(&env, 1024);
         Lfs::Options opt;
-        opt.checkpoint_every_segments = fuzzy ? 1000 : 1;
+        opt.checkpoint_every_segments = forced ? 1000 : 1;
         Lfs fs(&env, &disk, &cache, opt);
         cache.set_writeback(&fs);
         ASSERT_TRUE(fs.Format().ok());
@@ -794,7 +794,7 @@ TEST(LfsTest, CheckpointLogsTheDirtyImapBeforeItsCapture) {
         }
         ASSERT_FALSE(fs.imap().DirtyBlocks().empty());
         uint64_t checkpoints = fs.lfs_stats().checkpoints;
-        if (fuzzy) {
+        if (forced) {
           ASSERT_TRUE(fs.Checkpoint().ok());
         } else {
           // A flush that opens a segment makes the periodic checkpoint due.
@@ -906,6 +906,66 @@ TEST(LfsTest, AFlushThatStartsAboveTheReserveStopsAtIt) {
     std::string got(backlog.size(), '\0');
     ASSERT_EQ(fs.Read(f, 0, got.size(), got.data()).value(), got.size());
     EXPECT_TRUE(got == backlog);
+    ASSERT_TRUE(fs.Close(f).ok());
+  });
+}
+
+TEST(LfsTest, StoppingTheCleanerEndsItsEngagementAndFreesTheReserve) {
+  // A writer stalled at the reserve keeps a cleaner engaged. Stop ends the
+  // engagement after the pass in flight and detaches the cleaner, so the
+  // log may then be flushed below the reserve without stalling.
+  SimDisk::Options small;
+  small.geometry.cylinders = 40;
+  SimEnv env;
+  SimDisk disk(&env, small);
+  RunIn(&env, [&] {
+    BufferCache cache(&env, 1024);
+    Lfs::Options opt;
+    opt.checkpoint_every_segments = 1000;  // no checkpoint flush to stall
+    Lfs fs(&env, &disk, &cache, opt);
+    cache.set_writeback(&fs);
+    ASSERT_TRUE(fs.Format().ok());
+    InodeNum f = fs.Create("/f").value();
+    // Rewrite one region, killing the copy before each time, until only
+    // the reserve is clean.
+    std::string data(32 * kBlockSize, 'd');
+    while (fs.clean_segments() > Lfs::kCleanerReserveSegments) {
+      ASSERT_TRUE(fs.Write(f, 0, data).ok());
+      ASSERT_TRUE(fs.SyncAll().ok());
+    }
+    Cleaner::Options copt;
+    copt.poll_interval = 1000 * kSecond;  // passes run only when poked
+    Cleaner cleaner(&env, &fs, copt);
+    const MetricHistogram* passes =
+        env.metrics()->FindHistogram("cleaner.busy_us");
+    ASSERT_NE(passes, nullptr);
+    // Two segments of backlog: the first pass drains it into the reserve.
+    std::string backlog(2 * fs.segment_blocks() * kBlockSize, 'b');
+    ASSERT_TRUE(fs.Write(f, 0, backlog).ok());
+    bool synced = false;
+    env.Spawn("writer", [&] {
+      EXPECT_TRUE(fs.SyncAll().ok());
+      synced = true;
+    });
+    while (!cleaner.busy()) env.SleepFor(kMillisecond);
+    EXPECT_GT(fs.lfs_stats().writer_stalls, 0u);
+    cleaner.Stop();
+    EXPECT_FALSE(cleaner.busy());
+    const uint64_t taken = passes->count();
+    EXPECT_GT(taken, 0u);
+    cleaner.Poke();
+    env.SleepFor(10 * kSecond);
+    EXPECT_EQ(passes->count(), taken);
+    EXPECT_TRUE(synced);
+    EXPECT_LT(fs.clean_segments(), Lfs::kCleanerReserveSegments);
+    ASSERT_TRUE(fs.Write(f, 0, data).ok());
+    ASSERT_TRUE(fs.SyncAll().ok());
+    EXPECT_LT(fs.clean_segments(), Lfs::kCleanerReserveSegments);
+    EXPECT_EQ(passes->count(), taken);
+    std::string got(backlog.size(), '\0');
+    ASSERT_EQ(fs.Read(f, 0, got.size(), got.data()).value(), got.size());
+    EXPECT_TRUE(got.substr(0, data.size()) == data);
+    EXPECT_TRUE(got.substr(data.size()) == backlog.substr(data.size()));
     ASSERT_TRUE(fs.Close(f).ok());
   });
 }

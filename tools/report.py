@@ -152,11 +152,11 @@ def check_tail(summary):
 
 
 def check_recovery(summary):
-    """Bounded-recovery gates: nocp grows with the log, fuzzy does not."""
+    """Bounded-recovery gates: nocp grows with the log, periodic does not."""
     by_mode = defaultdict(list)
     for p in summary.get("curve", []):
         by_mode[p["mode"]].append(p)
-    for mode in ("nocp", "fuzzy"):
+    for mode in ("nocp", "periodic"):
         rounds = [p["rounds"] for p in by_mode[mode]]
         if rounds != sorted(set(rounds)) or len(rounds) < 3:
             yield (f"{mode}: rounds axis must be strictly increasing with "
@@ -167,39 +167,25 @@ def check_recovery(summary):
                 yield (f"{mode} @ {p['rounds']} rounds: non-positive "
                        f"recovery_us/written_blocks")
                 return
-    nocp, fuzzy = by_mode["nocp"], by_mode["fuzzy"]
+    nocp, periodic = by_mode["nocp"], by_mode["periodic"]
     log_growth = nocp[-1]["written_blocks"] / nocp[0]["written_blocks"]
     nocp_growth = nocp[-1]["recovery_us"] / nocp[0]["recovery_us"]
-    fuzzy_growth = fuzzy[-1]["recovery_us"] / fuzzy[0]["recovery_us"]
+    periodic_growth = periodic[-1]["recovery_us"] / periodic[0]["recovery_us"]
     # The unbounded baseline must actually track the log (recovery time is
     # what the log makes it) ...
     if nocp_growth < 0.5 * log_growth:
         yield (f"nocp recovery grew {nocp_growth:.2f}x over a "
                f"{log_growth:.2f}x log — baseline is not log-bound, the "
                f"sublinearity comparison below is vacuous")
-    # ... while fuzzy checkpoints must decouple recovery from log size:
+    # ... while periodic checkpoints must decouple recovery from log size:
     # sublinear growth, and strictly cheaper than the baseline at the top.
-    if fuzzy_growth > 0.5 * log_growth:
-        yield (f"fuzzy recovery grew {fuzzy_growth:.2f}x over a "
+    if periodic_growth > 0.5 * log_growth:
+        yield (f"periodic recovery grew {periodic_growth:.2f}x over a "
                f"{log_growth:.2f}x log — checkpoints are not bounding replay")
-    if fuzzy[-1]["recovery_us"] > 0.25 * nocp[-1]["recovery_us"]:
-        yield (f"fuzzy recovery at the largest log "
-               f"({fuzzy[-1]['recovery_us']} us) is not well under the "
+    if periodic[-1]["recovery_us"] > 0.25 * nocp[-1]["recovery_us"]:
+        yield (f"periodic recovery at the largest log "
+               f"({periodic[-1]['recovery_us']} us) is not well under the "
                f"no-checkpoint baseline ({nocp[-1]['recovery_us']} us)")
-    by_daemon = {p["checkpointer"]: p for p in summary.get("overhead", [])}
-    if set(by_daemon) != {False, True}:
-        yield (f"overhead needs daemon-off and daemon-on points, got "
-               f"{sorted(by_daemon)}")
-        return
-    off, on = by_daemon[False], by_daemon[True]
-    if off["tps"] <= 0 or on["tps"] <= 0:
-        yield "non-positive TPS in the overhead measurement"
-    elif on["tps"] < 0.5 * off["tps"]:
-        yield (f"checkpoint daemon halved TPS ({off['tps']:.2f} -> "
-               f"{on['tps']:.2f}) — overhead is not bounded")
-    if on["fuzzy_checkpoints"] == 0:
-        yield ("daemon-on run took no fuzzy checkpoints — overhead "
-               "measurement is vacuous")
 
 
 def point_name(p):

@@ -64,11 +64,11 @@ class ValidatorTest(unittest.TestCase):
         s["configs"][0]["exemplars"][0]["queued_us"] += 1
         self.assertRejects("tail", s, "!= sojourn")
 
-    def test_recovery_fuzzy_curve_must_not_grow_with_the_log(self):
+    def test_recovery_periodic_curve_must_not_grow_with_the_log(self):
         s = committed("recovery")
         nocp = [p for p in s["curve"] if p["mode"] == "nocp"]
-        fuzzy = [p for p in s["curve"] if p["mode"] == "fuzzy"]
-        for f, n in zip(fuzzy, nocp):
+        periodic = [p for p in s["curve"] if p["mode"] == "periodic"]
+        for f, n in zip(periodic, nocp):
             f["recovery_us"] = n["recovery_us"]
         self.assertRejects("recovery", s, "checkpoints are not bounding "
                                           "replay")
