@@ -19,7 +19,9 @@ using namespace lfstx;
 int main(int argc, char** argv) {
   // The rows set the cleaner placement, so --cleaner is not taken.
   BenchConfig cfg = BenchConfig::FromArgs(
-      argc, argv, BenchConfig::kUsersFlag | BenchConfig::kWindowFlags);
+      argc, argv,
+      BenchConfig::kUsersFlag | BenchConfig::kWindowFlags |
+          BenchConfig::kWorkloadFlags);
   uint64_t warmup = cfg.TxnsOr(8000) / 2;  // push the log toward cleaning
   uint64_t txns = cfg.TxnsOr(8000);
 

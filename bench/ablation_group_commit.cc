@@ -15,7 +15,9 @@ using namespace lfstx;
 int main(int argc, char** argv) {
   // The MPL axis sets the terminal count, so --users is not taken.
   BenchConfig cfg = BenchConfig::FromArgs(
-      argc, argv, BenchConfig::kWindowFlags | BenchConfig::kCleanerFlag);
+      argc, argv,
+      BenchConfig::kWindowFlags | BenchConfig::kCleanerFlag |
+          BenchConfig::kWorkloadFlags);
   uint64_t txns = cfg.TxnsOr(6000);
 
   printf("Ablation: group commit timeout sweep (embedded/LFS, %llu total "

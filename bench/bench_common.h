@@ -1,7 +1,9 @@
 // Shared configuration and the one TPC-B measurement path for the
 // figure-reproduction benches.
 //
-// Every bench accepts:
+// Every bench but fig_recovery, whose recovery curves build their own
+// disks, accepts these (fig_cleaning all but --txns: its fill and churn
+// set the work):
 //   --scale=N        divide the paper's database, cache, and disk by N
 //                    (default 4: 250k accounts on a 75 MB disk with a 2 MB
 //                    kernel cache — same cache:database and database:disk
@@ -9,6 +11,7 @@
 //   --txns=N         measured transactions (default depends on the bench)
 //   --readahead=N    clustered-readahead window in blocks (0 disables;
 //                    default: the machine's standard window)
+// Every bench accepts:
 //   --metrics-dir=D  write one metrics snapshot JSON per configuration
 //                    into directory D (created if absent)
 //   --trace=SPEC     enable trace categories ("disk,txn", "all")
@@ -166,7 +169,10 @@ struct BenchConfig {
     kUsersFlag = 8,      ///< --users
     kWindowFlags = 16,   ///< --profile, --blame
     kCleanerFlag = 32,   ///< --cleaner
-    kTpcbFlags = kUsersFlag | kWindowFlags | kCleanerFlag,
+    kMachineFlags = 64,  ///< --scale, --readahead
+    kTxnsFlag = 128,     ///< --txns
+    kWorkloadFlags = kMachineFlags | kTxnsFlag,
+    kTpcbFlags = kUsersFlag | kWindowFlags | kCleanerFlag | kWorkloadFlags,
   };
 
   static BenchConfig FromArgs(int argc, char** argv, unsigned groups) {
@@ -174,12 +180,13 @@ struct BenchConfig {
     const bool tail = groups & kTailFlags;
     const bool cleaning = groups & kCleaningFlags;
     const bool window = groups & kWindowFlags;
+    const bool machine = groups & kMachineFlags;
     for (int i = 1; i < argc; i++) {
-      if (strncmp(argv[i], "--scale=", 8) == 0) {
+      if (machine && strncmp(argv[i], "--scale=", 8) == 0) {
         c.scale = std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 8));
-      } else if (strncmp(argv[i], "--txns=", 7) == 0) {
+      } else if ((groups & kTxnsFlag) && strncmp(argv[i], "--txns=", 7) == 0) {
         c.txns = NumericFlag<uint64_t>(argv[i], 7);
-      } else if (strncmp(argv[i], "--readahead=", 12) == 0) {
+      } else if (machine && strncmp(argv[i], "--readahead=", 12) == 0) {
         c.readahead = NumericFlag<int64_t>(argv[i], 12);
       } else if ((groups & kUsersFlag) &&
                  strncmp(argv[i], "--users=", 8) == 0) {
@@ -306,15 +313,17 @@ struct BenchConfig {
 
   static void PrintUsage(FILE* out, const char* prog) {
     fprintf(out,
-            "usage: %s [--scale=N] [--txns=N] [--readahead=N]\n"
-            "    [--metrics-dir=D] [--trace=SPEC] [--trace-file=F] [--fsck]\n"
-            "    [--sample-interval=MS] [--sim-backend=fibers|threads]\n"
-            "  TPC-B benches: [--users=N] [--profile] [--blame]\n"
-            "    [--cleaner=kernel|user] (no --users in\n"
-            "    ablation_group_commit, no --cleaner in ablation_cleaner)\n"
+            "usage: %s [--metrics-dir=D] [--trace=SPEC] [--trace-file=F]\n"
+            "    [--fsck] [--sample-interval=MS]\n"
+            "    [--sim-backend=fibers|threads]\n"
+            "  TPC-B benches: [--scale=N] [--txns=N] [--readahead=N]\n"
+            "    [--users=N] [--profile] [--blame] [--cleaner=kernel|user]\n"
+            "    (no --users in ablation_group_commit, no --cleaner in\n"
+            "    ablation_cleaner)\n"
             "  fig4_tps, fig_tail, fig_cleaning, fig_recovery: [--summary=F]\n"
             "  fig_tail: [--offered-tps=L] [--queue-cap=N] [--exemplars=K]\n"
-            "  fig_cleaning: [--cleaner=kernel|user] [--fullness=L]\n"
+            "  fig_cleaning: [--scale=N] [--readahead=N]\n"
+            "    [--cleaner=kernel|user] [--fullness=L]\n"
             "    [--watermark=lazy|eager] [--arch=embedded|user_lfs]\n"
             "See the flag list at the top of bench/bench_common.h.\n",
             prog);

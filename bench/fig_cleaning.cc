@@ -345,7 +345,7 @@ int Main(int argc, char** argv) {
   BenchConfig cfg = BenchConfig::FromArgs(
       argc, argv,
       BenchConfig::kSummaryFlag | BenchConfig::kCleaningFlags |
-          BenchConfig::kCleanerFlag);
+          BenchConfig::kCleanerFlag | BenchConfig::kMachineFlags);
   std::vector<int> fullness = FullnessAxis(cfg);
   std::vector<Watermark> wms;
   for (const Watermark& wm : kWatermarks) {

@@ -64,6 +64,7 @@ void OnlineFsck::AuditSlice() {
   if (!lfs_->is_mounted()) return;
   AuditImapBlock(next_imap_block_);
   AuditSegment(next_segment_);
+  AuditRedoSpan();
   next_imap_block_ = (next_imap_block_ + 1) % lfs_->imap().nblocks();
   next_segment_ = (next_segment_ + 1) % lfs_->nsegments();
   stats_.rounds++;
@@ -151,6 +152,23 @@ void OnlineFsck::AuditSegment(uint32_t seg) {
   if (usage.state(seg) == SegState::kClean && usage.live(seg) != 0) {
     Problem("clean_segment_has_live_blocks", seg, usage.live(seg));
   }
+}
+
+void OnlineFsck::AuditRedoSpan() {
+  // A recovery from the last capture reads these chunks; a clean segment
+  // holding one could be reused under it. They were durable before the
+  // image that names them, so the untimed reads see their summaries.
+  const Lfs::CaptureSpan& span = lfs_->last_capture();
+  stats_.audits++;
+  uint64_t broken = lfs_->WalkCaptureSpan(
+      span.head_seq, [&](uint64_t seq, BlockAddr a) {
+        auto seg = static_cast<uint32_t>((a - lfs_->seg_start()) /
+                                         lfs_->segment_blocks());
+        if (lfs_->usage().state(seg) == SegState::kClean) {
+          Problem("redo_span_segment_is_clean", seg, seq);
+        }
+      });
+  if (broken != span.head_seq) Problem("redo_span_chain_broken", broken, 0);
 }
 
 }  // namespace lfstx

@@ -9,7 +9,9 @@
 //    mapped inode address lands inside the segment area in a non-clean
 //    segment; each segment's live count equals its occupied owner slots
 //    (and is zero when clean); exactly the active segment is in the
-//    kActive state.
+//    kActive state; no segment holding a chunk of the last checkpoint's
+//    redo span (its redo point up to its head, read back with untimed
+//    reads) is clean.
 //  * Disk verification (yields on a timed read): read one mapped inode
 //    block back and confirm the inode is present with the mapped version.
 //    Guarded by a GenStamp on the inode map — if the map mutated while
@@ -67,6 +69,7 @@ class OnlineFsck {
 
   void AuditImapBlock(uint32_t idx);
   void AuditSegment(uint32_t seg);
+  void AuditRedoSpan();
   void Problem(const char* what, uint64_t a, uint64_t b);
 
   SimEnv* env_;

@@ -76,6 +76,13 @@ struct Inode {
   /// blocks are still dirty in core (DESIGN.md §14). Cleared when the inode
   /// is logged.
   bool deferred = false;
+  /// LFS, while `deferred`: the write_seq and disk address of the chunk
+  /// its redo record starts at, the first one a data block of the file was
+  /// placed in since the inode was last logged. A checkpoint names the
+  /// earliest as its redo point, and writes the file whole once its record
+  /// began before the previous capture.
+  uint64_t redo_seq = 0;
+  uint64_t redo_addr = 0;
 
   /// Kernel-mode cleaner lock (paper section 5.1: "when the cleaner runs,
   /// it locks out all accesses to the particular files being cleaned").

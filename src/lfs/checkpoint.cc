@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/check_macros.h"
 #include "common/crc32c.h"
 #include "lfs/segment_usage.h"
 
@@ -20,20 +21,41 @@ struct RawCpHeader {
   uint64_t next_write_seq;
   uint32_t crc;
   uint32_t next_segment;
+  uint64_t redo_seq;
+  uint64_t redo_addr;
+  uint32_t n_redo_files;  // RedoFile rows after the usage bytes
+  uint32_t pad;
 };
-static_assert(sizeof(RawCpHeader) == 56);
-constexpr uint32_t kCpMagic = 0x43504B31;  // "CPK1"
+static_assert(sizeof(RawCpHeader) == 80);
+constexpr uint32_t kCpMagic = 0x43504B32;  // "CPK2"
+
+size_t TablesBytes(uint64_t n_imap_blocks, uint64_t usage_bytes) {
+  return sizeof(RawCpHeader) + 8 * n_imap_blocks + usage_bytes;
+}
 }  // namespace
 
 uint32_t CheckpointData::BlocksNeeded(uint32_t n_imap_blocks,
                                       uint32_t nsegments) {
-  size_t bytes = sizeof(RawCpHeader) + 8ull * n_imap_blocks +
-                 16ull * nsegments;
+  size_t bytes = TablesBytes(n_imap_blocks, 16ull * nsegments);
   return static_cast<uint32_t>((bytes + kBlockSize - 1) / kBlockSize);
+}
+
+uint32_t CheckpointData::MaxRedoFiles(uint32_t nblocks,
+                                      uint32_t n_imap_blocks,
+                                      uint32_t nsegments) {
+  size_t total = static_cast<size_t>(nblocks) * kBlockSize;
+  size_t tables = TablesBytes(n_imap_blocks, 16ull * nsegments);
+  return tables >= total
+             ? 0
+             : static_cast<uint32_t>((total - tables) / sizeof(RedoFile));
 }
 
 void CheckpointData::Encode(char* out, uint32_t nblocks) const {
   size_t total = static_cast<size_t>(nblocks) * kBlockSize;
+  LFSTX_CHECK(TablesBytes(imap_addrs.size(), usage_bytes.size()) +
+                      redo_files.size() * sizeof(RedoFile) <=
+                  total,
+              "checkpoint tables and redo files overflow the region");
   memset(out, 0, total);
   RawCpHeader h{};
   h.magic = kCpMagic;
@@ -46,11 +68,18 @@ void CheckpointData::Encode(char* out, uint32_t nblocks) const {
   h.seq = seq;
   h.timestamp = timestamp;
   h.next_write_seq = next_write_seq;
+  h.redo_seq = redo_seq;
+  h.redo_addr = redo_addr;
+  h.n_redo_files = static_cast<uint32_t>(redo_files.size());
   h.crc = 0;
   char* p = out + sizeof(h);
   memcpy(p, imap_addrs.data(), imap_addrs.size() * sizeof(BlockAddr));
   p += imap_addrs.size() * sizeof(BlockAddr);
   memcpy(p, usage_bytes.data(), usage_bytes.size());
+  p += usage_bytes.size();
+  if (!redo_files.empty()) {  // an empty vector's data() may be null
+    memcpy(p, redo_files.data(), redo_files.size() * sizeof(RedoFile));
+  }
   memcpy(out, &h, sizeof(h));
   h.crc = crc32c::Mask(crc32c::Value(out, total));
   memcpy(out, &h, sizeof(h));
@@ -62,7 +91,9 @@ Result<CheckpointData> CheckpointData::Decode(const char* in,
   RawCpHeader h;
   memcpy(&h, in, sizeof(h));
   if (h.magic != kCpMagic) return Status::Corruption("not a checkpoint");
-  if (sizeof(h) + 8ull * h.n_imap + h.n_usage_bytes > total) {
+  if (TablesBytes(h.n_imap, h.n_usage_bytes) +
+          static_cast<uint64_t>(h.n_redo_files) * sizeof(RedoFile) >
+      total) {
     return Status::Corruption("checkpoint tables exceed region");
   }
   std::vector<char> copy(in, in + total);
@@ -80,11 +111,18 @@ Result<CheckpointData> CheckpointData::Decode(const char* in,
   cp.cur_generation = h.cur_generation;
   cp.next_segment = h.next_segment;
   cp.next_write_seq = h.next_write_seq;
+  cp.redo_seq = h.redo_seq;
+  cp.redo_addr = h.redo_addr;
   cp.imap_addrs.resize(h.n_imap);
   const char* p = in + sizeof(h);
   memcpy(cp.imap_addrs.data(), p, 8ull * h.n_imap);
   p += 8ull * h.n_imap;
   cp.usage_bytes.assign(p, p + h.n_usage_bytes);
+  p += h.n_usage_bytes;
+  cp.redo_files.resize(h.n_redo_files);
+  if (h.n_redo_files > 0) {
+    memcpy(cp.redo_files.data(), p, h.n_redo_files * sizeof(RedoFile));
+  }
   return cp;
 }
 

@@ -171,6 +171,27 @@ Result<CheckReport> CheckLfs(Lfs* fs) {
     }
   }
 
+  // The log a recovery from the last capture reads, from its redo point to
+  // the head: a clean segment there could be reused under it.
+  uint32_t reported = kNoSegment;
+  uint64_t broken = fs->WalkCaptureSpan(
+      fs->next_write_seq(), [&](uint64_t seq, BlockAddr a) {
+        uint32_t seg = seg_of(a);
+        if (usage.state(seg) == SegState::kClean && seg != reported) {
+          report.Problem(Fmt("segment %u is clean but holds chunk %llu, "
+                             "which a recovery from the last checkpoint "
+                             "(redo point %llu) reads",
+                             seg, (unsigned long long)seq,
+                             (unsigned long long)fs->last_capture().redo_seq));
+          reported = seg;
+        }
+      });
+  if (broken != fs->next_write_seq()) {
+    report.Problem(Fmt("chunk %llu, which a recovery from the last "
+                       "checkpoint reads, is not where the chain leads",
+                       (unsigned long long)broken));
+  }
+
   // Owner-table cross-check, slot by slot in both directions. An inode
   // block's summary names the first inode packed in it, which may since
   // have moved, so inode blocks compare by kind only.

@@ -6,6 +6,8 @@
 //   * no two mappings claim the same disk block;
 //   * the segment usage table's live counts match a full recount, and its
 //     owner slots name exactly the blocks the recount finds, slot by slot;
+//   * the chain from the last checkpoint's redo point to the log head is
+//     intact, and no segment holding a chunk of it is clean;
 //   * every imap entry points at a block that really contains that inode
 //     at the recorded version;
 //   * directory entries reference live inodes;

@@ -65,6 +65,12 @@ Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
   m->AddGauge(this, "lfs.checkpoints_skipped", "count",
               "checkpoint requests skipped because the log was clean",
               [this] { return static_cast<double>(lfs_stats_.checkpoints_skipped); });
+  m->AddGauge(this, "lfs.checkpoint_forced_files", "count",
+              "deferred files a checkpoint wrote whole: their redo record "
+              "began before the previous capture, or the image had no room",
+              [this] {
+                return static_cast<double>(lfs_stats_.checkpoint_forced_files);
+              });
   m->AddGauge(this, "lfs.flushes", "count", "Flush() calls",
               [this] { return static_cast<double>(lfs_stats_.flushes); });
   m->AddGauge(this, "lfs.writer_stalls", "count",

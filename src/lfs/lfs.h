@@ -48,6 +48,9 @@ class Lfs : public FsCore {
     uint64_t blocks_written = 0;     ///< payload blocks through the log
     uint64_t checkpoints = 0;
     uint64_t checkpoints_skipped = 0;  ///< requests that found the log clean
+    /// Deferred files a capture wrote whole: their record began before the
+    /// previous capture, or the image had no room left to list them.
+    uint64_t checkpoint_forced_files = 0;
     uint64_t flushes = 0;
     uint64_t writer_stalls = 0;      ///< waits for the cleaner
   };
@@ -58,6 +61,9 @@ class Lfs : public FsCore {
   struct RecoveryStats {
     uint64_t checkpoint_seq = 0;   ///< seq of the checkpoint restored from
     uint64_t chunks = 0;           ///< chunks replayed off the chain
+    /// Chunks before the checkpoint's head whose summaries the scan read
+    /// from the redo point for the files the image lists.
+    uint64_t redo_chunks = 0;
     uint64_t payload_blocks = 0;   ///< payload blocks read during the scan
     uint64_t apply_items = 0;      ///< imap updates and redone addresses
     uint64_t discarded_txns = 0;   ///< staged txns with no commit marker
@@ -113,6 +119,26 @@ class Lfs : public FsCore {
   const SegmentUsage& usage() const { return usage_; }
   const InodeMap& imap() const { return imap_; }
 
+  /// The log a recovery from the last capture reads: the chain from the
+  /// redo point to the capture's head (summaries only), then on from the
+  /// head. No segment holding a chunk of it may be clean.
+  struct CaptureSpan {
+    uint64_t redo_seq = 0;  ///< == head_seq when no file was deferred
+    BlockAddr redo_addr = kInvalidBlock;
+    uint64_t head_seq = 0;
+    BlockAddr head_addr = kInvalidBlock;
+  };
+  const CaptureSpan& last_capture() const { return last_cp_; }
+  /// write_seq of the next chunk: the log head.
+  uint64_t next_write_seq() const { return next_write_seq_; }
+  /// Visit `chunk(seq, addr)` for each chunk of the last capture's span
+  /// below write_seq `end`, in log order, reading summary blocks with no
+  /// virtual time. Returns the seq of the first chunk the chain does not
+  /// lead to (a summary that is missing or out of sequence), else `end`.
+  uint64_t WalkCaptureSpan(
+      uint64_t end,
+      const std::function<void(uint64_t, BlockAddr)>& chunk) const;
+
   /// Registered by the Cleaner so the writer can wait for free segments.
   void AttachCleaner(Cleaner* cleaner) { cleaner_ = cleaner; }
 
@@ -145,6 +171,11 @@ class Lfs : public FsCore {
   /// Drop the in-core inode table so subsequent reads hit the disk (test
   /// hook used by the consistency-checker tests).
   void ClearInodeCacheForTest() { ClearInodeTable(); }
+
+  /// Corruption injection for the checker tests: set a segment's state.
+  void SetSegmentStateForTest(uint32_t seg, SegState state) {
+    usage_.SetState(seg, state);
+  }
 
   /// Test hook for the differential-recovery test: restrict the next
   /// Mount to one checkpoint region (0 = A, 1 = B, -1 = pick newest).
@@ -212,8 +243,9 @@ class Lfs : public FsCore {
     /// and inode in core: the chunks' redo tables name it and its size
     /// (DESIGN.md §14), and the file is marked deferred.
     kFile,
-    /// The namespace closure, every deferred file whole, and every dirty
-    /// inode-map block: the append that precedes a checkpoint capture.
+    /// The namespace closure, every deferred file the capture forces
+    /// (ForcedAtCapture) whole, and every dirty inode-map block: the append
+    /// that precedes a checkpoint capture.
     kCheckpoint,
   };
   /// Dirty inode-map blocks are written only when a checkpoint capture
@@ -237,11 +269,26 @@ class Lfs : public FsCore {
   /// in-core inode, an unlogged free, or (kCheckpoint) a dirty inode-map
   /// block. Conservative for kFile, which it treats as kAll.
   bool HasUnloggedChanges(FlushScope scope);
-  /// Append the dirty inode-map blocks and every deferred file, if any,
-  /// with the namespace closure (FlushScope::kCheckpoint), so the next
-  /// capture never names a stale map, nor data only a redo record before
-  /// it maps.
+  /// Append the dirty inode-map blocks and the deferred files the capture
+  /// forces, if any, with the namespace closure (FlushScope::kCheckpoint),
+  /// so the next capture never names a stale map and lists every deferred
+  /// file in its image. Forced: each file whose redo record began before
+  /// the previous capture, so roll-forward never reads more than two
+  /// checkpoint intervals, and the earliest-started files past the image's
+  /// room (DESIGN.md §14).
   Status LogImapLocked();
+  /// Whether the capture LogImapLocked prepares writes `ino` whole.
+  bool ForcedAtCapture(const Inode* ino) const {
+    return ino->deferred && ino->redo_seq < capture_force_seq_;
+  }
+  /// Where the log continues after a head at offset `off` of `seg`: there,
+  /// or the start of `successor` when no chunk fits (kInvalidBlock if
+  /// there is none).
+  BlockAddr HeadAddr(uint32_t seg, uint32_t off, int64_t successor) const {
+    if (off + 2 <= options_.segment_blocks) return SegBase(seg) + off;
+    return successor >= 0 ? SegBase(static_cast<uint32_t>(successor))
+                          : kInvalidBlock;
+  }
   /// The segment the log continues in once the current one is full: the
   /// successor the last summary (or checkpoint) named while it is still
   /// clean, else a fresh pick, remembered so the summary chain, the next
@@ -268,19 +315,21 @@ class Lfs : public FsCore {
   // ---- checkpoint / recovery (checkpoint.cc, recovery.cc) ----
   /// Every checkpoint (format, unmount, the segment trigger, the end of a
   /// cleaning pass or of recovery, Checkpoint()): under the flush lock,
-  /// log the dirty inode map (LogImapLocked), capture the state, pick the
-  /// other region and write the image there. Skips when the log is clean.
+  /// log the dirty inode map and the forced files (LogImapLocked), capture
+  /// the state with the redo point and the deferred files, pick the other
+  /// region and write the image there. Skips when the log is clean.
   Status WriteCheckpointLocked();
   /// True when nothing was appended since the last capture — the on-disk
   /// image is already current.
   bool CheckpointIsCleanLocked() const {
-    return next_write_seq_ == last_cp_write_seq_ &&
-           cur_seg_ == last_cp_seg_ && cur_off_ == last_cp_off_;
+    return next_write_seq_ == last_cp_.head_seq && cur_seg_ == last_cp_seg_ &&
+           cur_off_ == last_cp_off_;
   }
   Status RecoverFromCheckpointAndRollForward();
   /// Recompute every segment's owner slots and live count by walking all
-  /// inodes' current maps (WalkBlockMaps).
-  Status RebuildUsage();
+  /// inodes' current maps (WalkBlockMaps). A segment with no live block
+  /// becomes clean unless `keep_dirty[seg]` is set.
+  Status RebuildUsage(const std::vector<bool>& keep_dirty);
 
   Options options_;
   LogGeometry geo_;
@@ -299,13 +348,17 @@ class Lfs : public FsCore {
   /// An inode was freed since the last imap write. Roll-forward cannot
   /// learn a free from inode blocks, so the next flush logs the imap.
   bool imap_free_unlogged_ = false;
-  /// State at the last checkpoint capture, for skip-if-clean. Stale usage
-  /// counts (which can change without the head moving) are fine to leave
-  /// uncheckpointed: recovery rebuilds usage exactly.
-  uint64_t last_cp_write_seq_ = 0;
+  /// State at the last checkpoint capture: its span, and its head for
+  /// skip-if-clean. Stale usage counts (which can change without the head
+  /// moving) are fine to leave uncheckpointed: recovery rebuilds usage
+  /// exactly.
+  CaptureSpan last_cp_;
   uint32_t last_cp_seg_ = ~0u;
   uint32_t last_cp_off_ = ~0u;
   int force_checkpoint_region_ = -1;  // see ForceCheckpointRegionForTest
+  /// Set by LogImapLocked for its kCheckpoint flush: a deferred file whose
+  /// record starts before this chunk goes out whole (ForcedAtCapture).
+  uint64_t capture_force_seq_ = 0;
 
   SimMutex flush_lock_;
   SimProc* flush_owner_ = nullptr;  // detects re-entrant flushes

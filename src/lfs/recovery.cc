@@ -57,6 +57,26 @@ Status Lfs::WriteCheckpointLocked() {
     if (next >= 0) cp.next_segment = static_cast<uint32_t>(next);
   }
   cp.next_write_seq = next_write_seq_;
+  // The redo point: the earliest chunk a still-deferred file's record
+  // starts at, else the head. LogImapLocked left at most the image's room
+  // of them.
+  CaptureSpan span;
+  span.head_seq = next_write_seq_;
+  span.head_addr = HeadAddr(
+      cur_seg_, cur_off_,
+      cp.next_segment == kNoSegment ? -1 : int64_t{cp.next_segment});
+  span.redo_seq = span.head_seq;
+  span.redo_addr = span.head_addr;
+  for (Inode* ino : InCoreInodes()) {
+    if (!ino->deferred) continue;
+    cp.redo_files.push_back(RedoFile{ino->num(), 0, ino->redo_seq});
+    if (ino->redo_seq < span.redo_seq) {
+      span.redo_seq = ino->redo_seq;
+      span.redo_addr = ino->redo_addr;
+    }
+  }
+  cp.redo_seq = span.redo_seq;
+  cp.redo_addr = span.redo_addr;
   cp.imap_addrs = imap_.block_addrs();
   cp.usage_bytes.resize(usage_.SerializedBytes());
   usage_.Serialize(cp.usage_bytes.data());
@@ -64,10 +84,12 @@ Status Lfs::WriteCheckpointLocked() {
   LFSTX_TRACE(env_->tracer(), TraceCat::kCheckpoint, "checkpoint",
               {"seq", cp.seq}, {"region", checkpoint_to_a_ ? "A" : "B"},
               {"seg", cur_seg_}, {"off", cur_off_},
-              {"blocks", geo_.checkpoint_blocks});
+              {"blocks", geo_.checkpoint_blocks},
+              {"redo_seq", span.redo_seq},
+              {"redo_files", static_cast<uint64_t>(cp.redo_files.size())});
   checkpoint_to_a_ = !checkpoint_to_a_;
   segments_since_checkpoint_ = 0;
-  last_cp_write_seq_ = next_write_seq_;
+  last_cp_ = span;
   last_cp_seg_ = cur_seg_;
   last_cp_off_ = cur_off_;
 
@@ -154,14 +176,18 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   next_write_seq_ = best.next_write_seq;
   // The on-disk image we just restored *is* the state of the log head:
   // WriteCheckpointLocked at the end of recovery skips if nothing rolled
-  // forward.
-  last_cp_write_seq_ = best.next_write_seq;
+  // forward past it.
+  last_cp_.head_seq = best.next_write_seq;
+  last_cp_.head_addr = HeadAddr(cur_seg_, cur_off_, next_seg_hint_);
+  last_cp_.redo_seq = best.redo_seq;
+  last_cp_.redo_addr = best.redo_addr;
   last_cp_seg_ = best.cur_segment;
   last_cp_off_ = best.cur_offset;
   LFSTX_TRACE(env_->tracer(), TraceCat::kRecovery, "recovery_begin",
               {"checkpoint_seq", best.seq},
               {"region", best_is_a ? "A" : "B"}, {"seg", cur_seg_},
-              {"off", cur_off_}, {"next_write_seq", next_write_seq_});
+              {"off", cur_off_}, {"next_write_seq", next_write_seq_},
+              {"redo_seq", best.redo_seq});
 
   // ---- 3. roll forward along the summary chain ----
   SimTime scan_start = env_->Now();
@@ -206,10 +232,24 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   };
   std::map<TxnId, Staged> staged;
 
+  // The scan starts at the redo point. Up to the checkpoint's head it reads
+  // only summaries, and a chunk's rows and data entries count only for the
+  // files the image lists, from the chunk each one's record starts at: every
+  // other file's inode, and every inode and inode-map block there, is in
+  // the image already. From the head on, everything counts.
+  std::map<InodeNum, uint64_t> listed;
+  for (const RedoFile& f : best.redo_files) listed[f.inum] = f.seq;
+  auto counts = [&](InodeNum inum, uint64_t seq) {
+    if (seq >= best.next_write_seq) return true;
+    auto it = listed.find(inum);
+    return it != listed.end() && it->second <= seq;
+  };
+
   // Moves the open blocks of each file chunk `s`'s redo table names into a
   // complete record dated by `s`.
   auto complete = [&](const Summary& s, OpenRedo* open) {
     for (const RedoRow& row : s.redo) {
+      if (!counts(row.inum, s.write_seq)) continue;
       auto it = open->find(row.inum);
       std::vector<RedoBlock> blocks;
       if (it != open->end()) {
@@ -262,20 +302,68 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
     }
   };
 
+  // Holds the data entries of chunk `s` (at `at`) that count for the files
+  // its redo table names.
+  auto hold = [&](const Summary& s, BlockAddr at, OpenRedo* open) {
+    for (uint32_t i = 0; i < s.nblocks(); i++) {
+      const SummaryEntry& e = s.entries[i];
+      if (static_cast<BlockKind>(e.kind) == BlockKind::kData &&
+          counts(e.inum, s.write_seq) &&
+          std::any_of(s.redo.begin(), s.redo.end(),
+                      [&](const RedoRow& r) { return r.inum == e.inum; })) {
+        (*open)[e.inum].push_back({s.write_seq, e.lblock, at + 1 + i});
+      }
+    }
+  };
+  // A commit marker applies its transaction's staged blocks and completes
+  // its records; an fsync's final chunk completes its own.
+  auto end_of = [&](const Summary& s, Staged* txn) {
+    if (txn != nullptr && s.txn_commit) {
+      for (const StagedBlock& u : txn->blocks) {
+        apply(u.kind, u.addr, u.lblock, u.bytes.data(), u.seq);
+      }
+      complete(s, &txn->redo);
+      staged.erase(s.txn);
+    } else if (txn == nullptr && s.redo_final) {
+      complete(s, &fsync_redo);
+    }
+  };
+
   Status scan_status = Status::OK();
   // A checkpoint taken when the last chunk filled its segment points at
   // the segment's end; the chain continues in the successor it recorded.
   // LFSTX_YIELD_OK(flush lock held: only this scan moves the log head)
-  BlockAddr next = SegBase(cur_seg_) + cur_off_;
-  if (cur_off_ + 2 > options_.segment_blocks) {
-    next = next_seg_hint_ >= 0
-               ? SegBase(static_cast<uint32_t>(next_seg_hint_))
-               : kInvalidBlock;
-  }
-  // LFSTX_YIELD_OK(flush lock held: only this scan moves the log head)
-  uint64_t expect_seq = next_write_seq_;
+  const BlockAddr head = last_cp_.head_addr;
+  uint64_t expect_seq = best.redo_seq;
+  BlockAddr next = expect_seq < best.next_write_seq ? best.redo_addr : head;
+  // Segments holding a chunk the scan read: they stay dirty until the
+  // checkpoint below is durable and no longer needs them.
+  std::vector<bool> replayed(geo_.nsegments, false);
   std::vector<char> seg_buf(
       static_cast<size_t>(options_.segment_blocks) * kBlockSize);
+  // Every chunk before the head was durable before the image that names
+  // it, and no segment holding one was reused since (DESIGN.md §14): a
+  // break in that part of the chain is corruption, not the end of the log.
+  auto bad = [&] {
+    return Status::Corruption("chunk " + std::to_string(expect_seq) +
+                              " of the checkpoint's redo span is missing at "
+                              "block " + std::to_string(next));
+  };
+  while (expect_seq < best.next_write_seq) {
+    if (next < geo_.seg_start || next >= disk_->num_blocks()) return bad();
+    LFSTX_RETURN_IF_ERROR(disk_->Read(next, 1, seg_buf.data()));
+    env_->Consume(env_->costs().segment_block_cpu_us);
+    auto sres = Summary::DecodeWithoutPayload(seg_buf.data());
+    if (!sres.ok() || sres.value().write_seq != expect_seq) return bad();
+    const Summary& s = sres.value();
+    recovery_stats_.redo_chunks++;
+    replayed[SegOf(next)] = true;
+    Staged* txn = s.txn != kNoTxn ? &staged[s.txn] : nullptr;
+    hold(s, next, txn != nullptr ? &txn->redo : &fsync_redo);
+    end_of(s, txn);
+    expect_seq++;
+    next = expect_seq == best.next_write_seq ? head : s.next_addr;
+  }
   while (next != kInvalidBlock && next >= geo_.seg_start &&
          next < disk_->num_blocks()) {
     uint32_t seg = SegOf(next);
@@ -311,21 +399,15 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
                 {"addr", next}, {"nblocks", n}, {"write_seq", s.write_seq},
                 {"txn", s.txn}, {"commit", s.txn_commit});
     recovery_stats_.payload_blocks += n;
+    replayed[seg] = true;
 
     usage_.ReplayChunk(seg, off, n, s.generation, s.timestamp);
     Staged* txn = s.txn != kNoTxn ? &staged[s.txn] : nullptr;
-    OpenRedo* open = txn != nullptr ? &txn->redo : &fsync_redo;
+    hold(s, next, txn != nullptr ? &txn->redo : &fsync_redo);
     for (uint32_t i = 0; i < s.nblocks(); i++) {
       const SummaryEntry& e = s.entries[i];
       BlockAddr addr = next + 1 + i;
       BlockKind kind = static_cast<BlockKind>(e.kind);
-      if (kind == BlockKind::kData) {
-        if (std::any_of(s.redo.begin(), s.redo.end(),
-                        [&](const RedoRow& r) { return r.inum == e.inum; })) {
-          (*open)[e.inum].push_back({s.write_seq, e.lblock, addr});
-        }
-        continue;
-      }
       if (kind != BlockKind::kInode && kind != BlockKind::kImap) continue;
       const char* bytes = seg_buf.data() + (1ull + i) * kBlockSize;
       if (txn != nullptr) {
@@ -336,15 +418,7 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
         apply(kind, addr, e.lblock, bytes, s.write_seq);
       }
     }
-    if (txn != nullptr && s.txn_commit) {
-      for (const StagedBlock& u : txn->blocks) {
-        apply(u.kind, u.addr, u.lblock, u.bytes.data(), u.seq);
-      }
-      complete(s, &txn->redo);
-      staged.erase(s.txn);
-    } else if (txn == nullptr && s.redo_final) {
-      complete(s, &fsync_redo);
-    }
+    end_of(s, txn);
     expect_seq++;
     cur_seg_ = seg;
     cur_off_ = off + 1 + n;
@@ -369,7 +443,9 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   // ---- 3b. redo the deferred records no later inode block superseded ----
   // Each file's logged inode gets the records' block addresses and the
   // largest size, and stays deferred: its indirect blocks are dirty in the
-  // cache, and the recovery checkpoint below logs them with the inode.
+  // cache. It counts as deferred since before any capture (redo_seq 0), so
+  // the recovery checkpoint below, if the scan moved the head, logs it
+  // whole with its inode and needs none of the span the scan read.
   // Sizes only grow between logged inodes (a truncate, or an aborted
   // append's rollback, logs its inode), but a record of a flush that
   // stalled for the cleaner may carry a size taken before the pass's drain
@@ -390,15 +466,28 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
     }
     ino->dirty = true;
     ino->deferred = true;
+    ino->redo_seq = 0;
   }
 
   // ---- 4. exact usage + inode-block refcount rebuild ----
-  LFSTX_RETURN_IF_ERROR(RebuildUsage());
+  LFSTX_RETURN_IF_ERROR(RebuildUsage(replayed));
 
   // ---- 5. persist the recovered state ----
   // Roll-forward learned inode locations the on-disk imap blocks do not
-  // reflect yet; the checkpoint logs them before its capture.
+  // reflect yet; the checkpoint logs them before its capture. Until it is
+  // durable, the segments the scan read stay dirty: a crash inside its
+  // flush recovers from the same image, which needs them. Once a durable
+  // image needs no redo span, the empty ones are clean. (A clean log skips
+  // the checkpoint: the restored image still holds, and so does its span.)
   Status s = WriteCheckpointLocked();
+  if (s.ok() && last_cp_.redo_seq == last_cp_.head_seq) {
+    for (uint32_t seg = 0; seg < geo_.nsegments; seg++) {
+      if (replayed[seg] && seg != cur_seg_ && usage_.live(seg) == 0 &&
+          usage_.state(seg) == SegState::kDirty) {
+        usage_.SetState(seg, SegState::kClean);
+      }
+    }
+  }
   recovery_stats_.total_us = env_->Now() - recover_start;
 
   // Mirror into metrics so tests and benches can assert on recovery
@@ -410,6 +499,9 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
       recovery_stats_.checkpoint_seq);
   set("recovery.chunks", "count", "chunks replayed off the summary chain",
       recovery_stats_.chunks);
+  set("recovery.redo_chunks", "count",
+      "summaries read from the redo point up to the checkpoint's head",
+      recovery_stats_.redo_chunks);
   set("recovery.payload_blocks", "blocks", "payload blocks scanned",
       recovery_stats_.payload_blocks);
   set("recovery.apply_items", "count",
@@ -430,6 +522,24 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   set("recovery.total_us", "us", "virtual time for the whole recovery",
       recovery_stats_.total_us);
   return s;
+}
+
+uint64_t Lfs::WalkCaptureSpan(
+    uint64_t end,
+    const std::function<void(uint64_t, BlockAddr)>& chunk) const {
+  const CaptureSpan& span = last_cp_;
+  BlockAddr at =
+      span.redo_seq < span.head_seq ? span.redo_addr : span.head_addr;
+  char block[kBlockSize];
+  for (uint64_t seq = span.redo_seq; seq < end; seq++) {
+    if (at < geo_.seg_start || at >= disk_->num_blocks()) return seq;
+    disk_->RawRead(at, 1, block);
+    auto s = Summary::DecodeWithoutPayload(block);
+    if (!s.ok() || s.value().write_seq != seq) return seq;
+    chunk(seq, at);
+    at = seq + 1 == span.head_seq ? span.head_addr : s.value().next_addr;
+  }
+  return end;
 }
 
 void Lfs::WalkBlockMaps(
@@ -508,7 +618,7 @@ void Lfs::WalkBlockMaps(
   }
 }
 
-Status Lfs::RebuildUsage() {
+Status Lfs::RebuildUsage(const std::vector<bool>& keep_dirty) {
   usage_.ClearLive();
   inode_block_refs_.clear();
 
@@ -532,9 +642,10 @@ Status Lfs::RebuildUsage() {
       claim);
 
   for (uint32_t seg = 0; seg < geo_.nsegments; seg++) {
-    usage_.SetState(seg, seg == cur_seg_        ? SegState::kActive
-                         : usage_.live(seg) > 0 ? SegState::kDirty
-                                                : SegState::kClean);
+    usage_.SetState(seg, seg == cur_seg_ ? SegState::kActive
+                         : usage_.live(seg) > 0 || keep_dirty[seg]
+                             ? SegState::kDirty
+                             : SegState::kClean);
   }
   return Status::OK();
 }

@@ -73,29 +73,9 @@ Result<uint32_t> Summary::PeekNBlocks(const char* block) {
   return h.nblocks;
 }
 
-Result<Summary> Summary::Decode(const char* block, const char* payload,
-                                size_t payload_available_blocks) {
-  RawHeader h;
-  memcpy(&h, block, sizeof(h));
-  if (h.magic != kSummaryMagic) {
-    return Status::Corruption("not a segment summary");
-  }
-  if (h.nblocks > MaxEntries() || h.nblocks > payload_available_blocks ||
-      h.nredo > MaxEntries() - h.nblocks) {
-    return Status::Corruption("summary block count out of range");
-  }
-  // Re-CRC with the stored value zeroed.
-  char copy[kBlockSize];
-  memcpy(copy, block, kBlockSize);
-  RawHeader zeroed = h;
-  zeroed.crc = 0;
-  memcpy(copy, &zeroed, sizeof(zeroed));
-  uint32_t crc = crc32c::Value(copy, kBlockSize);
-  crc = crc32c::Extend(crc, payload,
-                       static_cast<size_t>(h.nblocks) * kBlockSize);
-  if (crc32c::Mask(crc) != h.crc) {
-    return Status::Corruption("segment summary CRC mismatch (torn write)");
-  }
+namespace {
+// The fields of a summary block whose header passed its checks.
+Summary Parse(const RawHeader& h, const char* block) {
   Summary s;
   s.write_seq = h.write_seq;
   s.timestamp = h.timestamp;
@@ -115,6 +95,46 @@ Result<Summary> Summary::Decode(const char* block, const char* payload,
            static_cast<size_t>(h.nredo) * sizeof(RedoRow));
   }
   return s;
+}
+
+Status CheckHeader(const RawHeader& h, size_t payload_available_blocks) {
+  if (h.magic != kSummaryMagic) {
+    return Status::Corruption("not a segment summary");
+  }
+  if (h.nblocks > Summary::MaxEntries() ||
+      h.nblocks > payload_available_blocks ||
+      h.nredo > Summary::MaxEntries() - h.nblocks) {
+    return Status::Corruption("summary block count out of range");
+  }
+  return Status::OK();
+}
+}  // namespace
+
+Result<Summary> Summary::Decode(const char* block, const char* payload,
+                                size_t payload_available_blocks) {
+  RawHeader h;
+  memcpy(&h, block, sizeof(h));
+  LFSTX_RETURN_IF_ERROR(CheckHeader(h, payload_available_blocks));
+  // Re-CRC with the stored value zeroed.
+  char copy[kBlockSize];
+  memcpy(copy, block, kBlockSize);
+  RawHeader zeroed = h;
+  zeroed.crc = 0;
+  memcpy(copy, &zeroed, sizeof(zeroed));
+  uint32_t crc = crc32c::Value(copy, kBlockSize);
+  crc = crc32c::Extend(crc, payload,
+                       static_cast<size_t>(h.nblocks) * kBlockSize);
+  if (crc32c::Mask(crc) != h.crc) {
+    return Status::Corruption("segment summary CRC mismatch (torn write)");
+  }
+  return Parse(h, block);
+}
+
+Result<Summary> Summary::DecodeWithoutPayload(const char* block) {
+  RawHeader h;
+  memcpy(&h, block, sizeof(h));
+  LFSTX_RETURN_IF_ERROR(CheckHeader(h, MaxEntries()));
+  return Parse(h, block);
 }
 
 }  // namespace lfstx

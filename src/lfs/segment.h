@@ -96,6 +96,10 @@ struct Summary {
   static Result<Summary> Decode(const char* block, const char* payload,
                                 size_t payload_available_blocks);
 
+  /// Parse the summary block alone, without the CRC check, which needs the
+  /// payload: for chunks a durable checkpoint vouches for (a redo span).
+  static Result<Summary> DecodeWithoutPayload(const char* block);
+
   /// Parse the header only (enough to learn nblocks), without CRC check.
   static Result<uint32_t> PeekNBlocks(const char* block);
 };

@@ -6,7 +6,9 @@
 // cleaning passes and frees; roll-forward rebuilds the rest. An fsync or a
 // transaction commit writes just the data blocks of a file that changed
 // only in block pointers and size since its inode was logged, and its
-// summaries' redo table names the file and its size (DESIGN.md §14).
+// summaries' redo table names the file and its size (DESIGN.md §14). A
+// checkpoint writes such a file whole only once its record began before
+// the previous capture; until then the image's redo point covers it.
 #include <algorithm>
 #include <cstring>
 
@@ -43,13 +45,33 @@ Status Lfs::FlushUnderLock(TxnId txn, FlushScope scope, InodeNum file) {
 }
 
 Status Lfs::LogImapLocked() {
-  std::vector<Inode*> in_core = InCoreInodes();
-  if (imap_.DirtyBlocks().empty() &&
-      std::none_of(in_core.begin(), in_core.end(),
-                   [](Inode* ino) { return ino->deferred; })) {
-    return Status::OK();
+  const uint32_t room = CheckpointData::MaxRedoFiles(
+      geo_.checkpoint_blocks, imap_.nblocks(), geo_.nsegments);
+  // A writer stall inside the flush drops the lock, and another flush may
+  // then dirty the map again or defer more files than the image can list:
+  // go again until neither holds.
+  for (;;) {
+    std::vector<uint64_t> starts;
+    for (Inode* ino : InCoreInodes()) {
+      if (ino->deferred) starts.push_back(ino->redo_seq);
+    }
+    // The bound: a file whose record began before the previous capture goes
+    // out whole, so the redo point never lags the head by more than one
+    // interval. Past the image's room, so do the earliest-started files.
+    capture_force_seq_ = last_cp_.head_seq;
+    if (starts.size() > room) {
+      std::sort(starts.begin(), starts.end());
+      capture_force_seq_ =
+          std::max(capture_force_seq_, starts[starts.size() - room - 1] + 1);
+    }
+    auto forced = static_cast<uint64_t>(
+        std::count_if(starts.begin(), starts.end(), [this](uint64_t seq) {
+          return seq < capture_force_seq_;
+        }));
+    if (imap_.DirtyBlocks().empty() && forced == 0) return Status::OK();
+    lfs_stats_.checkpoint_forced_files += forced;
+    LFSTX_RETURN_IF_ERROR(FlushLocked(kNoTxn, FlushScope::kCheckpoint));
   }
-  return FlushLocked(kNoTxn, FlushScope::kCheckpoint);
 }
 
 bool Lfs::HasUnloggedChanges(FlushScope scope) {
@@ -246,7 +268,7 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   auto in_scope = [&](Inode* ino) {
     return (scope == FlushScope::kFile && ino->num() == file) ||
            ino->d.file_type() == FileType::kDirectory ||
-           (scope == FlushScope::kCheckpoint && ino->deferred);
+           (scope == FlushScope::kCheckpoint && ForcedAtCapture(ino));
   };
   // The scope's dirty buffers whose key passes `want`, pinned, in key
   // order.
@@ -292,10 +314,12 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
   // the size in the redo table are then the redo record. A new direct or
   // indirect block is an attribute change, so the redo never has to invent
   // an indirect block. The untagged full flushes never defer: they are what
-  // writes deferred files out. Each size is taken with no yield since the
-  // collect, so it covers exactly the writes whose blocks this flush
-  // carries. The table takes at most half the summary block, so a chunk
-  // still holds a default segment's payload; files past that go out whole.
+  // writes deferred files out, with the checkpoint's bound
+  // (ForcedAtCapture) and any commit that writes none of the file's data.
+  // Each size is taken with no yield since the collect, so it covers
+  // exactly the writes whose blocks this flush carries. The table takes at
+  // most half the summary block, so a chunk still holds a default
+  // segment's payload; files past that go out whole.
   auto defer_if_clean = [&](const Inode* ino) {
     if (ino != nullptr && ino->d.file_type() == FileType::kRegular &&
         !ino->attrs_dirty && imap_.Get(ino->num()).inode_addr != 0 &&
@@ -329,19 +353,14 @@ Status Lfs::FlushLocked(TxnId txn, FlushScope scope, InodeNum file) {
     if (prev != kInvalidBlock) ReleaseBlockAddr(prev);
     b->disk_addr = addr;
     // Marked after the placement: a writer stall inside it lets a
-    // cleaning pass's drain log (and un-defer) the inode.
-    if (deferring(ino->num())) ino->deferred = true;
-  }
-
-  // A commit whose chunks made the periodic checkpoint due logs its files
-  // whole after all. The capture at the end of this flush may name no
-  // deferred file, so deferring here would cost a flush of its own just
-  // before it. The data entries the sealed chunks carry for these files
-  // stay an incomplete record, which recovery drops: the inodes this flush
-  // writes map those blocks.
-  if (txn != kNoTxn &&
-      segments_since_checkpoint_ >= options_.checkpoint_every_segments) {
-    redo.clear();
+    // cleaning pass's drain log (and un-defer) the inode. The record starts
+    // in the open chunk, whose seal takes the next write_seq: nothing else
+    // appends while it is open.
+    if (deferring(ino->num()) && !ino->deferred) {
+      ino->deferred = true;
+      ino->redo_seq = next_write_seq_;
+      ino->redo_addr = chunk_base;
+    }
   }
 
   // ---- 2./3. indirect blocks: children first, then roots ----

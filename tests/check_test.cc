@@ -1,7 +1,8 @@
 // Invariant-checker framework tests: a healthy machine sweeps clean on
 // every checker, and each checker detects the corruption it exists for —
-// a bitmap/reachability mismatch (ffs), an orphan inode and an owner-table
-// slot that disagrees with the block maps (lfs), a leaked pin and a clean
+// a bitmap/reachability mismatch (ffs), an orphan inode, an owner-table
+// slot that disagrees with the block maps and a clean segment or broken
+// chain in the redo span (lfs), a leaked pin and a clean
 // buffer that differs from its disk copy (cache), a leaked lock (locks), a
 // flipped byte in the durable WAL region (log), and a transaction still
 // live at a quiescent point (txn).
@@ -213,6 +214,69 @@ TEST(CheckLfsTest, DetectsOwnerTableMismatch) {
       }
     }
     EXPECT_EQ(both_ways, 2) << report.value().ToString();
+  });
+  env.Run();
+}
+
+TEST(CheckLfsTest, DetectsACleanSegmentInTheRedoSpan) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  BufferCache cache(&env, 1024);
+  Lfs fs(&env, &disk, &cache);
+  cache.set_writeback(&fs);
+  env.Spawn("main", [&] {
+    ASSERT_TRUE(fs.Format().ok());
+    InodeNum a = fs.Create("/a").value();
+    ASSERT_TRUE(fs.Write(a, 0, std::string(20 * kBlockSize, 'a')).ok());
+    ASSERT_TRUE(fs.SyncFile(a).ok());
+    ASSERT_TRUE(fs.Checkpoint().ok());
+    // A deferred fsync, then enough of /b to retire its segment: the next
+    // checkpoint leaves /a deferred, so its redo span starts there.
+    ASSERT_TRUE(fs.Write(a, 3 * kBlockSize, std::string(kBlockSize, 'A')).ok());
+    ASSERT_TRUE(fs.SyncFile(a).ok());
+    InodeNum b = fs.Create("/b").value();
+    ASSERT_TRUE(fs.Write(b, 0, std::string(200 * kBlockSize, 'b')).ok());
+    ASSERT_TRUE(fs.SyncFile(b).ok());
+    ASSERT_TRUE(fs.Checkpoint().ok());
+    const Lfs::CaptureSpan span = fs.last_capture();
+    ASSERT_LT(span.redo_seq, span.head_seq);
+    const auto seg = static_cast<uint32_t>((span.redo_addr - fs.seg_start()) /
+                                           fs.segment_blocks());
+    ASSERT_EQ(fs.usage().state(seg), SegState::kDirty);
+    CheckContext ctx;
+    ctx.env = &env;
+    ctx.lfs = &fs;
+    auto report = CheckLfsStructure(ctx);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().clean) << report.value().ToString();
+
+    // A segment the writer may reuse while a recovery still reads it.
+    fs.SetSegmentStateForTest(seg, SegState::kClean);
+    report = CheckLfsStructure(ctx);
+    ASSERT_TRUE(report.ok());
+    const std::string want = "segment " + std::to_string(seg) +
+                             " is clean but holds chunk " +
+                             std::to_string(span.redo_seq);
+    bool named = false;
+    for (const auto& p : report.value().problems) {
+      if (p.find(want) != std::string::npos) named = true;
+    }
+    EXPECT_TRUE(named) << report.value().ToString();
+    fs.SetSegmentStateForTest(seg, SegState::kDirty);
+
+    // A span chunk overwritten under the image: the chain breaks there.
+    char zero[kBlockSize] = {};
+    disk.RawWrite(span.redo_addr, 1, zero);
+    report = CheckLfsStructure(ctx);
+    ASSERT_TRUE(report.ok());
+    named = false;
+    for (const auto& p : report.value().problems) {
+      if (p.find("chunk " + std::to_string(span.redo_seq) +
+                 ", which a recovery") != std::string::npos) {
+        named = true;
+      }
+    }
+    EXPECT_TRUE(named) << report.value().ToString();
   });
   env.Run();
 }

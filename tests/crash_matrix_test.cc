@@ -21,9 +21,11 @@
 // checkpoint whose write point is a segment's end, where roll-forward must
 // continue in the successor segment the checkpoint recorded. A third
 // crashes at every block boundary of a run of deferred fsyncs (DESIGN.md
-// §14) with a checkpoint, a cleaning pass and an fsync whose chunks cross
-// a segment end among them, and a fourth at every block boundary of a run
-// of the embedded manager's deferred commits with the same events.
+// §14) with checkpoints that leave the file deferred and one that writes it
+// whole, a cleaning pass whose victim lies in the redo span, and an fsync
+// whose chunks cross a segment end among them, and a fourth at every block
+// boundary of a run of the embedded manager's deferred commits with the
+// same events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -304,16 +306,31 @@ uint64_t DigestFile(Lfs* fs, InodeNum ino, uint64_t first = 0,
   return h ^ st.size;
 }
 
+/// Whether a chunk between the last capture's redo point and its head
+/// lies in segment `seg`.
+bool SpanHolds(const Lfs& fs, uint32_t seg) {
+  bool holds = false;
+  fs.WalkCaptureSpan(fs.last_capture().head_seq, [&](uint64_t, BlockAddr at) {
+    holds |= (at - fs.seg_start()) / fs.segment_blocks() == seg;
+  });
+  return holds;
+}
+
 /// Persist trace of: format; write and fsync a 200-block /a and take a
-/// checkpoint; then sixty fsyncs of /a, most of them deferred, with a
-/// forced checkpoint (Lfs::Checkpoint) after the twentieth and a kernel
-/// cleaning pass after the fortieth. Each fsync writes one block (an overwrite, and every fifth
-/// an append) except the fiftieth, which overwrites /a's last 64 blocks and
-/// appends 64 more: one chunk holds less than a segment, so that fsync's
-/// chunks cross a segment end. `boundary[i]` is the trace length once the
-/// i-th fsync of /a is durable and `digest[i]` its contents then; the
-/// checkpoint and the pass change no contents. `deferred` counts the
-/// fsyncs that left /a deferred.
+/// checkpoint; then sixty fsyncs of /a, most of them deferred. After the
+/// twentieth a forced checkpoint (Lfs::Checkpoint) leaves /a deferred, and
+/// after the twenty-fifth another writes it whole, since its record began
+/// before the one before. After the twenty-seventh a two-segment /f is
+/// fsynced and removed; after the thirtieth a checkpoint leaves /a deferred
+/// again, so its redo span holds /f's empty segment, and after the
+/// fortieth a kernel cleaning pass reclaims that segment. Each fsync writes
+/// one block (an overwrite, and every fifth an append) except the
+/// fiftieth, which overwrites /a's last 64 blocks and appends 64 more: one
+/// chunk holds less than a segment, so that fsync's chunks cross a segment
+/// end. `boundary[i]` is the trace length once the i-th fsync of /a is
+/// durable and `digest[i]` its contents then; the checkpoints, /f and the
+/// pass change no contents. `deferred` counts the fsyncs that left /a
+/// deferred.
 void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
                        std::vector<size_t>* boundary,
                        std::vector<uint64_t>* digest, uint64_t* deferred) {
@@ -340,6 +357,7 @@ void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
     };
     synced();
     uint64_t blocks = 200;
+    uint32_t emptied = 0;  // /f's segment
     for (int i = 0; i < 60; i++) {
       uint64_t chunks = fs.lfs_stats().partial_segments;
       if (i == 50) {
@@ -360,12 +378,35 @@ void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
         ASSERT_GE(fs.lfs_stats().partial_segments - chunks, 2u);
       }
       synced();
-      if (i == 20) {
+      if (i == 20 || i == 25 || i == 30) {
+        const uint64_t forced = fs.lfs_stats().checkpoint_forced_files;
         ASSERT_TRUE(fs.Checkpoint().ok());
+        ASSERT_EQ(fs.GetInode(a).value()->deferred, i != 25);
+        ASSERT_EQ(fs.lfs_stats().checkpoint_forced_files - forced,
+                  i == 25 ? 1u : 0u);
+      }
+      if (i == 27) {
+        // /f fills the segment after this one alone.
+        const uint32_t seg = fs.current_segment();
+        InodeNum f = fs.Create("/f").value();
+        ASSERT_TRUE(
+            fs.Write(f, 0,
+                     std::string(2 * fs.segment_blocks() * kBlockSize, 'f'))
+                .ok());
+        ASSERT_TRUE(fs.SyncFile(f).ok());
+        ASSERT_GE(fs.current_segment(), seg + 2);
+        emptied = seg + 1;
+        ASSERT_TRUE(fs.Close(f).ok());
+        ASSERT_TRUE(fs.Remove("/f").ok());
       }
       if (i == 40) {
+        // The victim lies between the durable image's redo point and its
+        // head.
+        ASSERT_EQ(fs.usage().PickVictim().value(), emptied);
+        ASSERT_TRUE(SpanHolds(fs, emptied));
         ASSERT_TRUE(cleaner->CleanOne().ok());
         ASSERT_EQ(cleaner->stats().segments_cleaned, 1u);
+        ASSERT_EQ(fs.usage().state(emptied), SegState::kClean);
       }
     }
   });
@@ -377,12 +418,14 @@ void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
 /// `trace`: replays the prefix onto a fresh platter, mounts it, and
 /// requires `digest_of` to read one of the two states `digest` brackets
 /// the point with (`boundary[i]` is where state i is durable) and
-/// `CheckLfs` to come back clean. `what` names a step of the run.
-void SweepEveryBoundary(const std::vector<SimDisk::TraceBlock>& trace,
+/// `CheckLfs` to come back clean. `what` names a step of the run. Returns
+/// how many of the mounts read a redo span before their image's head.
+uint64_t SweepEveryBoundary(const std::vector<SimDisk::TraceBlock>& trace,
                         const std::vector<size_t>& boundary,
                         const std::vector<uint64_t>& digest,
                         const char* what,
                         const std::function<uint64_t(Lfs*)>& digest_of) {
+  uint64_t spans = 0;
   for (size_t k = boundary.front(); k <= trace.size(); k++) {
     // j = last state durable at or before k; the one after may be too.
     size_t j = static_cast<size_t>(std::upper_bound(boundary.begin(),
@@ -399,6 +442,7 @@ void SweepEveryBoundary(const std::vector<SimDisk::TraceBlock>& trace,
       Lfs fs(&env, &disk, &cache);
       cache.set_writeback(&fs);
       ASSERT_TRUE(fs.Mount().ok()) << "crash point " << k;
+      if (fs.recovery_stats().redo_chunks > 0) spans++;
       uint64_t got = digest_of(&fs);
       EXPECT_TRUE(got == digest[j] ||
                   (j + 1 < digest.size() && got == digest[j + 1]))
@@ -411,9 +455,12 @@ void SweepEveryBoundary(const std::vector<SimDisk::TraceBlock>& trace,
     });
     env.Run();
     if (::testing::Test::HasFailure()) {
-      FAIL() << "aborting the " << what << " sweep at crash point " << k;
+      ADD_FAILURE() << "aborting the " << what << " sweep at crash point "
+                    << k;
+      break;
     }
   }
+  return spans;
 }
 
 /// The digest of the file at `path`, 0 if it cannot be opened.
@@ -434,8 +481,9 @@ TEST(CrashMatrixDeferred, EveryBoundaryRecoversAnFsyncedState) {
   RecordDeferredRun(&trace, &boundary, &digest, &deferred);
   ASSERT_EQ(boundary.size(), 61u);
   EXPECT_GT(deferred, 50u);  // the run exercises the deferred path
-  SweepEveryBoundary(trace, boundary, digest, "fsync",
-                     [](Lfs* fs) { return DigestPath(fs, "/a"); });
+  EXPECT_GT(SweepEveryBoundary(trace, boundary, digest, "fsync",
+                               [](Lfs* fs) { return DigestPath(fs, "/a"); }),
+            0u);
 }
 
 // ---- deferred commits of the embedded manager ----
@@ -455,17 +503,22 @@ uint64_t DigestCommitted(Lfs* fs, InodeNum a, InodeNum b) {
 /// one commit that writes a sparse /a (blocks 0-19, and the last 15 of its
 /// first double-indirect child) and a 20-block /b, both
 /// transaction-protected; a sync and a checkpoint; then sixty commits, most
-/// of them deferred, with a forced checkpoint (Lfs::Checkpoint) after the
-/// twentieth and a kernel cleaning pass after the fortieth. Each commit
-/// overwrites one block of /b and one of /a, except that every fifth
-/// appends to /a and overwrites again the block the commit before wrote:
-/// /a's double-indirect map grows, and the sixth append starts its second
-/// child, so that commit logs /a's inode over the record of the commit
-/// before. The fiftieth and the fifty-fifth overwrite /a's last 64 blocks
-/// and append 64 more, so their chunks cross a segment end; the fiftieth
-/// also makes the periodic checkpoint due. `boundary[i]` is the trace length once the i-th commit
-/// returned and `digest[i]` the files' contents then; the checkpoints and
-/// the pass change no contents. `deferred` counts the commits that left
+/// of them deferred. After the twentieth a forced checkpoint
+/// (Lfs::Checkpoint) leaves both files deferred, and after the twenty-fifth
+/// another writes them whole, their records having begun before the one
+/// before. The twenty-seventh also writes a two-segment /f, which is then
+/// removed: its periodic checkpoint leaves /a and /b deferred, so the redo
+/// span holds /f's empty segment, and a kernel cleaning pass after the
+/// fortieth reclaims that segment. Each commit overwrites one block of /b
+/// and one of /a, except that every fifth appends to /a and overwrites
+/// again the block the commit before wrote: /a's double-indirect map grows,
+/// and the sixth append starts its second child, so that commit logs /a's
+/// inode over the record of the commit before. The fiftieth and the
+/// fifty-fifth overwrite /a's last 64 blocks and append 64 more, so their
+/// chunks cross a segment end; the fiftieth also makes the periodic
+/// checkpoint due. `boundary[i]` is the trace length once the i-th commit
+/// returned and `digest[i]` the files' contents then; the checkpoints, /f
+/// and the pass change no contents. `deferred` counts the commits that left
 /// both files deferred.
 void RecordDeferredCommitRun(std::vector<SimDisk::TraceBlock>* trace,
                              std::vector<size_t>* boundary,
@@ -511,9 +564,20 @@ void RecordDeferredCommitRun(std::vector<SimDisk::TraceBlock>* trace,
     };
     committed();
     uint64_t last = 0;  // the block of /a the commit before overwrote
+    uint32_t emptied = 0;  // /f's segment
     for (int i = 0; i < 60; i++) {
       uint64_t chunks = fs.lfs_stats().partial_segments;
+      const uint32_t seg = fs.current_segment();
+      InodeNum f = kInvalidInode;
+      if (i == 27) f = kernel.Create("/f").value();
       ASSERT_TRUE(kernel.TxnBegin().ok());
+      if (i == 27) {
+        ASSERT_TRUE(kernel
+                        .Write(f, 0,
+                               std::string(
+                                   2 * fs.segment_blocks() * kBlockSize, 'f'))
+                        .ok());
+      }
       if (i == 50 || i == 55) {
         const uint64_t n = fs.segment_blocks();
         write(a, blocks - n / 2, n);
@@ -531,21 +595,39 @@ void RecordDeferredCommitRun(std::vector<SimDisk::TraceBlock>* trace,
       const bool a_deferred = fs.GetInode(a).value()->deferred;
       const bool b_deferred = fs.GetInode(b).value()->deferred;
       if (a_deferred && b_deferred) ++*deferred;
-      if (i == 50 || i == 55) {
+      if (i == 27 || i == 50 || i == 55) {
         ASSERT_GE(fs.lfs_stats().partial_segments - chunks, 2u);
-        // The fiftieth makes the periodic checkpoint due, so it logs both
-        // files whole; the fifty-fifth defers across its chunks.
-        ASSERT_EQ(fs.lfs_stats().checkpoints - checkpoints, i == 50 ? 1u : 0u);
-        ASSERT_EQ(a_deferred, i == 55);
-        ASSERT_EQ(b_deferred, i == 55);
+        // The twenty-seventh and the fiftieth make the periodic checkpoint
+        // due; the files stay deferred across it, their records having
+        // begun after the capture before.
+        ASSERT_EQ(fs.lfs_stats().checkpoints - checkpoints,
+                  i == 55 ? 0u : 1u);
+        ASSERT_TRUE(a_deferred && b_deferred);
       }
       committed();
-      if (i == 20) {
+      if (i == 20 || i == 25) {
+        const uint64_t forced = fs.lfs_stats().checkpoint_forced_files;
         ASSERT_TRUE(fs.Checkpoint().ok());
+        ASSERT_EQ(fs.GetInode(a).value()->deferred, i == 20);
+        ASSERT_EQ(fs.GetInode(b).value()->deferred, i == 20);
+        ASSERT_EQ(fs.lfs_stats().checkpoint_forced_files - forced,
+                  i == 25 ? 2u : 0u);
+      }
+      if (i == 27) {
+        // /f filled the segment after `seg` alone.
+        ASSERT_GE(fs.current_segment(), seg + 2);
+        emptied = seg + 1;
+        ASSERT_TRUE(kernel.Close(f).ok());
+        ASSERT_TRUE(kernel.Remove("/f").ok());
       }
       if (i == 40) {
+        // The victim lies between the durable image's redo point and its
+        // head.
+        ASSERT_EQ(fs.usage().PickVictim().value(), emptied);
+        ASSERT_TRUE(SpanHolds(fs, emptied));
         ASSERT_TRUE(cleaner->CleanOne().ok());
         ASSERT_EQ(cleaner->stats().segments_cleaned, 1u);
+        ASSERT_EQ(fs.usage().state(emptied), SegState::kClean);
       }
     }
   });
@@ -561,12 +643,17 @@ TEST(CrashMatrixDeferredCommits, EveryBoundaryRecoversACommittedState) {
   RecordDeferredCommitRun(&trace, &boundary, &digest, &deferred);
   ASSERT_EQ(boundary.size(), 61u);
   EXPECT_GT(deferred, 50u);  // the run exercises the deferred path
-  SweepEveryBoundary(trace, boundary, digest, "commit", [](Lfs* fs) {
-    auto a = fs->Open("/a");
-    auto b = fs->Open("/b");
-    EXPECT_TRUE(a.ok() && b.ok());
-    return a.ok() && b.ok() ? DigestCommitted(fs, a.value(), b.value()) : 0;
-  });
+  EXPECT_GT(SweepEveryBoundary(trace, boundary, digest, "commit",
+                               [](Lfs* fs) {
+                                 auto a = fs->Open("/a");
+                                 auto b = fs->Open("/b");
+                                 EXPECT_TRUE(a.ok() && b.ok());
+                                 return a.ok() && b.ok()
+                                            ? DigestCommitted(fs, a.value(),
+                                                              b.value())
+                                            : 0;
+                               }),
+            0u);
 }
 
 class CrashMatrix : public ::testing::TestWithParam<Arch> {};

@@ -389,10 +389,11 @@ TEST(EmbeddedTest, ACommitToLoggedFilesWritesOnlyTheirDataBlocks) {
   env.Run();
 }
 
-TEST(EmbeddedTest, ACommitThatMakesACheckpointDueLogsItsFilesWhole) {
-  // The capture at the end of the commit's flush may name no deferred file.
-  // The commit writes the file's indirect block and inode itself, so the
-  // checkpoint needs no flush of its own.
+TEST(EmbeddedTest, ACommitThatMakesACheckpointDueWritesOnlyItsDataAndTheMap) {
+  // The capture at the end of the commit's flush lists the file and takes
+  // its redo record's first chunk as the redo point, so the commit writes
+  // its data block, the summary and the dirty inode-map block, and no
+  // indirect block or inode; the image follows.
   SimEnv env;
   SimDisk disk(&env, SimDisk::Options{});
   env.Spawn("main", [&] {
@@ -411,20 +412,27 @@ TEST(EmbeddedTest, ACommitThatMakesACheckpointDueLogsItsFilesWhole) {
     ASSERT_TRUE(kernel.Write(a, 0, std::string(20 * kBlockSize, 'a')).ok());
     ASSERT_TRUE(kernel.TxnCommit().ok());
     // One-block commits defer until one fills the segment.
+    LogEcon* econ = env.log_econ();
     for (int i = 0;; i++) {
       ASSERT_LT(i, 200) << "no commit filled the segment";
       const Lfs::LfsStats before = fs.lfs_stats();
+      const uint64_t meta = econ->blocks(LogByteCat::kInode);
+      const uint64_t imap = econ->blocks(LogByteCat::kImap);
+      const uint64_t data = econ->blocks(LogByteCat::kUserData);
       ASSERT_TRUE(kernel.TxnBegin().ok());
       ASSERT_TRUE(kernel.Write(a, (i % 20) * kBlockSize, Slice("x")).ok());
       ASSERT_TRUE(kernel.TxnCommit().ok());
-      const bool deferred = fs.GetInode(a).value()->deferred;
-      if (fs.lfs_stats().checkpoints == before.checkpoints) {
-        ASSERT_TRUE(deferred) << i;
-        continue;
-      }
-      EXPECT_FALSE(deferred);
+      ASSERT_TRUE(fs.GetInode(a).value()->deferred) << i;
+      EXPECT_EQ(econ->blocks(LogByteCat::kInode), meta) << i;
+      EXPECT_EQ(econ->blocks(LogByteCat::kUserData), data + 1) << i;
+      if (fs.lfs_stats().checkpoints == before.checkpoints) continue;
       EXPECT_EQ(fs.lfs_stats().flushes - before.flushes, 1u);
-      EXPECT_EQ(cache.dirty_count(), 0u);
+      EXPECT_EQ(fs.lfs_stats().checkpoint_forced_files, 0u);
+      EXPECT_EQ(econ->blocks(LogByteCat::kImap), imap + 1);
+      EXPECT_EQ(fs.last_capture().redo_seq,
+                fs.GetInode(a).value()->redo_seq);
+      // The leaf with the new pointers waits in core.
+      EXPECT_EQ(cache.dirty_count(), 1u);
       break;
     }
   });

@@ -332,6 +332,61 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(r.value().usage_bytes, cp.usage_bytes);
 }
 
+TEST(CheckpointTest, RedoPointAndFilesRoundTripInTheSpareRoom) {
+  CheckpointData cp;
+  cp.next_write_seq = 500;
+  cp.redo_seq = 420;
+  cp.redo_addr = 9000;
+  cp.imap_addrs.assign(16, 7);
+  SegmentUsage usage(149, 128);
+  cp.usage_bytes.resize(usage.SerializedBytes());
+  usage.Serialize(cp.usage_bytes.data());
+  const uint32_t nblocks = CheckpointData::BlocksNeeded(16, 149);
+  const uint32_t room = CheckpointData::MaxRedoFiles(nblocks, 16, 149);
+  EXPECT_EQ(room, 94u);  // perfbench's 75 MB disk
+  for (uint32_t i = 0; i < room; i++) {
+    cp.redo_files.push_back(RedoFile{i + 2, 0, 420 + i});
+  }
+  std::vector<char> buf(static_cast<size_t>(nblocks) * kBlockSize);
+  cp.Encode(buf.data(), nblocks);
+  auto r = CheckpointData::Decode(buf.data(), nblocks);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().redo_seq, 420u);
+  EXPECT_EQ(r.value().redo_addr, 9000u);
+  ASSERT_EQ(r.value().redo_files.size(), room);
+  EXPECT_EQ(r.value().redo_files.back().inum, room + 1);
+  EXPECT_EQ(r.value().redo_files.back().seq, 420u + room - 1);
+  EXPECT_EQ(r.value().usage_bytes, cp.usage_bytes);
+}
+
+TEST(CheckpointTest, TheRedoPointLeavesEveryUsedGeometrysRegionAlone) {
+  // The regions' size at every geometry the figures, ablations and
+  // perfbench build (16 inode-map blocks): cylinders x segment blocks.
+  struct Geometry {
+    uint32_t cylinders, segment_blocks, blocks;
+  };
+  for (const Geometry& g : std::vector<Geometry>{{1280, 128, 3},
+                                                 {640, 128, 2},
+                                                 {426, 128, 1},
+                                                 {320, 128, 1},
+                                                 {256, 128, 1},
+                                                 {160, 128, 1},
+                                                 {96, 128, 1},
+                                                 {40, 128, 1},
+                                                 {320, 16, 5},
+                                                 {320, 32, 3},
+                                                 {320, 64, 2},
+                                                 {320, 256, 1}}) {
+    DiskGeometry disk;
+    disk.cylinders = g.cylinders;
+    auto nseg = static_cast<uint32_t>((disk.total_blocks() - 1) /
+                                      g.segment_blocks);
+    EXPECT_EQ(CheckpointData::BlocksNeeded(16, nseg), g.blocks)
+        << g.cylinders << " cylinders, " << g.segment_blocks
+        << "-block segments";
+  }
+}
+
 TEST(CheckpointTest, CorruptionDetected) {
   CheckpointData cp;
   cp.seq = 1;
