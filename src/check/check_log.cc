@@ -1,12 +1,12 @@
 // CheckLog: full integrity sweep of the LIBTP write-ahead log. ScanAll
 // deliberately stops *cleanly* at the first undecodable record (a torn
 // tail is normal after a crash), so this checker walks the retained
-// region record by record itself and treats any decode failure below
-// durable_lsn as corruption — everything the log manager promised was
-// forced to disk must still checksum. Along the way it verifies LSN
-// monotonicity (each record advances by exactly its encoded size),
-// truncation-epoch consistency, and each transaction's prev_lsn
-// backchain.
+// region itself, through the same chunked LogManager::Reader, and treats
+// any decode failure below durable_lsn as corruption — everything the log
+// manager promised was forced to disk must still checksum. Along the way
+// it verifies LSN monotonicity (each record advances by exactly its
+// encoded size), truncation-epoch consistency, and each transaction's
+// prev_lsn backchain.
 #include <map>
 
 #include "check/checkers.h"
@@ -40,9 +40,10 @@ Result<CheckReport> CheckLog(const CheckContext& ctx) {
 
   uint64_t records = 0, bytes = 0;
   std::map<TxnId, Lsn> last_lsn;  // per-transaction backchain head
+  LogManager::Reader reader = log->ReadFrom(base);
   Lsn lsn = base;
   while (lsn < next) {
-    auto rec_or = log->ReadRecord(lsn);
+    auto rec_or = reader.Next();
     if (!rec_or.ok()) {
       // Below durable_lsn this region was fsync'd — it must decode.
       // At or above it the record still lives in the user-space tail,

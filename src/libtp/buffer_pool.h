@@ -68,6 +68,11 @@ class BufferPool {
   /// via the snapshot.)
   void ReleaseDirty(DbPage* page);
 
+  /// True if the page is in the pool. Never loads, pins or charges.
+  bool Resident(uint32_t file_ref, uint64_t pageno) const {
+    return pages_.count(Key{file_ref, pageno}) != 0;
+  }
+
   /// Pages currently in the file (grows via AllocPage).
   Result<uint64_t> FilePages(uint32_t file_ref);
   /// Redo hook: a log record proves `pageno` existed at crash time, so the

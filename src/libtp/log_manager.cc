@@ -20,6 +20,9 @@ struct LogFileHeader {
 };
 static_assert(sizeof(LogFileHeader) == 32);
 constexpr uint32_t kLogFileMagic = 0x4C474844;  // "LGHD"
+// Records are bounded by two page images plus the header: ReadRecord
+// reads this many bytes at a record's LSN.
+constexpr size_t kMaxRecordBytes = 2 * kBlockSize + 256;
 }  // namespace
 
 LogManager::LogManager(Kernel* kernel) : LogManager(kernel, Options{}) {}
@@ -66,18 +69,14 @@ Status LogManager::Open(const std::string& path) {
     low_water_lsn_ = h.low_water_lsn;
     // The file is preallocated, so its size says nothing about the tail:
     // scan forward from the base until the records stop making sense.
-    Lsn lsn = base_lsn_;
-    char buf[2 * kBlockSize + 256];
+    Reader reader(this, base_lsn_, /*tail_base=*/kNullLsn);
     for (;;) {
-      uint64_t file_off = sizeof(LogFileHeader) + (lsn - base_lsn_);
-      auto nr = kernel_->Read(log_ino_, file_off, sizeof(buf), buf);
-      LFSTX_RETURN_IF_ERROR(nr.status());
-      size_t consumed = 0;
-      auto rec = LogRecord::Decode(buf, nr.value(), &consumed);
-      if (!rec.ok() || rec.value().epoch != epoch_) break;
-      lsn += consumed;
+      auto rec = reader.Next();
+      if (rec.ok()) continue;
+      if (!rec.status().IsCorruption()) return rec.status();
+      break;
     }
-    next_lsn_ = durable_lsn_ = tail_base_ = lsn;
+    next_lsn_ = durable_lsn_ = tail_base_ = reader.lsn();
     return Status::OK();
   }
   if (!r.status().IsNotFound()) return r.status();
@@ -246,8 +245,7 @@ Result<LogRecord> LogManager::ReadRecord(Lsn lsn) {
   if (lsn < base_lsn_) {
     return Status::InvalidArgument("LSN precedes the truncation point");
   }
-  // Records are bounded by two page images plus the header.
-  char buf[2 * kBlockSize + 256];
+  char buf[kMaxRecordBytes];
   uint64_t file_off = sizeof(LogFileHeader) + (lsn - base_lsn_);
   auto n = kernel_->Read(log_ino_, file_off, sizeof(buf), buf);
   LFSTX_RETURN_IF_ERROR(n.status());
@@ -265,16 +263,60 @@ Status LogManager::ScanAll(
 
 Status LogManager::ScanFrom(
     Lsn from, const std::function<Status(Lsn, const LogRecord&)>& fn) {
-  Lsn lsn = std::max(from, base_lsn_);
   Lsn end = tail_base_ + tail_.size();
-  while (lsn < end) {
-    auto r = ReadRecord(lsn);
+  Reader reader = ReadFrom(from);
+  while (reader.lsn() < end) {
+    Lsn lsn = reader.lsn();
+    auto r = reader.Next();
     if (!r.ok()) {
       if (r.status().IsCorruption()) break;  // torn tail: normal end
       return r.status();
     }
     LFSTX_RETURN_IF_ERROR(fn(lsn, r.value()));
-    lsn += r.value().EncodedSize();
+  }
+  return Status::OK();
+}
+
+LogManager::Reader LogManager::ReadFrom(Lsn from) {
+  return Reader(this, std::max(from, base_lsn_), tail_base_);
+}
+
+Result<LogRecord> LogManager::Reader::Next() {
+  if (lsn_ >= tail_base_) {
+    auto rec = log_->ReadRecord(lsn_);  // the user-space tail: no I/O
+    if (rec.ok()) lsn_ += rec.value().EncodedSize();
+    return rec;
+  }
+  LFSTX_RETURN_IF_ERROR(Fill());
+  size_t off = lsn_ - buf_lsn_;
+  size_t consumed = 0;
+  auto rec = LogRecord::Decode(buf_.data() + off,
+                               std::min(buf_.size() - off, kMaxRecordBytes),
+                               &consumed);
+  if (rec.ok() && rec.value().epoch != log_->epoch_) {
+    return Status::Corruption("log record from a previous epoch");
+  }
+  if (rec.ok()) lsn_ += consumed;
+  return rec;
+}
+
+Status LogManager::Reader::Fill() {
+  if (eof_ || buf_lsn_ + buf_.size() - lsn_ >= kMaxRecordBytes) {
+    return Status::OK();
+  }
+  buf_.erase(0, lsn_ - buf_lsn_);
+  buf_lsn_ = lsn_;
+  while (!eof_ && buf_.size() < kMaxRecordBytes) {
+    // Up to the next block boundary of the file, so each read() copies
+    // out of one cached block.
+    uint64_t file_off =
+        sizeof(LogFileHeader) + (buf_lsn_ + buf_.size() - log_->base_lsn_);
+    size_t want = kBlockSize - file_off % kBlockSize;
+    char chunk[kBlockSize];
+    auto n = log_->kernel_->Read(log_->log_ino_, file_off, want, chunk);
+    LFSTX_RETURN_IF_ERROR(n.status());
+    buf_.append(chunk, n.value());
+    eof_ = n.value() < want;
   }
   return Status::OK();
 }

@@ -60,12 +60,43 @@ class LogManager {
   /// yet flushed).
   Result<LogRecord> ReadRecord(Lsn lsn);
 
+  /// \brief Forward pass over the log. Records below the user-space tail
+  /// come from the log file in block-sized chunks, decoded from the
+  /// reader's own buffer: one read() per block, not one per record. Each
+  /// record decodes exactly as ReadRecord decodes it.
+  class Reader {
+   public:
+    /// The record at lsn(), advancing past it. Corruption at a torn
+    /// record or one from a previous epoch: the end of the log.
+    Result<LogRecord> Next();
+    /// LSN of the record the next Next() returns.
+    Lsn lsn() const { return lsn_; }
+
+   private:
+    friend class LogManager;
+    Reader(LogManager* log, Lsn from, Lsn tail_base)
+        : log_(log), lsn_(from), tail_base_(tail_base), buf_lsn_(from) {}
+    /// Buffers the bytes at lsn_ that ReadRecord would read there.
+    Status Fill();
+
+    LogManager* log_;
+    Lsn lsn_;
+    Lsn tail_base_;  ///< records from here on come from the tail
+    std::string buf_;  ///< log file bytes starting at buf_lsn_
+    Lsn buf_lsn_;
+    bool eof_ = false;  ///< a read stopped at the end of the file
+  };
+
+  /// A Reader at `from` (clamped to the truncation point). `from` must be
+  /// a record-start LSN — the checkpoint low-water mark always is.
+  Reader ReadFrom(Lsn from);
+
   /// Scan the whole retained log in order; stops cleanly at a torn tail.
   Status ScanAll(
       const std::function<Status(Lsn, const LogRecord&)>& fn);
 
-  /// Scan starting at `from` (clamped to the truncation point). `from`
-  /// must be a record-start LSN — the checkpoint low-water mark always is.
+  /// Scan starting at `from` through a Reader, stopping cleanly at a
+  /// torn tail.
   Status ScanFrom(Lsn from,
                   const std::function<Status(Lsn, const LogRecord&)>& fn);
 

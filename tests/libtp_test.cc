@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -558,6 +564,306 @@ TEST(LibTpTest, GroupCommitBatchesFsyncs) {
     uint64_t flushes = tp->log()->stats().flushes - flushes_before;
     EXPECT_LE(flushes, 2u);  // 4 commits, at most 2 fsync batches
   });
+}
+
+// ---- Restart read-ahead, over a database larger than pool and cache ----
+
+constexpr uint64_t kDbPages = 240;        // pages in each database file
+constexpr uint32_t kValueOffset = 100;    // where each update writes
+
+/// A small FFS machine: the kernel cache and the LIBTP pool each hold a
+/// fraction of one database file, and no syncer writes during restart.
+Machine::Options SmallMachine(bool format, SimBackend backend) {
+  Machine::Options mo;
+  mo.fs = FsKind::kReadOptimized;
+  mo.cache_blocks = 64;
+  mo.start_syncer = false;
+  mo.format = format;
+  mo.sim_backend = backend;
+  return mo;
+}
+
+LibTp::Options SmallPool() {
+  LibTp::Options lo;
+  lo.pool_pages = 16;
+  lo.checkpoint_log_bytes = ~uint64_t{0};  // checkpoints only on request
+  return lo;
+}
+
+/// A copied platter and the idle environment its disk belongs to.
+struct Image {
+  SimEnv env;
+  SimDisk disk{&env, SimDisk::Options{}};
+};
+
+/// Commits `value` at kValueOffset of one page in its own transaction.
+void CommitValue(LibTp* tp, uint32_t file_ref, uint64_t page,
+                 uint64_t value) {
+  TxnId t = tp->Begin().value();
+  DbPage* p = tp->GetPage(t, file_ref, page, LockMode::kExclusive).value();
+  memcpy(p->data + kValueOffset, &value, sizeof(value));
+  ASSERT_TRUE(tp->PutPageDirty(t, p).ok());
+  ASSERT_TRUE(tp->Commit(t).ok());
+}
+
+/// Creates `files` of kDbPages zeroed pages each, durably, with the log
+/// truncated; runs `work`; then copies the platter without a sync, so
+/// whatever only the pool or the kernel cache held is lost.
+std::unique_ptr<Image> Crash(const std::vector<std::string>& files,
+                             const std::function<void(LibTp*)>& work) {
+  auto image = std::make_unique<Image>();
+  auto rig = ArchRig::Create(
+      Arch::kUserFfs, SmallMachine(true, SimBackend::kFibers), SmallPool());
+  Status s = rig->Run([&] {
+    LibTp* tp = rig->libtp.get();
+    for (const std::string& path : files) {
+      uint32_t ref = tp->pool()->RegisterFile(path, true).value();
+      for (uint64_t pg = 0; pg < kDbPages; pg++) {
+        ASSERT_TRUE(tp->pool()->AllocPage(ref).ok());
+      }
+    }
+    ASSERT_TRUE(tp->Checkpoint().ok());
+    work(tp);
+    image->disk.CopyContentsFrom(*rig->machine->disk);
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return image;
+}
+
+struct Restart {
+  Status status;
+  uint64_t spawned = 0;       ///< processes Recover spawned
+  std::map<std::string, double> libtp;  ///< recovery.libtp.* counters
+  std::string disk_trace;     ///< disk events while Recover ran
+  std::vector<uint64_t> values;  ///< each page of file 0, after Recover
+  std::vector<bool> cached;   ///< file 0's pages in the kernel cache then
+  bool reader_stragglers = false;  ///< processes ran after Recover returned
+};
+
+/// Mounts a copy of `image`, registers `files` and runs Recover.
+Restart RestartFrom(const Image& image, const std::vector<std::string>& files,
+                    SimBackend backend) {
+  auto rig = ArchRig::Create(Arch::kUserFfs, SmallMachine(false, backend),
+                             SmallPool());
+  rig->machine->disk->CopyContentsFrom(image.disk);
+  SimEnv* env = rig->env();
+  Restart out;
+  env->Spawn("restart", [&] {
+    ASSERT_TRUE(rig->machine->Boot(rig->options).ok());
+    LibTp* tp = rig->libtp.get();
+    ASSERT_TRUE(tp->Open("/txn.log", /*run_recovery=*/false).ok());
+    for (const std::string& path : files) {
+      ASSERT_TRUE(tp->pool()->RegisterFile(path, /*create=*/false).ok());
+    }
+    env->tracer()->Enable(TraceCat::kDisk);
+    env->tracer()->SetCapture(&out.disk_trace);
+    uint64_t spawned0 = env->stats().processes_spawned;
+    out.status = tp->Recover();
+    out.spawned = env->stats().processes_spawned - spawned0;
+    env->tracer()->SetCapture(nullptr);
+    env->tracer()->DisableAll();
+    // Every reader has exited: none may run once Recover has returned.
+    uint64_t switches = env->stats().context_switches;
+    env->SleepFor(kSecond);
+    out.reader_stragglers = env->stats().context_switches != switches;
+    for (const auto& [name, value] : env->metrics()->SampleNumeric()) {
+      if (name.rfind("recovery.libtp.", 0) == 0) out.libtp[name] = value;
+    }
+    InodeNum ino = tp->pool()->file_inode(0);
+    for (uint64_t pg = 0; pg < kDbPages; pg++) {
+      out.cached.push_back(rig->machine->cache->Resident(
+          BufferKey{Inode::DataFileId(ino), pg}));
+    }
+    if (!out.status.ok()) return;
+    for (uint64_t pg = 0; pg < kDbPages; pg++) {
+      DbPage* p = tp->pool()->Get(0, pg, false).value();
+      uint64_t v = 0;
+      memcpy(&v, p->data + kValueOffset, sizeof(v));
+      out.values.push_back(v);
+      tp->pool()->Release(p);
+    }
+  });
+  env->Run();
+  return out;
+}
+
+struct RedoModel {
+  uint64_t scanned = 0;
+  uint64_t applied = 0;
+};
+
+/// What redo does with `image`, modelled on its definition: each record
+/// from the low-water mark in log order, an update applied when its
+/// page's LSN (zero past the end of the file) is at or below the record's.
+RedoModel ModelRedo(const Image& image, const std::vector<std::string>& files) {
+  auto m = Machine::Build(SmallMachine(false, SimBackend::kFibers));
+  m->disk->CopyContentsFrom(image.disk);
+  RedoModel out;
+  m->env->Spawn("model", [&] {
+    ASSERT_TRUE(m->Boot(SmallMachine(false, SimBackend::kFibers)).ok());
+    Kernel* k = m->kernel.get();
+    LogManager log(k);
+    ASSERT_TRUE(log.Open("/txn.log").ok());
+    std::vector<InodeNum> inos;
+    for (const std::string& path : files) inos.push_back(k->Open(path).value());
+    std::map<std::pair<uint32_t, uint64_t>, Lsn> page_lsn;
+    Lsn lsn = std::max(log.base_lsn(), log.low_water_lsn());
+    while (lsn < log.next_lsn()) {
+      LogRecord rec = log.ReadRecord(lsn).value();
+      out.scanned++;
+      if (rec.type == LogRecType::kUpdate || rec.type == LogRecType::kClr) {
+        auto [it, fresh] = page_lsn.try_emplace({rec.file_ref, rec.page}, 0);
+        if (fresh) {
+          ASSERT_TRUE(k->Read(inos[rec.file_ref], rec.page * kBlockSize,
+                              sizeof(Lsn), reinterpret_cast<char*>(&it->second))
+                          .ok());
+        }
+        if (it->second <= lsn) {
+          out.applied++;
+          it->second = lsn + 1;
+        }
+      }
+      lsn += rec.EncodedSize();
+    }
+  });
+  m->env->Run();
+  return out;
+}
+
+/// The number after `key` in one JSONL trace line, 0 when it is absent.
+uint64_t FieldU64(const std::string& line, const char* key) {
+  size_t at = line.find(key);
+  return at == std::string::npos
+             ? 0
+             : strtoull(line.c_str() + at + strlen(key), nullptr, 10);
+}
+
+/// The most disk reads outstanding at once (queued or in service) in a
+/// disk trace.
+int MaxReadsInFlight(const std::string& trace) {
+  std::vector<std::pair<uint64_t, int>> edges;  // (time, +1 submit/-1 done)
+  std::istringstream in(trace);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"ev\":\"io_end\",\"op\":\"read\"") == std::string::npos) {
+      continue;
+    }
+    uint64_t done = FieldU64(line, "\"t\":");
+    edges.emplace_back(done - FieldU64(line, "\"latency_us\":"), +1);
+    edges.emplace_back(done, -1);
+  }
+  std::sort(edges.begin(), edges.end());  // completions first on a tie
+  int now = 0, most = 0;
+  for (const auto& e : edges) most = std::max(most, now += e.second);
+  return most;
+}
+
+TEST(LibTpTest, RestartReadsAheadOfRedoAndRecoversTheCommittedState) {
+  const std::vector<std::string> files = {"/db"};
+  std::vector<uint64_t> committed(kDbPages, 0);
+  const uint64_t loser_page = 7;
+  auto image = Crash(files, [&](LibTp* tp) {
+    // A loser whose page reaches the platter (steal) but never commits.
+    TxnId t = tp->Begin().value();
+    DbPage* p = tp->GetPage(t, 0, loser_page, LockMode::kExclusive).value();
+    memset(p->data + kValueOffset, 0xEE, sizeof(uint64_t));
+    ASSERT_TRUE(tp->PutPageDirty(t, p).ok());
+    ASSERT_TRUE(tp->pool()->FlushAll().ok());
+    ASSERT_TRUE(tp->kernel()->Sync().ok());
+    Random rng(11);
+    for (uint64_t v = 1; v <= 400; v++) {
+      uint64_t pg = rng.Uniform(kDbPages);
+      if (pg == loser_page) continue;
+      CommitValue(tp, 0, pg, v);
+      committed[pg] = v;
+    }
+  });
+  RedoModel model = ModelRedo(*image, files);
+  ASSERT_GT(model.applied, 10u);  // the rest reached the platter first
+
+  Restart r = RestartFrom(*image, files, SimBackend::kFibers);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.values, committed);
+  EXPECT_EQ(r.libtp["recovery.libtp.scanned"], model.scanned);
+  EXPECT_EQ(r.libtp["recovery.libtp.redo_applied"], model.applied);
+  EXPECT_EQ(r.libtp["recovery.libtp.losers"], 1);
+  // Redo's pages were read ahead of it, many at once, by processes that
+  // were all gone when Recover returned.
+  EXPECT_GT(r.libtp["recovery.libtp.readahead_pages"], 100);
+  EXPECT_LT(r.libtp["recovery.libtp.readahead_waits"],
+            r.libtp["recovery.libtp.readahead_pages"]);
+  EXPECT_GT(MaxReadsInFlight(r.disk_trace), 1)
+      << "redo read its pages one at a time";
+  EXPECT_GT(r.spawned, 0u);
+  EXPECT_FALSE(r.reader_stragglers);
+}
+
+TEST(LibTpTest, AnEmptyLogRecoverSpawnsNothingAndCostsOnlyItsCheckpoint) {
+  // Restart after a clean checkpoint: redo names no page, so Recover must
+  // cost exactly the checkpoint that ends it.
+  SimTime took[2] = {0, 0};
+  uint64_t spawned[2] = {0, 0};
+  for (int recover = 0; recover < 2; recover++) {
+    auto rig = TestRig::Create(Arch::kUserFfs);
+    rig->Run([&] {
+      LibTp* tp = rig->libtp.get();
+      uint32_t fref = tp->pool()->RegisterFile("/data", true).value();
+      CommitValue(tp, fref, 3, 42);
+      ASSERT_TRUE(tp->Checkpoint().ok());  // truncates: the log is empty
+      LibTp fresh(rig->machine->kernel.get());
+      ASSERT_TRUE(fresh.Open("/txn.log", /*run_recovery=*/false).ok());
+      ASSERT_EQ(fresh.log()->next_lsn(), fresh.log()->base_lsn());
+      ASSERT_TRUE(fresh.pool()->RegisterFile("/data", false).ok());
+      SimEnv* env = rig->env();
+      uint64_t spawned0 = env->stats().processes_spawned;
+      SimTime t0 = env->Now();
+      ASSERT_TRUE((recover ? fresh.Recover() : fresh.Checkpoint()).ok());
+      took[recover] = env->Now() - t0;
+      spawned[recover] = env->stats().processes_spawned - spawned0;
+    });
+  }
+  EXPECT_GT(took[0], 0u);
+  EXPECT_EQ(took[1], took[0]);
+  EXPECT_EQ(spawned[1], 0u);
+}
+
+TEST(LibTpTest, RedoOfAnUnregisteredFileFailsWithReadsInFlight) {
+  // The restart registers /a but not /b. Redo reaches /b's record while
+  // readers are fetching /a's later pages: Recover must report the same
+  // Corruption as without read-ahead, and only once every reader is gone.
+  // Before /b's record the updates touch /a's pages [0, 40), after it
+  // [120, 240), each range in a shuffled order, so the file system's
+  // sequential readahead never reaches from one range into the other.
+  const uint64_t kAfter = 120;
+  auto image = Crash({"/a", "/b"}, [&](LibTp* tp) {
+    Random rng(3);
+    auto shuffled = [&](uint64_t lo, uint64_t hi) {
+      std::vector<uint64_t> pages;
+      for (uint64_t pg = lo; pg < hi; pg++) pages.push_back(pg);
+      for (size_t i = pages.size(); i > 1; i--) {
+        std::swap(pages[i - 1], pages[rng.Uniform(i)]);
+      }
+      return pages;
+    };
+    for (uint64_t pg : shuffled(0, 40)) CommitValue(tp, 0, pg, pg + 1);
+    CommitValue(tp, 1, 0, 1);
+    for (uint64_t pg : shuffled(kAfter, kDbPages)) {
+      CommitValue(tp, 0, pg, pg + 1);
+    }
+  });
+  for (SimBackend backend : {SimBackend::kFibers, SimBackend::kThreads}) {
+    SCOPED_TRACE(SimBackendName(backend));
+    Restart r = RestartFrom(*image, {"/a"}, backend);
+    EXPECT_TRUE(r.status.IsCorruption()) << r.status.ToString();
+    EXPECT_NE(r.status.message().find("not re-registered"), std::string::npos)
+        << r.status.ToString();
+    EXPECT_GT(r.spawned, 0u);
+    EXPECT_FALSE(r.reader_stragglers);
+    // Read-ahead had run past the failing record: pages redo never
+    // reached are in the kernel cache.
+    ASSERT_EQ(r.cached.size(), kDbPages);
+    EXPECT_GT(std::count(r.cached.begin() + kAfter, r.cached.end(), true), 0);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // costs), and an identical online-fsck report — across the fibers and
 // threads execution backends and across repeated runs — and the daemons
 // that poll during Mount (cleaner, syncer) must not change what it
-// recovers.
+// recovers. LIBTP's restart, whose redo reads pages through reader
+// processes, obeys the same contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,9 @@
 #include "check/registry.h"
 #include "common/random.h"
 #include "harness/machine.h"
+#include "harness/rig.h"
+#include "tpcb/driver.h"
+#include "tpcb/loader.h"
 
 namespace lfstx {
 namespace {
@@ -229,6 +233,104 @@ TEST(RecoveryDeterminism, DaemonsPollingDuringMountChangeNothing) {
   EXPECT_EQ(busy.rec.payload_blocks, quiet.rec.payload_blocks);
   EXPECT_EQ(busy.logical, quiet.logical)
       << "daemons running during Mount changed the recovered state";
+}
+
+/// User-level TPC-B on LFS with a kernel cache and a LIBTP pool far
+/// smaller than the account relation, and no daemon writing after restart.
+std::unique_ptr<ArchRig> SmallUserLfs(bool format, SimBackend backend) {
+  Machine::Options mo;
+  mo.format = format;
+  mo.sim_backend = backend;
+  mo.cache_blocks = 128;
+  mo.start_syncer = false;
+  mo.start_cleaner = false;
+  LibTp::Options lo;
+  lo.pool_pages = 16;
+  return ArchRig::Create(Arch::kUserLfs, mo, lo);
+}
+
+const TpcbConfig kSmallTpcb = TpcbConfig().Scaled(250);  // 4000 accounts
+
+/// Loads TPC-B, runs transactions and copies the platter without a sync:
+/// what only the LIBTP pool or the kernel cache held is lost.
+void BuildLibTpCrashImage(SimDisk* image) {
+  auto rig = SmallUserLfs(/*format=*/true, SimBackend::kFibers);
+  Status boot = rig->Run([&] {
+    auto db = LoadTpcb(rig->backend.get(), rig->machine->kernel.get(),
+                       kSmallTpcb, /*batch=*/100);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    TpcbDriver driver(rig->backend.get(), &db.value(), kSmallTpcb,
+                      /*seed=*/5);
+    for (int i = 0; i < 150; i++) ASSERT_TRUE(driver.RunOne().ok());
+    image->CopyContentsFrom(*rig->machine->disk);
+  });
+  ASSERT_TRUE(boot.ok()) << boot.ToString();
+}
+
+struct LibTpRestart {
+  uint64_t platter = 0;   ///< the recovered platter
+  std::string metrics;    ///< recovery.libtp.* samples, "name=value\n"
+  SimTime restart_us = 0; ///< virtual time at the end of Recover
+
+  bool operator==(const LibTpRestart& o) const {
+    return platter == o.platter && metrics == o.metrics &&
+           restart_us == o.restart_us;
+  }
+};
+
+/// Mounts a copy of `image`, re-registers the relations and runs LIBTP's
+/// restart recovery.
+LibTpRestart RestartLibTp(const SimDisk& image, SimBackend backend) {
+  auto rig = SmallUserLfs(/*format=*/false, backend);
+  rig->machine->disk->CopyContentsFrom(image);
+  LibTpRestart out;
+  SimEnv* env = rig->env();
+  env->Spawn("restart", [&] {
+    ASSERT_TRUE(rig->machine->Boot(rig->options).ok());
+    ASSERT_TRUE(rig->libtp->Open("/txn.log", /*run_recovery=*/false).ok());
+    for (const std::string& path :
+         {kSmallTpcb.AccountPath(), kSmallTpcb.TellerPath(),
+          kSmallTpcb.BranchPath(), kSmallTpcb.HistoryPath()}) {
+      ASSERT_TRUE(
+          rig->libtp->pool()->RegisterFile(path, /*create=*/false).ok());
+    }
+    Status s = rig->libtp->Recover();
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    out.restart_us = env->Now();
+  });
+  env->Run();
+  out.platter = PlatterDigest(*rig->machine->disk);
+  for (const auto& [name, value] : env->metrics()->SampleNumeric()) {
+    if (name.rfind("recovery.libtp.", 0) == 0) {
+      out.metrics += name + "=" + std::to_string(value) + "\n";
+    }
+  }
+  return out;
+}
+
+TEST(RecoveryDeterminism, LibTpRestartIdenticalAcrossBackendsAndRuns) {
+  SimEnv base_env;
+  SimDisk image(&base_env, SimDisk::Options{});
+  BuildLibTpCrashImage(&image);
+
+  LibTpRestart first = RestartLibTp(image, SimBackend::kFibers);
+  ASSERT_NE(first.metrics.find("recovery.libtp.redo_applied="),
+            std::string::npos)
+      << first.metrics;
+  EXPECT_EQ(first.metrics.find("recovery.libtp.readahead_pages=0."),
+            std::string::npos)
+      << "redo read nothing ahead:\n" << first.metrics;
+  for (SimBackend backend : {SimBackend::kFibers, SimBackend::kThreads}) {
+    for (int run = backend == SimBackend::kFibers; run < 2; run++) {
+      SCOPED_TRACE(std::string(SimBackendName(backend)) + " run " +
+                   std::to_string(run));
+      LibTpRestart again = RestartLibTp(image, backend);
+      EXPECT_TRUE(again == first)
+          << "restart diverged (" << again.restart_us << " vs "
+          << first.restart_us << " us):\n--- first\n" << first.metrics
+          << "--- again\n" << again.metrics;
+    }
+  }
 }
 
 }  // namespace
