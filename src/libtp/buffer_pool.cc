@@ -82,10 +82,6 @@ const std::string& BufferPool::file_path(uint32_t file_ref) const {
   return files_[file_ref].path;
 }
 
-InodeNum BufferPool::file_inode(uint32_t file_ref) const {
-  return files_[file_ref].ino;
-}
-
 void BufferPool::TouchLru(DbPage* page) {
   if (page->in_lru) lru_.erase(page->lru_pos);
   lru_.push_back(page);
@@ -165,7 +161,10 @@ Result<DbPage*> BufferPool::Get(uint32_t file_ref, uint64_t pageno,
         return n.status();
       }
     }
-    pages_[Key{file_ref, pageno}] = std::move(owned);
+    // A concurrent miss may have installed this page while the read
+    // yielded, and its caller may hold it pinned: share that frame.
+    page = pages_.try_emplace(Key{file_ref, pageno}, std::move(owned))
+               .first->second.get();
   }
   page->pins++;
   TouchLru(page);

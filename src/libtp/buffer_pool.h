@@ -68,11 +68,6 @@ class BufferPool {
   /// via the snapshot.)
   void ReleaseDirty(DbPage* page);
 
-  /// True if the page is in the pool. Never loads, pins or charges.
-  bool Resident(uint32_t file_ref, uint64_t pageno) const {
-    return pages_.count(Key{file_ref, pageno}) != 0;
-  }
-
   /// Pages currently in the file (grows via AllocPage).
   Result<uint64_t> FilePages(uint32_t file_ref);
   /// Redo hook: a log record proves `pageno` existed at crash time, so the
@@ -95,9 +90,10 @@ class BufferPool {
 
   Kernel* kernel() const { return kernel_; }
   size_t file_count() const { return files_.size(); }
+  /// Pages the pool keeps before a miss evicts one.
+  size_t capacity() const { return capacity_; }
   const Stats& stats() const { return stats_; }
   const std::string& file_path(uint32_t file_ref) const;
-  InodeNum file_inode(uint32_t file_ref) const;
 
  private:
   struct FileEntry {

@@ -24,27 +24,4 @@ void SimMutex::Unlock() {
   q_.WakeOne();
 }
 
-bool SimSemaphore::Acquire() {
-  // Semaphore waits count as lock waits for lockdep's held-across-block
-  // check (waiting for a resource, not holding one), but a semaphore is
-  // not an ordering node: ownership is not tied to the acquiring process.
-  SimProc* p = SimEnv::Current();
-  LockDep* ld = q_.env()->lockdep();
-  ld->BeginLockWait(p);
-  while (count_ == 0) {
-    if (q_.Sleep() == WakeReason::kStopped && count_ == 0) {
-      ld->EndLockWait(p);
-      return false;
-    }
-  }
-  ld->EndLockWait(p);
-  count_--;
-  return true;
-}
-
-void SimSemaphore::Release() {
-  count_++;
-  q_.WakeOne();
-}
-
 }  // namespace lfstx

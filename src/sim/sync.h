@@ -1,11 +1,11 @@
-// Blocking primitives built on WaitQueue: mutex, counting semaphore, and a
-// one-shot I/O completion event. All obey the single-running-process
-// invariant, so their state needs no internal locking, and all inherit
-// WaitQueue's FIFO wake ordering — part of the determinism contract in
-// SIMULATOR.md, and why these primitives behave identically on every
-// execution backend. A release wakes the first waiter without handing it
-// the resource, so acquisition order is not FIFO (see SimMutex). InFlight
-// counts the blocked calls a daemon object must not be destroyed under.
+// Blocking primitives built on WaitQueue: a mutex and a one-shot I/O
+// completion event. Both obey the single-running-process invariant, so
+// their state needs no internal locking, and both inherit WaitQueue's FIFO
+// wake ordering — part of the determinism contract in SIMULATOR.md, and
+// why these primitives behave identically on every execution backend. An
+// unlock wakes the first waiter without handing it the mutex, so
+// acquisition order is not FIFO (see SimMutex). InFlight counts the
+// blocked calls a daemon object must not be destroyed under.
 #ifndef LFSTX_SIM_SYNC_H_
 #define LFSTX_SIM_SYNC_H_
 
@@ -91,21 +91,6 @@ class InFlight {
 
  private:
   uint32_t calls_ = 0;
-};
-
-/// \brief Counting semaphore for simulated processes.
-class SimSemaphore {
- public:
-  SimSemaphore(SimEnv* env, int64_t initial) : q_(env), count_(initial) {}
-  /// P(): decrement, blocking while the count is zero. False on shutdown.
-  bool Acquire();
-  /// V(): increment and wake one waiter.
-  void Release();
-  int64_t count() const { return count_; }
-
- private:
-  WaitQueue q_;
-  int64_t count_;
 };
 
 /// \brief One-shot completion event (used for disk I/O).

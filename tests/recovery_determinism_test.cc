@@ -4,7 +4,7 @@
 // costs), and an identical online-fsck report — across the fibers and
 // threads execution backends and across repeated runs — and the daemons
 // that poll during Mount (cleaner, syncer) must not change what it
-// recovers. LIBTP's restart, whose redo reads pages through reader
+// recovers. LIBTP's restart, whose redo fetches pages through worker
 // processes, obeys the same contract.
 #include <gtest/gtest.h>
 
@@ -317,9 +317,9 @@ TEST(RecoveryDeterminism, LibTpRestartIdenticalAcrossBackendsAndRuns) {
   ASSERT_NE(first.metrics.find("recovery.libtp.redo_applied="),
             std::string::npos)
       << first.metrics;
-  EXPECT_EQ(first.metrics.find("recovery.libtp.readahead_pages=0."),
+  EXPECT_EQ(first.metrics.find("recovery.libtp.pages=0."),
             std::string::npos)
-      << "redo read nothing ahead:\n" << first.metrics;
+      << "redo fetched no page:\n" << first.metrics;
   for (SimBackend backend : {SimBackend::kFibers, SimBackend::kThreads}) {
     for (int run = backend == SimBackend::kFibers; run < 2; run++) {
       SCOPED_TRACE(std::string(SimBackendName(backend)) + " run " +

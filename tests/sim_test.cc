@@ -183,24 +183,6 @@ TEST(SimMutexTest, MutualExclusionFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(SimSemaphoreTest, CountsAndBlocks) {
-  SimEnv env;
-  SimSemaphore sem(&env, 2);
-  int concurrent = 0, max_concurrent = 0;
-  for (int i = 0; i < 5; i++) {
-    env.Spawn("w" + std::to_string(i), [&] {
-      ASSERT_TRUE(sem.Acquire());
-      concurrent++;
-      max_concurrent = std::max(max_concurrent, concurrent);
-      env.SleepFor(100);
-      concurrent--;
-      sem.Release();
-    });
-  }
-  env.Run();
-  EXPECT_EQ(max_concurrent, 2);
-}
-
 TEST(IoEventTest, FireBeforeWait) {
   SimEnv env;
   IoEvent ev(&env);
@@ -352,15 +334,18 @@ TEST_P(SimBackendTest, NestedWaitQueueWake) {
 
 TEST_P(SimBackendTest, ThousandProcSmoke) {
   SimEnv env(CostModel(), backend());
-  SimSemaphore gate(&env, 4);
+  // Held across the sleep on purpose: every process blocks on the gate.
+  SimMutex gate(&env, "gate", /*yield_ok=*/true);
   uint64_t done = 0;
   const int kProcs = 1000;
   for (int i = 0; i < kProcs; i++) {
     env.Spawn("p" + std::to_string(i), [&] {
-      ASSERT_TRUE(gate.Acquire());
-      env.Consume(5);
-      env.SleepFor(10);
-      gate.Release();
+      {
+        SimMutexGuard g(&gate);
+        ASSERT_TRUE(g.locked());
+        env.Consume(5);
+        env.SleepFor(10);
+      }
       done++;
     });
   }

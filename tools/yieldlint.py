@@ -50,7 +50,6 @@ BLOCKING_SEEDS = {
     "WaitQueue::Sleep",
     "WaitQueue::SleepFor",
     "SimMutex::Lock",
-    "SimSemaphore::Acquire",
     "IoEvent::Wait",
     "SimEnv::SleepUntil",
     "SimEnv::SleepFor",
