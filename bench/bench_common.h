@@ -2,8 +2,8 @@
 // figure-reproduction benches.
 //
 // Every bench but fig_recovery, whose recovery curves build their own
-// disks, accepts these (fig_cleaning all but --txns: its fill and churn
-// set the work):
+// disks and simulations, accepts these (fig_cleaning all but --txns: its
+// fill and churn set the work):
 //   --scale=N        divide the paper's database, cache, and disk by N
 //                    (default 4: 250k accounts on a 75 MB disk with a 2 MB
 //                    kernel cache — same cache:database and database:disk
@@ -11,17 +11,19 @@
 //   --txns=N         measured transactions (default depends on the bench)
 //   --readahead=N    clustered-readahead window in blocks (0 disables;
 //                    default: the machine's standard window)
-// Every bench accepts:
 //   --metrics-dir=D  write one metrics snapshot JSON per configuration
 //                    into directory D (created if absent)
 //   --trace=SPEC     enable trace categories ("disk,txn", "all")
 //   --trace-file=F   write trace events to F instead of stderr
-//   --fsck           run the full invariant-checker sweep (src/check/)
-//                    after each measured configuration; a dirty sweep
-//                    fails the bench with a nonzero exit
 //   --sample-interval=MS  start the virtual-time metrics sampler: emit a
 //                    metric_sample trace event for every metric that
 //                    changed, every MS simulated milliseconds
+// Every bench accepts:
+//   --fsck           run the full invariant-checker sweep (src/check/)
+//                    after each measured configuration; a dirty sweep
+//                    fails the bench with a nonzero exit (fig_recovery
+//                    sweeps after every recovery anyway, so the flag
+//                    changes nothing there)
 //   --sim-backend=B  simulator execution backend: "fibers" (default) or
 //                    "threads" (one OS thread per simulated process — the
 //                    slow differential-testing oracle). Traces, metrics
@@ -169,7 +171,9 @@ struct BenchConfig {
     kUsersFlag = 8,      ///< --users
     kWindowFlags = 16,   ///< --profile, --blame
     kCleanerFlag = 32,   ///< --cleaner
-    kMachineFlags = 64,  ///< --scale, --readahead
+    /// --scale, --readahead and the machine's outputs: --metrics-dir,
+    /// --trace, --trace-file, --sample-interval
+    kMachineFlags = 64,
     kTxnsFlag = 128,     ///< --txns
     kWorkloadFlags = kMachineFlags | kTxnsFlag,
     kTpcbFlags = kUsersFlag | kWindowFlags | kCleanerFlag | kWorkloadFlags,
@@ -191,7 +195,8 @@ struct BenchConfig {
       } else if ((groups & kUsersFlag) &&
                  strncmp(argv[i], "--users=", 8) == 0) {
         c.users = std::max<uint64_t>(1, NumericFlag<uint64_t>(argv[i], 8));
-      } else if (strncmp(argv[i], "--sample-interval=", 18) == 0) {
+      } else if (machine &&
+                 strncmp(argv[i], "--sample-interval=", 18) == 0) {
         c.sample_interval_ms = NumericFlag<uint64_t>(argv[i], 18);
       } else if ((groups & kCleanerFlag) &&
                  strncmp(argv[i], "--cleaner=", 10) == 0) {
@@ -208,11 +213,11 @@ struct BenchConfig {
                   c.sim_backend.c_str());
           exit(2);
         }
-      } else if (strncmp(argv[i], "--metrics-dir=", 14) == 0) {
+      } else if (machine && strncmp(argv[i], "--metrics-dir=", 14) == 0) {
         c.metrics_dir = argv[i] + 14;
-      } else if (strncmp(argv[i], "--trace=", 8) == 0) {
+      } else if (machine && strncmp(argv[i], "--trace=", 8) == 0) {
         c.trace = argv[i] + 8;
-      } else if (strncmp(argv[i], "--trace-file=", 13) == 0) {
+      } else if (machine && strncmp(argv[i], "--trace-file=", 13) == 0) {
         c.trace_file = argv[i] + 13;
       } else if ((groups & kSummaryFlag) &&
                  strncmp(argv[i], "--summary=", 10) == 0) {
@@ -313,9 +318,9 @@ struct BenchConfig {
 
   static void PrintUsage(FILE* out, const char* prog) {
     fprintf(out,
-            "usage: %s [--metrics-dir=D] [--trace=SPEC] [--trace-file=F]\n"
-            "    [--fsck] [--sample-interval=MS]\n"
-            "    [--sim-backend=fibers|threads]\n"
+            "usage: %s [--fsck] [--sim-backend=fibers|threads]\n"
+            "  all but fig_recovery: [--metrics-dir=D] [--trace=SPEC]\n"
+            "    [--trace-file=F] [--sample-interval=MS]\n"
             "  TPC-B benches: [--scale=N] [--txns=N] [--readahead=N]\n"
             "    [--users=N] [--profile] [--blame] [--cleaner=kernel|user]\n"
             "    (no --users in ablation_group_commit, no --cleaner in\n"
@@ -327,6 +332,13 @@ struct BenchConfig {
             "    [--watermark=lazy|eager] [--arch=embedded|user_lfs]\n"
             "See the flag list at the top of bench/bench_common.h.\n",
             prog);
+  }
+
+  /// The --sim-backend choice, else the LFSTX_SIM_BACKEND default.
+  SimBackend Backend() const {
+    if (sim_backend == "threads") return SimBackend::kThreads;
+    if (sim_backend == "fibers") return SimBackend::kFibers;
+    return DefaultSimBackend();
   }
 
   TpcbConfig Tpcb() const {
@@ -347,11 +359,7 @@ struct BenchConfig {
     } else if (cleaner_mode == "kernel") {
       o.cleaner.mode = Cleaner::Mode::kKernel;
     }
-    if (sim_backend == "threads") {
-      o.sim_backend = SimBackend::kThreads;
-    } else if (sim_backend == "fibers") {
-      o.sim_backend = SimBackend::kFibers;
-    }
+    o.sim_backend = Backend();
     if (readahead >= 0) {
       o.readahead_blocks = static_cast<uint32_t>(readahead);
     }

@@ -57,10 +57,10 @@ uint64_t BuildImage(SimEnv* env, SimDisk* disk, bool periodic, int rounds) {
   return disk->stats().blocks_written;
 }
 
-/// Mount a clone of `base`, sweep the invariant checkers, and return the
-/// recovery cost.
-Lfs::RecoveryStats RecoverClone(const SimDisk& base) {
-  SimEnv env;
+/// Mount a clone of `base` on `backend`, sweep the invariant checkers,
+/// and return the recovery cost.
+Lfs::RecoveryStats RecoverClone(const SimDisk& base, SimBackend backend) {
+  SimEnv env(CostModel(), backend);
   SimDisk disk(&env, SimDisk::Options{});
   disk.CopyContentsFrom(base);
   Lfs::RecoveryStats out;
@@ -116,14 +116,14 @@ int Main(int argc, char** argv) {
   for (const char* mode : {"nocp", "periodic"}) {
     bool periodic = strcmp(mode, "periodic") == 0;
     for (int rounds : kRounds) {
-      SimEnv env;
+      SimEnv env(CostModel(), cfg.Backend());
       SimDisk disk(&env, SimDisk::Options{});
       uint64_t written = BuildImage(&env, &disk, periodic, rounds);
       CurvePoint p;
       p.mode = mode;
       p.rounds = rounds;
       p.written_blocks = written;
-      p.rec = RecoverClone(disk);
+      p.rec = RecoverClone(disk, cfg.Backend());
       curve.push_back(p);
       curve_table.AddRow(
           {mode, Fmt("%d", rounds),

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
 
 namespace lfstx {
 
@@ -19,31 +20,26 @@ struct Layout {
   uint64_t data_start;
 };
 
-Layout ComputeLayout(uint64_t total_blocks, uint32_t max_inodes) {
+Layout ComputeLayout(uint64_t total_blocks) {
   Layout l;
   l.total_blocks = total_blocks;
   l.bitmap_start = 1;
   l.bitmap_blocks =
       static_cast<uint32_t>((total_blocks / 8 + kBlockSize - 1) / kBlockSize);
   l.itable_start = l.bitmap_start + l.bitmap_blocks;
-  l.itable_blocks = (max_inodes + kInodesPerBlock - 1) / kInodesPerBlock;
+  l.itable_blocks = (kMaxInodes + kInodesPerBlock - 1) / kInodesPerBlock;
   l.data_start = l.itable_start + l.itable_blocks;
   return l;
 }
 }  // namespace
 
 Ffs::Ffs(SimEnv* env, SimDisk* disk, BufferCache* cache)
-    : Ffs(env, disk, cache, Options{}) {}
-
-Ffs::Ffs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
     : FsCore(env, disk, cache),
-      options_(options),
-      bitmap_(ComputeLayout(disk->num_blocks(), options.max_inodes).data_start,
+      bitmap_(ComputeLayout(disk->num_blocks()).data_start,
               disk->num_blocks() -
-                  ComputeLayout(disk->num_blocks(), options.max_inodes)
-                      .data_start) {
-  Layout l = ComputeLayout(disk->num_blocks(), options_.max_inodes);
-  sb_.max_inodes = options_.max_inodes;
+                  ComputeLayout(disk->num_blocks()).data_start) {
+  Layout l = ComputeLayout(disk->num_blocks());
+  sb_.max_inodes = kMaxInodes;
   sb_.total_blocks = l.total_blocks;
   sb_.bitmap_start = l.bitmap_start;
   sb_.bitmap_blocks = l.bitmap_blocks;
@@ -94,6 +90,11 @@ Status Ffs::Mount() {
   Superblock sb;
   memcpy(&sb, block, sizeof(sb));
   if (sb.magic != kMagic) return Status::Corruption("bad FFS superblock");
+  if (sb.max_inodes != kMaxInodes) {
+    return Status::Corruption("FFS superblock holds " +
+                              std::to_string(sb.max_inodes) + " inodes, not " +
+                              std::to_string(kMaxInodes));
+  }
   sb_ = sb;
   std::vector<char> bm(static_cast<size_t>(sb_.bitmap_blocks) * kBlockSize);
   disk_->RawRead(sb_.bitmap_start, sb_.bitmap_blocks, bm.data());

@@ -21,12 +21,7 @@ namespace lfstx {
 /// \brief Read-optimized file system.
 class Ffs : public FsCore {
  public:
-  struct Options {
-    uint32_t max_inodes = 4096;
-  };
-
   Ffs(SimEnv* env, SimDisk* disk, BufferCache* cache);
-  Ffs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options);
   ~Ffs() override;
 
   const char* fs_name() const override { return "read-optimized"; }
@@ -89,7 +84,6 @@ class Ffs : public FsCore {
   /// Issue one batch of writes through the disk queue and wait for all.
   Status WriteBatch(std::vector<Buffer*> bufs);
 
-  Options options_;
   Superblock sb_;
   BlockBitmap bitmap_;
   bool bitmap_dirty_ = false;

@@ -19,6 +19,8 @@ constexpr uint32_t kNumDirect = 12;
 constexpr uint32_t kPtrsPerBlock = kBlockSize / sizeof(uint64_t);  // 512
 constexpr uint32_t kDiskInodeSize = 256;
 constexpr uint32_t kInodesPerBlock = kBlockSize / kDiskInodeSize;  // 16
+/// Inode numbers in a file system, FFS or LFS; each superblock records it.
+constexpr uint32_t kMaxInodes = 4096;
 
 /// Largest representable file, in blocks.
 constexpr uint64_t kMaxFileBlocks =

@@ -162,8 +162,8 @@ std::unique_ptr<Machine> Machine::Build(const Options& options) {
     }
     m->fs = std::move(lfs);
   } else {
-    auto ffs = std::make_unique<Ffs>(m->env.get(), m->disk.get(),
-                                     m->cache.get(), options.ffs);
+    auto ffs =
+        std::make_unique<Ffs>(m->env.get(), m->disk.get(), m->cache.get());
     ffs->set_readahead_window(options.readahead_blocks);
     m->fs = std::move(ffs);
   }

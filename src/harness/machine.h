@@ -86,7 +86,6 @@ struct Machine {
     CostModel costs;
     SimDisk::Options disk;
     Lfs::Options lfs;
-    Ffs::Options ffs;
     bool start_syncer = true;        ///< 30 s update daemon
     SimTime sync_interval = 30 * kSecond;
     bool start_cleaner = true;       ///< LFS only

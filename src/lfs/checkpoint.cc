@@ -23,11 +23,9 @@ struct RawCpHeader {
   uint32_t next_segment;
   uint64_t redo_seq;
   uint64_t redo_addr;
-  uint32_t n_redo_files;  // RedoFile rows after the usage bytes
-  uint32_t pad;
 };
-static_assert(sizeof(RawCpHeader) == 80);
-constexpr uint32_t kCpMagic = 0x43504B32;  // "CPK2"
+static_assert(sizeof(RawCpHeader) == 72);
+constexpr uint32_t kCpMagic = 0x43504B33;  // "CPK3"
 
 size_t TablesBytes(uint64_t n_imap_blocks, uint64_t usage_bytes) {
   return sizeof(RawCpHeader) + 8 * n_imap_blocks + usage_bytes;
@@ -40,22 +38,10 @@ uint32_t CheckpointData::BlocksNeeded(uint32_t n_imap_blocks,
   return static_cast<uint32_t>((bytes + kBlockSize - 1) / kBlockSize);
 }
 
-uint32_t CheckpointData::MaxRedoFiles(uint32_t nblocks,
-                                      uint32_t n_imap_blocks,
-                                      uint32_t nsegments) {
-  size_t total = static_cast<size_t>(nblocks) * kBlockSize;
-  size_t tables = TablesBytes(n_imap_blocks, 16ull * nsegments);
-  return tables >= total
-             ? 0
-             : static_cast<uint32_t>((total - tables) / sizeof(RedoFile));
-}
-
 void CheckpointData::Encode(char* out, uint32_t nblocks) const {
   size_t total = static_cast<size_t>(nblocks) * kBlockSize;
-  LFSTX_CHECK(TablesBytes(imap_addrs.size(), usage_bytes.size()) +
-                      redo_files.size() * sizeof(RedoFile) <=
-                  total,
-              "checkpoint tables and redo files overflow the region");
+  LFSTX_CHECK(TablesBytes(imap_addrs.size(), usage_bytes.size()) <= total,
+              "checkpoint tables overflow the region");
   memset(out, 0, total);
   RawCpHeader h{};
   h.magic = kCpMagic;
@@ -70,16 +56,11 @@ void CheckpointData::Encode(char* out, uint32_t nblocks) const {
   h.next_write_seq = next_write_seq;
   h.redo_seq = redo_seq;
   h.redo_addr = redo_addr;
-  h.n_redo_files = static_cast<uint32_t>(redo_files.size());
   h.crc = 0;
   char* p = out + sizeof(h);
   memcpy(p, imap_addrs.data(), imap_addrs.size() * sizeof(BlockAddr));
   p += imap_addrs.size() * sizeof(BlockAddr);
   memcpy(p, usage_bytes.data(), usage_bytes.size());
-  p += usage_bytes.size();
-  if (!redo_files.empty()) {  // an empty vector's data() may be null
-    memcpy(p, redo_files.data(), redo_files.size() * sizeof(RedoFile));
-  }
   memcpy(out, &h, sizeof(h));
   h.crc = crc32c::Mask(crc32c::Value(out, total));
   memcpy(out, &h, sizeof(h));
@@ -91,9 +72,7 @@ Result<CheckpointData> CheckpointData::Decode(const char* in,
   RawCpHeader h;
   memcpy(&h, in, sizeof(h));
   if (h.magic != kCpMagic) return Status::Corruption("not a checkpoint");
-  if (TablesBytes(h.n_imap, h.n_usage_bytes) +
-          static_cast<uint64_t>(h.n_redo_files) * sizeof(RedoFile) >
-      total) {
+  if (TablesBytes(h.n_imap, h.n_usage_bytes) > total) {
     return Status::Corruption("checkpoint tables exceed region");
   }
   std::vector<char> copy(in, in + total);
@@ -118,11 +97,6 @@ Result<CheckpointData> CheckpointData::Decode(const char* in,
   memcpy(cp.imap_addrs.data(), p, 8ull * h.n_imap);
   p += 8ull * h.n_imap;
   cp.usage_bytes.assign(p, p + h.n_usage_bytes);
-  p += h.n_usage_bytes;
-  cp.redo_files.resize(h.n_redo_files);
-  if (h.n_redo_files > 0) {
-    memcpy(cp.redo_files.data(), p, h.n_redo_files * sizeof(RedoFile));
-  }
   return cp;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
 
 #include "lfs/cleaner.h"
 
@@ -27,7 +28,7 @@ Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache)
 Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
     : FsCore(env, disk, cache),
       options_(options),
-      imap_(options.max_inodes),
+      imap_(kMaxInodes),
       usage_(1, options.segment_blocks),  // resized once geometry is known
       // yield_ok: the log lock serializes multi-I/O segment and checkpoint
       // writes, so holding it across disk I/O is its purpose.
@@ -67,7 +68,7 @@ Lfs::Lfs(SimEnv* env, SimDisk* disk, BufferCache* cache, Options options)
               [this] { return static_cast<double>(lfs_stats_.checkpoints_skipped); });
   m->AddGauge(this, "lfs.checkpoint_forced_files", "count",
               "deferred files a checkpoint wrote whole: their redo record "
-              "began before the previous capture, or the image had no room",
+              "began before the previous capture",
               [this] {
                 return static_cast<double>(lfs_stats_.checkpoint_forced_files);
               });
@@ -114,7 +115,7 @@ Status Lfs::Format() {
   char block[kBlockSize] = {0};
   LfsSuperblock sb;
   sb.segment_blocks = options_.segment_blocks;
-  sb.max_inodes = options_.max_inodes;
+  sb.max_inodes = kMaxInodes;
   sb.nsegments = geo_.nsegments;
   sb.seg_start = geo_.seg_start;
   sb.checkpoint_a = geo_.checkpoint_a;
@@ -142,13 +143,13 @@ Status Lfs::Mount() {
   LfsSuperblock sb;
   memcpy(&sb, block, sizeof(sb));
   if (sb.magic != kMagic) return Status::Corruption("bad LFS superblock");
-  if (sb.segment_blocks != options_.segment_blocks ||
-      sb.max_inodes != options_.max_inodes) {
-    // Adopt the on-disk geometry.
-    options_.segment_blocks = sb.segment_blocks;
-    options_.max_inodes = sb.max_inodes;
-    imap_ = InodeMap(sb.max_inodes);
+  if (sb.max_inodes != kMaxInodes) {
+    return Status::Corruption("LFS superblock holds " +
+                              std::to_string(sb.max_inodes) + " inodes, not " +
+                              std::to_string(kMaxInodes));
   }
+  // Adopt the on-disk geometry.
+  options_.segment_blocks = sb.segment_blocks;
   geo_.seg_start = sb.seg_start;
   geo_.nsegments = sb.nsegments;
   geo_.checkpoint_blocks = sb.checkpoint_blocks;
@@ -205,7 +206,7 @@ Status Lfs::Checkpoint() {
 // ----------------------------------------------------------------- inodes --
 
 Status Lfs::LoadInode(InodeNum inum, DiskInode* out) {
-  if (inum == kInvalidInode || inum > options_.max_inodes) {
+  if (inum == kInvalidInode || inum > kMaxInodes) {
     return Status::InvalidArgument("inode number out of range");
   }
   const ImapEntry& e = imap_.Get(inum);

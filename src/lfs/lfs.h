@@ -36,7 +36,6 @@ class Lfs : public FsCore {
 
   struct Options {
     uint32_t segment_blocks = kDefaultSegmentBlocks;
-    uint32_t max_inodes = 4096;
     /// Write a checkpoint every N segment activations (and at unmount /
     /// after every cleaning round).
     uint32_t checkpoint_every_segments = 8;
@@ -49,7 +48,7 @@ class Lfs : public FsCore {
     uint64_t checkpoints = 0;
     uint64_t checkpoints_skipped = 0;  ///< requests that found the log clean
     /// Deferred files a capture wrote whole: their record began before the
-    /// previous capture, or the image had no room left to list them.
+    /// previous capture.
     uint64_t checkpoint_forced_files = 0;
     uint64_t flushes = 0;
     uint64_t writer_stalls = 0;      ///< waits for the cleaner
@@ -61,8 +60,8 @@ class Lfs : public FsCore {
   struct RecoveryStats {
     uint64_t checkpoint_seq = 0;   ///< seq of the checkpoint restored from
     uint64_t chunks = 0;           ///< chunks replayed off the chain
-    /// Chunks before the checkpoint's head whose summaries the scan read
-    /// from the redo point for the files the image lists.
+    /// Chunks of the redo span, from the redo point up to the checkpoint's
+    /// head, that the scan replayed.
     uint64_t redo_chunks = 0;
     uint64_t payload_blocks = 0;   ///< payload blocks read during the scan
     uint64_t apply_items = 0;      ///< imap updates and redone addresses
@@ -120,8 +119,8 @@ class Lfs : public FsCore {
   const InodeMap& imap() const { return imap_; }
 
   /// The log a recovery from the last capture reads: the chain from the
-  /// redo point to the capture's head (summaries only), then on from the
-  /// head. No segment holding a chunk of it may be clean.
+  /// redo point to the capture's head (the span), then on from the head.
+  /// No segment holding a chunk of it may be clean.
   struct CaptureSpan {
     uint64_t redo_seq = 0;  ///< == head_seq when no file was deferred
     BlockAddr redo_addr = kInvalidBlock;
@@ -271,15 +270,13 @@ class Lfs : public FsCore {
   bool HasUnloggedChanges(FlushScope scope);
   /// Append the dirty inode-map blocks and the deferred files the capture
   /// forces, if any, with the namespace closure (FlushScope::kCheckpoint),
-  /// so the next capture never names a stale map and lists every deferred
-  /// file in its image. Forced: each file whose redo record began before
-  /// the previous capture, so roll-forward never reads more than two
-  /// checkpoint intervals, and the earliest-started files past the image's
-  /// room (DESIGN.md §14).
+  /// so the next capture never names a stale map. Forced: each file whose
+  /// redo record began before the previous capture, so roll-forward never
+  /// reads more than two checkpoint intervals (DESIGN.md §14).
   Status LogImapLocked();
   /// Whether the capture LogImapLocked prepares writes `ino` whole.
   bool ForcedAtCapture(const Inode* ino) const {
-    return ino->deferred && ino->redo_seq < capture_force_seq_;
+    return ino->deferred && ino->redo_seq < last_cp_.head_seq;
   }
   /// Where the log continues after a head at offset `off` of `seg`: there,
   /// or the start of `successor` when no chunk fits (kInvalidBlock if
@@ -316,8 +313,8 @@ class Lfs : public FsCore {
   /// Every checkpoint (format, unmount, the segment trigger, the end of a
   /// cleaning pass or of recovery, Checkpoint()): under the flush lock,
   /// log the dirty inode map and the forced files (LogImapLocked), capture
-  /// the state with the redo point and the deferred files, pick the other
-  /// region and write the image there. Skips when the log is clean.
+  /// the state with the redo point, pick the other region and write the
+  /// image there. Skips when the log is clean.
   Status WriteCheckpointLocked();
   /// True when nothing was appended since the last capture — the on-disk
   /// image is already current.
@@ -356,9 +353,6 @@ class Lfs : public FsCore {
   uint32_t last_cp_seg_ = ~0u;
   uint32_t last_cp_off_ = ~0u;
   int force_checkpoint_region_ = -1;  // see ForceCheckpointRegionForTest
-  /// Set by LogImapLocked for its kCheckpoint flush: a deferred file whose
-  /// record starts before this chunk goes out whole (ForcedAtCapture).
-  uint64_t capture_force_seq_ = 0;
 
   SimMutex flush_lock_;
   SimProc* flush_owner_ = nullptr;  // detects re-entrant flushes

@@ -9,15 +9,17 @@
 // regions alternate, so a crash mid-write falls back to the other region.
 //
 // Recovery loads the newer valid checkpoint, rolls the log forward along
-// the summary chain (staging transaction-tagged chunks until their commit
-// marker), then rebuilds the usage table and its owner slots exactly and
-// writes a fresh checkpoint. The roll-forward is one sequential pass that
-// applies every inode and inode-map update inline, in log order, and
-// collects the redo records of flushes that deferred metadata (DESIGN.md
-// §14): a record counts once its flush's final chunk is in the chain (for
-// a commit, its commit marker), an inode block written after it supersedes
-// it, and the rest are applied to their inodes once the pass ends, before
-// the usage rebuild. The whole recovery holds the flush lock: the cleaner
+// the summary chain from the image's redo point (staging
+// transaction-tagged chunks until their commit marker), then rebuilds the
+// usage table and its owner slots exactly and writes a fresh checkpoint.
+// The roll-forward is one sequential pass that replays every chunk the
+// same way before the image's head and after it: it applies each inode
+// and inode-map update inline, in log order, and collects the redo
+// records of flushes that deferred metadata (DESIGN.md §14). A record
+// counts once its flush's final chunk is in the chain (for a commit, its
+// commit marker), an inode block written after it supersedes it, and the
+// rest are applied to their inodes once the pass ends, before the usage
+// rebuild. The whole recovery holds the flush lock: the cleaner
 // and syncer daemons start before the file system is mounted, and only the
 // lock keeps them from appending to a log whose head the scan has not
 // found yet.
@@ -58,8 +60,8 @@ Status Lfs::WriteCheckpointLocked() {
   }
   cp.next_write_seq = next_write_seq_;
   // The redo point: the earliest chunk a still-deferred file's record
-  // starts at, else the head. LogImapLocked left at most the image's room
-  // of them.
+  // starts at, else the head. LogImapLocked wrote whole every file whose
+  // record began before the previous capture.
   CaptureSpan span;
   span.head_seq = next_write_seq_;
   span.head_addr = HeadAddr(
@@ -68,9 +70,7 @@ Status Lfs::WriteCheckpointLocked() {
   span.redo_seq = span.head_seq;
   span.redo_addr = span.head_addr;
   for (Inode* ino : InCoreInodes()) {
-    if (!ino->deferred) continue;
-    cp.redo_files.push_back(RedoFile{ino->num(), 0, ino->redo_seq});
-    if (ino->redo_seq < span.redo_seq) {
+    if (ino->deferred && ino->redo_seq < span.redo_seq) {
       span.redo_seq = ino->redo_seq;
       span.redo_addr = ino->redo_addr;
     }
@@ -85,8 +85,7 @@ Status Lfs::WriteCheckpointLocked() {
               {"seq", cp.seq}, {"region", checkpoint_to_a_ ? "A" : "B"},
               {"seg", cur_seg_}, {"off", cur_off_},
               {"blocks", geo_.checkpoint_blocks},
-              {"redo_seq", span.redo_seq},
-              {"redo_files", static_cast<uint64_t>(cp.redo_files.size())});
+              {"redo_seq", span.redo_seq});
   checkpoint_to_a_ = !checkpoint_to_a_;
   segments_since_checkpoint_ = 0;
   last_cp_ = span;
@@ -189,7 +188,7 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
               {"off", cur_off_}, {"next_write_seq", next_write_seq_},
               {"redo_seq", best.redo_seq});
 
-  // ---- 3. roll forward along the summary chain ----
+  // ---- 3. roll forward from the redo point ----
   SimTime scan_start = env_->Now();
 
   // A deferred file's redo record, as one flush's summaries recorded it:
@@ -232,24 +231,10 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   };
   std::map<TxnId, Staged> staged;
 
-  // The scan starts at the redo point. Up to the checkpoint's head it reads
-  // only summaries, and a chunk's rows and data entries count only for the
-  // files the image lists, from the chunk each one's record starts at: every
-  // other file's inode, and every inode and inode-map block there, is in
-  // the image already. From the head on, everything counts.
-  std::map<InodeNum, uint64_t> listed;
-  for (const RedoFile& f : best.redo_files) listed[f.inum] = f.seq;
-  auto counts = [&](InodeNum inum, uint64_t seq) {
-    if (seq >= best.next_write_seq) return true;
-    auto it = listed.find(inum);
-    return it != listed.end() && it->second <= seq;
-  };
-
   // Moves the open blocks of each file chunk `s`'s redo table names into a
   // complete record dated by `s`.
   auto complete = [&](const Summary& s, OpenRedo* open) {
     for (const RedoRow& row : s.redo) {
-      if (!counts(row.inum, s.write_seq)) continue;
       auto it = open->find(row.inum);
       std::vector<RedoBlock> blocks;
       if (it != open->end()) {
@@ -301,23 +286,42 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
       charge(env_->costs().segment_block_cpu_us);
     }
   };
+  auto is_meta = [](const SummaryEntry& e) {
+    auto kind = static_cast<BlockKind>(e.kind);
+    return kind == BlockKind::kInode || kind == BlockKind::kImap;
+  };
 
-  // Holds the data entries of chunk `s` (at `at`) that count for the files
-  // its redo table names.
-  auto hold = [&](const Summary& s, BlockAddr at, OpenRedo* open) {
+  // Replays chunk `s` at `at`, the same way before the image's head and
+  // after it. It holds the data entries of the files its redo table names,
+  // applies its inode and inode-map blocks (`meta` holds the payload from
+  // entry `first` on, which covers all of them) or stages them if the
+  // chunk is tagged, and completes records: a commit marker applies its
+  // transaction's staged blocks and completes its records, and an fsync's
+  // final chunk completes its own.
+  auto replay = [&](const Summary& s, BlockAddr at, uint32_t first,
+                    const char* meta) {
+    Staged* txn = s.txn != kNoTxn ? &staged[s.txn] : nullptr;
+    OpenRedo* open = txn != nullptr ? &txn->redo : &fsync_redo;
     for (uint32_t i = 0; i < s.nblocks(); i++) {
       const SummaryEntry& e = s.entries[i];
       if (static_cast<BlockKind>(e.kind) == BlockKind::kData &&
-          counts(e.inum, s.write_seq) &&
           std::any_of(s.redo.begin(), s.redo.end(),
                       [&](const RedoRow& r) { return r.inum == e.inum; })) {
         (*open)[e.inum].push_back({s.write_seq, e.lblock, at + 1 + i});
       }
     }
-  };
-  // A commit marker applies its transaction's staged blocks and completes
-  // its records; an fsync's final chunk completes its own.
-  auto end_of = [&](const Summary& s, Staged* txn) {
+    for (uint32_t i = first; i < s.nblocks(); i++) {
+      const SummaryEntry& e = s.entries[i];
+      if (!is_meta(e)) continue;
+      auto kind = static_cast<BlockKind>(e.kind);
+      const char* bytes = meta + static_cast<size_t>(i - first) * kBlockSize;
+      if (txn != nullptr) {
+        txn->blocks.push_back({kind, at + 1 + i, e.lblock, s.write_seq,
+                               std::vector<char>(bytes, bytes + kBlockSize)});
+      } else {
+        apply(kind, at + 1 + i, e.lblock, bytes, s.write_seq);
+      }
+    }
     if (txn != nullptr && s.txn_commit) {
       for (const StagedBlock& u : txn->blocks) {
         apply(u.kind, u.addr, u.lblock, u.bytes.data(), u.seq);
@@ -341,9 +345,12 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   std::vector<bool> replayed(geo_.nsegments, false);
   std::vector<char> seg_buf(
       static_cast<size_t>(options_.segment_blocks) * kBlockSize);
-  // Every chunk before the head was durable before the image that names
-  // it, and no segment holding one was reused since (DESIGN.md §14): a
-  // break in that part of the chain is corruption, not the end of the log.
+  // The span: every chunk before the head was durable before the image
+  // that names it, and no segment holding one was reused since (DESIGN.md
+  // §14). So the image vouches for it: the scan reads each summary and the
+  // inode and inode-map blocks the writer placed at the chunk's end, skips
+  // the CRC, and treats a break in the chain as corruption, not the end of
+  // the log.
   auto bad = [&] {
     return Status::Corruption("chunk " + std::to_string(expect_seq) +
                               " of the checkpoint's redo span is missing at "
@@ -352,18 +359,29 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   while (expect_seq < best.next_write_seq) {
     if (next < geo_.seg_start || next >= disk_->num_blocks()) return bad();
     LFSTX_RETURN_IF_ERROR(disk_->Read(next, 1, seg_buf.data()));
-    env_->Consume(env_->costs().segment_block_cpu_us);
     auto sres = Summary::DecodeWithoutPayload(seg_buf.data());
-    if (!sres.ok() || sres.value().write_seq != expect_seq) return bad();
+    if (!sres.ok() || sres.value().write_seq != expect_seq ||
+        SlotOf(next) + 1 + sres.value().nblocks() > options_.segment_blocks) {
+      return bad();
+    }
     const Summary& s = sres.value();
+    uint32_t first = 0;
+    while (first < s.nblocks() && !is_meta(s.entries[first])) first++;
+    if (first < s.nblocks()) {
+      LFSTX_RETURN_IF_ERROR(disk_->Read(next + 1 + first, s.nblocks() - first,
+                                        seg_buf.data() + kBlockSize));
+    }
+    env_->Consume(env_->costs().segment_block_cpu_us *
+                  (1 + s.nblocks() - first));
     recovery_stats_.redo_chunks++;
     replayed[SegOf(next)] = true;
-    Staged* txn = s.txn != kNoTxn ? &staged[s.txn] : nullptr;
-    hold(s, next, txn != nullptr ? &txn->redo : &fsync_redo);
-    end_of(s, txn);
+    replay(s, next, first, seg_buf.data() + kBlockSize);
     expect_seq++;
     next = expect_seq == best.next_write_seq ? head : s.next_addr;
   }
+  // The span's inode and inode-map blocks brought the map back to the
+  // image's, whose blocks are on disk.
+  imap_.ClearDirty();
   while (next != kInvalidBlock && next >= geo_.seg_start &&
          next < disk_->num_blocks()) {
     uint32_t seg = SegOf(next);
@@ -402,23 +420,7 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
     replayed[seg] = true;
 
     usage_.ReplayChunk(seg, off, n, s.generation, s.timestamp);
-    Staged* txn = s.txn != kNoTxn ? &staged[s.txn] : nullptr;
-    hold(s, next, txn != nullptr ? &txn->redo : &fsync_redo);
-    for (uint32_t i = 0; i < s.nblocks(); i++) {
-      const SummaryEntry& e = s.entries[i];
-      BlockAddr addr = next + 1 + i;
-      BlockKind kind = static_cast<BlockKind>(e.kind);
-      if (kind != BlockKind::kInode && kind != BlockKind::kImap) continue;
-      const char* bytes = seg_buf.data() + (1ull + i) * kBlockSize;
-      if (txn != nullptr) {
-        txn->blocks.push_back(
-            {kind, addr, e.lblock, s.write_seq,
-             std::vector<char>(bytes, bytes + kBlockSize)});
-      } else {
-        apply(kind, addr, e.lblock, bytes, s.write_seq);
-      }
-    }
-    end_of(s, txn);
+    replay(s, next, 0, seg_buf.data() + kBlockSize);
     expect_seq++;
     cur_seg_ = seg;
     cur_off_ = off + 1 + n;
@@ -500,7 +502,7 @@ Status Lfs::RecoverFromCheckpointAndRollForward() {
   set("recovery.chunks", "count", "chunks replayed off the summary chain",
       recovery_stats_.chunks);
   set("recovery.redo_chunks", "count",
-      "summaries read from the redo point up to the checkpoint's head",
+      "chunks replayed from the redo point up to the checkpoint's head",
       recovery_stats_.redo_chunks);
   set("recovery.payload_blocks", "blocks", "payload blocks scanned",
       recovery_stats_.payload_blocks);
@@ -549,7 +551,7 @@ void Lfs::WalkBlockMaps(
   char iblock[kBlockSize];
   char leaf[kBlockSize];
   char root[kBlockSize];
-  for (InodeNum inum = 1; inum <= options_.max_inodes; inum++) {
+  for (InodeNum inum = 1; inum <= kMaxInodes; inum++) {
     const ImapEntry& e = imap_.Get(inum);
     if (e.inode_addr == 0) continue;
     const Inode* in_core = FindInCore(inum);

@@ -45,29 +45,14 @@ Status Lfs::FlushUnderLock(TxnId txn, FlushScope scope, InodeNum file) {
 }
 
 Status Lfs::LogImapLocked() {
-  const uint32_t room = CheckpointData::MaxRedoFiles(
-      geo_.checkpoint_blocks, imap_.nblocks(), geo_.nsegments);
   // A writer stall inside the flush drops the lock, and another flush may
-  // then dirty the map again or defer more files than the image can list:
-  // go again until neither holds.
+  // then dirty the map again or defer a file past the bound: go again until
+  // neither holds.
   for (;;) {
-    std::vector<uint64_t> starts;
-    for (Inode* ino : InCoreInodes()) {
-      if (ino->deferred) starts.push_back(ino->redo_seq);
-    }
-    // The bound: a file whose record began before the previous capture goes
-    // out whole, so the redo point never lags the head by more than one
-    // interval. Past the image's room, so do the earliest-started files.
-    capture_force_seq_ = last_cp_.head_seq;
-    if (starts.size() > room) {
-      std::sort(starts.begin(), starts.end());
-      capture_force_seq_ =
-          std::max(capture_force_seq_, starts[starts.size() - room - 1] + 1);
-    }
-    auto forced = static_cast<uint64_t>(
-        std::count_if(starts.begin(), starts.end(), [this](uint64_t seq) {
-          return seq < capture_force_seq_;
-        }));
+    std::vector<Inode*> inodes = InCoreInodes();
+    auto forced = static_cast<uint64_t>(std::count_if(
+        inodes.begin(), inodes.end(),
+        [this](const Inode* ino) { return ForcedAtCapture(ino); }));
     if (imap_.DirtyBlocks().empty() && forced == 0) return Status::OK();
     lfs_stats_.checkpoint_forced_files += forced;
     LFSTX_RETURN_IF_ERROR(FlushLocked(kNoTxn, FlushScope::kCheckpoint));

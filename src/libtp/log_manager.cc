@@ -39,9 +39,6 @@ LogManager::LogManager(Kernel* kernel, Options options)
               [this] { return static_cast<double>(stats_.flushes); });
   m->AddGauge(this, "log.bytes_appended", "bytes", "WAL bytes appended",
               [this] { return static_cast<double>(stats_.bytes_appended); });
-  m->AddGauge(this, "log.group_commit_waits", "count",
-              "commits that waited for a shared fsync",
-              [this] { return static_cast<double>(stats_.group_commit_waits); });
   m->AddGauge(this, "log.retained_bytes", "bytes",
               "log bytes not yet truncated",
               [this] { return static_cast<double>(next_lsn_ - base_lsn_); });
@@ -169,9 +166,9 @@ Result<Lsn> LogManager::Append(const LogRecord& rec) {
 Status LogManager::FlushTo(Lsn lsn, TxnId txn) {
   SimEnv* env = kernel_->env();
   if (next_lsn_ == 0) return Status::OK();  // nothing ever appended
-  // Everything until the WAL is durable — group-commit hold, the log
-  // write + fsync (disk I/O included, see Profiler::Effective), or
-  // piggybacking on another commit's flush — is log-flush wait.
+  // Everything until the WAL is durable — the log write + fsync (disk I/O
+  // included, see Profiler::Effective), or piggybacking on another
+  // commit's flush — is log-flush wait.
   ProfPhaseScope prof_phase(env->profiler(), Phase::kLogWait);
   lsn = std::min(lsn, next_lsn_ - 1);
   while (durable_lsn_ < lsn + 1) {
@@ -201,16 +198,6 @@ Status LogManager::FlushTo(Lsn lsn, TxnId txn) {
     }
     flusher_active_ = true;
     flusher_txn_ = txn;
-    if (options_.group_commit_wait > 0) {
-      // Hold the flush briefly so concurrent commits share the fsync.
-      stats_.group_commit_waits++;
-      SimTime deadline = env->Now() + options_.group_commit_wait;
-      while (env->Now() < deadline &&
-             pending_commits_ + 1 < options_.group_commit_batch &&
-             !env->stop_requested()) {
-        env->SleepUntil(deadline);
-      }
-    }
     std::string batch;
     batch.swap(tail_);
     Lsn base = tail_base_;

@@ -1,6 +1,9 @@
 // User-level write-ahead log manager. Appends are buffered in user space;
-// FlushTo writes the tail through write()/fsync() system calls, optionally
-// batching concurrent committers (group commit, DeWitt et al. [3]).
+// FlushTo writes the tail through write()/fsync() system calls. A caller
+// that finds a flush in flight waits for it; when that flush did not cover
+// its records, it leads the next one, which writes everything appended
+// meanwhile, so concurrent committers share an fsync (group commit, DeWitt
+// et al. [3]).
 #ifndef LFSTX_LIBTP_LOG_MANAGER_H_
 #define LFSTX_LIBTP_LOG_MANAGER_H_
 
@@ -17,11 +20,6 @@ namespace lfstx {
 class LogManager {
  public:
   struct Options {
-    /// If nonzero, a flusher holds commits for up to this long hoping more
-    /// arrive (amortizes the fsync). Zero = flush immediately.
-    SimTime group_commit_wait = 0;
-    /// Stop waiting once this many commits are pending.
-    uint32_t group_commit_batch = 4;
     /// Preallocate the log file to this size at creation so appends stay
     /// inside a contiguous, already-mapped region (no inode updates on the
     /// fsync path — the classic dedicated-log-region setup the paper's
@@ -34,7 +32,6 @@ class LogManager {
     uint64_t records = 0;
     uint64_t flushes = 0;       ///< fsync batches
     uint64_t bytes_appended = 0;
-    uint64_t group_commit_waits = 0;
   };
 
   explicit LogManager(Kernel* kernel);
@@ -141,7 +138,7 @@ class LogManager {
   Lsn durable_lsn_ = 0;
   bool flusher_active_ = false;
   TxnId flusher_txn_ = kNoTxn;  ///< txn leading the in-flight flush
-  uint32_t pending_commits_ = 0;
+  uint32_t pending_commits_ = 0;  ///< waiters on the in-flight flush
   WaitQueue flushed_;
   MetricHistogram* blame_hist_ = nullptr;  // blame.log.leader_us
   Stats stats_;

@@ -323,13 +323,22 @@ bool SpanHolds(const Lfs& fs, uint32_t seg) {
 /// before the one before. After the twenty-seventh a two-segment /f is
 /// fsynced and removed; after the thirtieth a checkpoint leaves /a deferred
 /// again, so its redo span holds /f's empty segment, and after the
-/// fortieth a kernel cleaning pass reclaims that segment. Each fsync writes
-/// one block (an overwrite, and every fifth an append) except the
+/// fortieth a kernel cleaning pass reclaims that segment. After the
+/// forty-first a checkpoint leaves /a deferred and a 20-block /b is
+/// fsynced twice, deferred by the second; the forty-second fsync overwrites
+/// a block of /a, the forty-third writes the first block of /a's
+/// double-indirect map, past its end, and overwrites that block again, so it
+/// logs /a's inode, and the forty-fourth defers /a again. The checkpoint
+/// after it leaves both files deferred, so its redo span starts at /b's
+/// record and holds /a's older record and the inode block that superseded
+/// it. Every other fsync writes one block (an overwrite, and every fifth an
+/// append, inside that map's first child once it exists) except the
 /// fiftieth, which overwrites /a's last 64 blocks and appends 64 more: one
 /// chunk holds less than a segment, so that fsync's chunks cross a segment
-/// end. `boundary[i]` is the trace length once the i-th fsync of /a is
-/// durable and `digest[i]` its contents then; the checkpoints, /f and the
-/// pass change no contents. `deferred` counts the fsyncs that left /a
+/// end, and /a's new size is part of the record they carry.
+/// `boundary[i]` is the trace length once the i-th fsync of /a is
+/// durable and `digest[i]` its contents then; the checkpoints, /b, /f and
+/// the pass change no contents. `deferred` counts the fsyncs that left /a
 /// deferred.
 void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
                        std::vector<size_t>* boundary,
@@ -358,14 +367,26 @@ void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
     synced();
     uint64_t blocks = 200;
     uint32_t emptied = 0;  // /f's segment
+    InodeNum b = kInvalidInode;
     for (int i = 0; i < 60; i++) {
       uint64_t chunks = fs.lfs_stats().partial_segments;
+      const uint64_t size = fs.GetInode(a).value()->d.size;
       if (i == 50) {
         const uint64_t n = fs.segment_blocks();
         ASSERT_TRUE(fs.Write(a, (blocks - n / 2) * kBlockSize,
                              rng.Bytes(n * kBlockSize))
                         .ok());
         blocks += n / 2;
+      } else if (i == 43) {
+        // A new indirect block is an attribute change: this fsync logs
+        // /a's inode, with the block the fsync before wrote rewritten. The
+        // appends after it stay inside the double-indirect child it starts.
+        blocks = kNumDirect + kPtrsPerBlock;
+        ASSERT_TRUE(
+            fs.Write(a, blocks++ * kBlockSize, rng.Bytes(kBlockSize)).ok());
+        ASSERT_TRUE(fs.Write(a, (42 * 3 % 200) * kBlockSize,
+                             rng.Bytes(kBlockSize))
+                        .ok());
       } else {
         uint64_t lb =
             i % 5 == 4 ? blocks++ : (static_cast<uint64_t>(i) * 3) % 200;
@@ -373,17 +394,38 @@ void RecordDeferredRun(std::vector<SimDisk::TraceBlock>* trace,
       }
       ASSERT_TRUE(fs.SyncFile(a).ok());
       if (fs.GetInode(a).value()->deferred) ++*deferred;
+      if (i == 43 || i == 44) {
+        ASSERT_EQ(fs.GetInode(a).value()->deferred, i == 44);
+      }
       if (i == 50) {
         ASSERT_TRUE(fs.GetInode(a).value()->deferred);
         ASSERT_GE(fs.lfs_stats().partial_segments - chunks, 2u);
+        ASSERT_EQ(fs.GetInode(a).value()->d.size,
+                  size + fs.segment_blocks() / 2 * kBlockSize);
       }
       synced();
-      if (i == 20 || i == 25 || i == 30) {
+      if (i == 41) {
+        b = fs.Create("/b").value();
+        ASSERT_TRUE(fs.Write(b, 0, rng.Bytes(20 * kBlockSize)).ok());
+        ASSERT_TRUE(fs.SyncFile(b).ok());
+      }
+      if (i == 20 || i == 25 || i == 30 || i == 41 || i == 44) {
         const uint64_t forced = fs.lfs_stats().checkpoint_forced_files;
         ASSERT_TRUE(fs.Checkpoint().ok());
         ASSERT_EQ(fs.GetInode(a).value()->deferred, i != 25);
         ASSERT_EQ(fs.lfs_stats().checkpoint_forced_files - forced,
                   i == 25 ? 1u : 0u);
+      }
+      if (i == 41) {
+        // /b's record starts after the capture, before /a's next one.
+        ASSERT_TRUE(fs.Write(b, 0, rng.Bytes(kBlockSize)).ok());
+        ASSERT_TRUE(fs.SyncFile(b).ok());
+        ASSERT_TRUE(fs.GetInode(b).value()->deferred);
+      }
+      if (i == 44) {
+        ASSERT_TRUE(fs.GetInode(b).value()->deferred);
+        ASSERT_EQ(fs.last_capture().redo_seq,
+                  fs.GetInode(b).value()->redo_seq);
       }
       if (i == 27) {
         // /f fills the segment after this one alone.
@@ -515,11 +557,21 @@ uint64_t DigestCommitted(Lfs* fs, InodeNum a, InodeNum b) {
 /// and the sixth append starts its second child, so that commit logs /a's
 /// inode over the record of the commit before. The fiftieth and the
 /// fifty-fifth overwrite /a's last 64 blocks and append 64 more, so their
-/// chunks cross a segment end; the fiftieth also makes the periodic
-/// checkpoint due. `boundary[i]` is the trace length once the i-th commit
-/// returned and `digest[i]` the files' contents then; the checkpoints, /f
-/// and the pass change no contents. `deferred` counts the commits that left
-/// both files deferred.
+/// chunks cross a segment end and carry /a's new size; the fiftieth also
+/// makes the periodic checkpoint due. After the forty-first a forced
+/// checkpoint leaves both files deferred. The forty-second starts /b's
+/// double-indirect map, so it logs /b's inode, and /b's next record starts
+/// with the forty-third, which overwrites a block of /a no later commit
+/// writes. The forty-fourth's append skips a hole to the first block of
+/// /a's third double-indirect child and it overwrites that block again, so
+/// it logs /a's inode; the appends after it stay inside that child, and the
+/// forty-fifth defers /a again. The fiftieth's periodic checkpoint leaves
+/// both deferred, so its redo span starts at /b's record and holds /a's
+/// older record and the inode block that superseded it.
+/// `boundary[i]` is the trace length once the i-th commit returned and
+/// `digest[i]` the files' contents then; the checkpoints, /f and the pass
+/// change no contents. `deferred` counts the commits that left both files
+/// deferred.
 void RecordDeferredCommitRun(std::vector<SimDisk::TraceBlock>* trace,
                              std::vector<size_t>* boundary,
                              std::vector<uint64_t>* digest,
@@ -567,6 +619,7 @@ void RecordDeferredCommitRun(std::vector<SimDisk::TraceBlock>* trace,
     uint32_t emptied = 0;  // /f's segment
     for (int i = 0; i < 60; i++) {
       uint64_t chunks = fs.lfs_stats().partial_segments;
+      const uint64_t size = fs.GetInode(a).value()->d.size;
       const uint32_t seg = fs.current_segment();
       InodeNum f = kInvalidInode;
       if (i == 27) f = kernel.Create("/f").value();
@@ -583,18 +636,28 @@ void RecordDeferredCommitRun(std::vector<SimDisk::TraceBlock>* trace,
         write(a, blocks - n / 2, n);
         blocks += n / 2;
       } else if (i % 5 == 4) {
+        // The forty-fourth's new child is an attribute change.
+        if (i == 44) blocks = kNumDirect + 3 * kPtrsPerBlock;
         write(a, blocks++, 1);
         write(a, last, 1);
       } else {
-        last = i % 2 == 0 ? (i * 3) % 20 : blocks - 1 - i % 10;
+        // The forty-third's block is one no later commit writes.
+        last = i == 43      ? 19
+               : i % 2 == 0 ? (i * 3) % 20
+                            : blocks - 1 - i % 10;
         write(a, last, 1);
       }
       write(b, (i * 7) % 20, 1);
+      if (i == 42) write(b, kNumDirect + kPtrsPerBlock, 1);
       uint64_t checkpoints = fs.lfs_stats().checkpoints;
       ASSERT_TRUE(kernel.TxnCommit().ok());
       const bool a_deferred = fs.GetInode(a).value()->deferred;
       const bool b_deferred = fs.GetInode(b).value()->deferred;
       if (a_deferred && b_deferred) ++*deferred;
+      if (i >= 41 && i <= 45) {
+        ASSERT_EQ(a_deferred, i != 44);
+        ASSERT_EQ(b_deferred, i != 42);
+      }
       if (i == 27 || i == 50 || i == 55) {
         ASSERT_GE(fs.lfs_stats().partial_segments - chunks, 2u);
         // The twenty-seventh and the fiftieth make the periodic checkpoint
@@ -604,14 +667,22 @@ void RecordDeferredCommitRun(std::vector<SimDisk::TraceBlock>* trace,
                   i == 55 ? 0u : 1u);
         ASSERT_TRUE(a_deferred && b_deferred);
       }
+      if (i == 50 || i == 55) {
+        ASSERT_EQ(fs.GetInode(a).value()->d.size,
+                  size + fs.segment_blocks() / 2 * kBlockSize);
+      }
       committed();
-      if (i == 20 || i == 25) {
+      if (i == 20 || i == 25 || i == 41) {
         const uint64_t forced = fs.lfs_stats().checkpoint_forced_files;
         ASSERT_TRUE(fs.Checkpoint().ok());
-        ASSERT_EQ(fs.GetInode(a).value()->deferred, i == 20);
-        ASSERT_EQ(fs.GetInode(b).value()->deferred, i == 20);
+        ASSERT_EQ(fs.GetInode(a).value()->deferred, i != 25);
+        ASSERT_EQ(fs.GetInode(b).value()->deferred, i != 25);
         ASSERT_EQ(fs.lfs_stats().checkpoint_forced_files - forced,
                   i == 25 ? 2u : 0u);
+      }
+      if (i == 50) {
+        ASSERT_EQ(fs.last_capture().redo_seq,
+                  fs.GetInode(b).value()->redo_seq);
       }
       if (i == 27) {
         // /f filled the segment after `seg` alone.

@@ -121,6 +121,33 @@ TEST(FfsTest, PersistsAcrossRemount) {
   env.Run();
 }
 
+TEST(FfsTest, MountRejectsAnotherInodeCount) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("test", [&] {
+    {
+      BufferCache cache(&env, 512);
+      Ffs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      ASSERT_TRUE(fs.Unmount().ok());
+    }
+    // The superblock's inode count follows its magic.
+    char block[kBlockSize];
+    disk.RawRead(0, 1, block);
+    const uint32_t other = kMaxInodes / 2;
+    memcpy(block + sizeof(uint32_t), &other, sizeof(other));
+    disk.RawWrite(0, 1, block);
+    BufferCache cache(&env, 512);
+    Ffs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    Status st = fs.Mount();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_EQ(st.message(), "FFS superblock holds 2048 inodes, not 4096");
+  });
+  env.Run();
+}
+
 TEST(FfsTest, DirectoriesNestAndList) {
   FfsFixture f;
   RunIn(&f.env, [&] {

@@ -125,6 +125,33 @@ TEST(LfsTest, PersistsAcrossRemount) {
   env.Run();
 }
 
+TEST(LfsTest, MountRejectsAnotherInodeCount) {
+  SimEnv env;
+  SimDisk disk(&env, SimDisk::Options{});
+  env.Spawn("test", [&] {
+    {
+      BufferCache cache(&env, 1024);
+      Lfs fs(&env, &disk, &cache);
+      cache.set_writeback(&fs);
+      ASSERT_TRUE(fs.Format().ok());
+      ASSERT_TRUE(fs.Unmount().ok());
+    }
+    // The superblock's inode count follows its magic and segment size.
+    char block[kBlockSize];
+    disk.RawRead(0, 1, block);
+    const uint32_t other = kMaxInodes * 2;
+    memcpy(block + 2 * sizeof(uint32_t), &other, sizeof(other));
+    disk.RawWrite(0, 1, block);
+    BufferCache cache(&env, 1024);
+    Lfs fs(&env, &disk, &cache);
+    cache.set_writeback(&fs);
+    Status st = fs.Mount();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_EQ(st.message(), "LFS superblock holds 8192 inodes, not 4096");
+  });
+  env.Run();
+}
+
 TEST(LfsTest, NoOverwrite_BeforeImageSurvivesUntilNextFlush) {
   LfsFixture f;
   RunIn(&f.env, [&] {
@@ -636,11 +663,12 @@ TEST(LfsTest, ACheckpointWritesWholeOnlyFilesDeferredBeforeThePreviousOne) {
   env.Run();
 }
 
-TEST(LfsTest, ARedoSpanCountsEachFileFromItsOwnRecord) {
+TEST(LfsTest, AnInodeBlockInsideTheRedoSpanSupersedesAnOlderRecord) {
   // The span starts at /b's record. /a has an older record inside it,
-  // which a later write of /a's inode superseded before the capture: the
-  // image lists /a from its newer record only, so roll-forward must not
-  // put the older block back.
+  // which a later write of /a's inode, also inside the span, superseded
+  // before the capture: roll-forward must apply that inode block as it
+  // applies one after the image's head, so it does not put the older
+  // block back.
   SimEnv env;
   SimDisk disk(&env, SimDisk::Options{});
   env.Spawn("test", [&] {

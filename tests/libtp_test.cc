@@ -475,16 +475,15 @@ TEST(LibTpTest, ATransactionBegunDuringTheLogTruncateSurvivesACrash) {
 }
 
 TEST(LibTpTest, ATransactionCommittedDuringACheckpointsFlushSurvivesACrash) {
-  // The checkpoint's pool flush waits on a group commit's log flush; a
-  // transaction that begins meanwhile commits in the same log flush and is
-  // done before the checkpoint decides. No transaction is running then,
-  // but the flush never wrote the page it dirtied: the log must keep its
-  // records.
+  // The checkpoint's pool flush waits on the log flush a commit leads, and
+  // then on the next one, led by a commit that waited on the first too. A
+  // transaction that begins once the checkpoint waits commits in that
+  // second flush and is done before the checkpoint decides. No
+  // transaction is running then, but the pool flush never wrote the page
+  // it dirtied: the log must keep its records.
   auto rig = TestRig::Create(Arch::kUserLfs);
   LibTp::Options lo;
   lo.log.preallocate_bytes = 0;
-  lo.log.group_commit_wait = 5 * kMillisecond;
-  lo.log.group_commit_batch = 4;
   lo.checkpoint_log_bytes = ~uint64_t{0};  // checkpoints only on request
   rig->libtp = std::make_unique<LibTp>(rig->machine->kernel.get(), lo);
   rig->backend = std::make_unique<LibTpBackend>(rig->libtp.get());
@@ -501,21 +500,31 @@ TEST(LibTpTest, ATransactionCommittedDuringACheckpointsFlushSurvivesACrash) {
     };
     update(1, "BASE");
     ASSERT_TRUE(tp->Checkpoint().ok());
+    const uint64_t flushes = tp->log()->stats().flushes;
     int done = 0;
-    // Leads a group commit: its log flush holds 5 ms for company.
+    // Leads a log flush.
     rig->env()->Spawn("leader", [&] {
       update(2, "LEAD");
       done++;
     });
+    // Commits while the leader's flush is in flight, and leads the next.
+    rig->env()->Spawn("next", [&] {
+      rig->env()->SleepFor(kMillisecond);
+      update(4, "NEXT");
+      done++;
+    });
     // Begins once the checkpoint is parked on the leader's log flush.
     rig->env()->Spawn("late", [&] {
-      rig->env()->SleepFor(2 * kMillisecond);
+      rig->env()->SleepFor(8 * kMillisecond);
       update(3, "LATE");
       done++;
     });
-    rig->env()->SleepFor(kMillisecond);
+    rig->env()->SleepFor(6 * kMillisecond);
     ASSERT_TRUE(tp->Checkpoint().ok());
-    while (done < 2) rig->env()->SleepFor(kMillisecond);
+    // The leader's flush, the next one with the late commit, and the
+    // checkpoint record's.
+    EXPECT_EQ(tp->log()->stats().flushes - flushes, 3u);
+    EXPECT_EQ(done, 3);
 
     // Crash: the pool's dirty pages are lost.
     LibTp fresh(rig->machine->kernel.get(), lo);
@@ -523,7 +532,8 @@ TEST(LibTpTest, ATransactionCommittedDuringACheckpointsFlushSurvivesACrash) {
     ASSERT_TRUE(fresh.Open("/txn.log").ok());
     TxnId t = fresh.Begin().value();
     for (auto [pg, want] : {std::pair<uint64_t, const char*>{2, "LEAD"},
-                            {3, "LATE"}}) {
+                            {3, "LATE"},
+                            {4, "NEXT"}}) {
       auto p = fresh.GetPage(t, 0, pg, LockMode::kShared);
       ASSERT_TRUE(p.ok());
       EXPECT_EQ(std::string(p.value()->data + 300, 4), want) << "page " << pg;
@@ -534,18 +544,12 @@ TEST(LibTpTest, ATransactionCommittedDuringACheckpointsFlushSurvivesACrash) {
 }
 
 TEST(LibTpTest, GroupCommitBatchesFsyncs) {
-  Machine::Options mo;
-  auto rig = TestRig::Create(Arch::kUserLfs, mo);
-  // Reconfigure LIBTP with group commit before boot.
-  LibTp::Options lo;
-  lo.log.group_commit_wait = 5 * kMillisecond;
-  lo.log.group_commit_batch = 4;
-  rig->libtp = std::make_unique<LibTp>(rig->machine->kernel.get(), lo);
-  rig->backend = std::make_unique<LibTpBackend>(rig->libtp.get());
+  auto rig = TestRig::Create(Arch::kUserLfs);
   rig->Run([&] {
     LibTp* tp = rig->libtp.get();
     uint32_t fref = tp->pool()->RegisterFile("/data", true).value();
-    // Four concurrent committers should share one fsync.
+    // Four concurrent committers: the first leads a log flush, and the
+    // other three wait for it and share the next.
     uint64_t flushes_before = tp->log()->stats().flushes;
     int done = 0;
     for (int i = 0; i < 4; i++) {
